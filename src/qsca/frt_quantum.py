@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
+from .errors import DimensionTooLarge
 from .qstate import (
     BlockReset,
     Circuit,
@@ -44,6 +45,7 @@ __all__ = [
     "FrtStageRecord",
     "FrtRunReport",
     "StageIdentityReport",
+    "MAX_REGISTER_QUBITS",
     "make_particle_state",
     "frt_stage",
     "run_frt",
@@ -52,6 +54,7 @@ __all__ = [
 ]
 
 _COMPILED_THRESHOLD = 15  # qubits; above this the sparse executor wins
+MAX_REGISTER_QUBITS = 24  # one state vector of 2^24 complex amplitudes = 256 MiB
 
 
 @dataclass(frozen=True)
@@ -148,6 +151,10 @@ def make_particle_state(blocks: Sequence, padding: int) -> BlockRegister:
         bits.extend(b.bits)
     bits.extend([0] * (padding * w))
     n_blocks = len(blocks) + padding
+    if n_blocks * w > MAX_REGISTER_QUBITS:
+        raise DimensionTooLarge(
+            f"register of {n_blocks * w} qubits exceeds the limit of "
+            f"{MAX_REGISTER_QUBITS}")
     amp = np.zeros(2 ** (n_blocks * w), dtype=complex)
     amp[int("".join(str(b) for b in bits), 2)] = 1.0
     return BlockRegister(w - 1, n_blocks,

@@ -13,6 +13,12 @@ brings U to the block form diag(identity, antidiagonal(1,...,1,0)),
 expresses U as a NOT/controlled-NOT circuit on the window, assembles the
 whole-chain step in both its unitary-circuit and partial-isometry
 readings, and runs the one-shot superposition update demonstration.
+
+MAX_RADIUS stays at 6 (dimension 2^13 = 8192).  The isometry check works
+on sparse integer products and takes well under a second there, but U
+itself is still a dense int8 matrix: 64 MiB at r=6, 1 GiB at r=7 and
+16 GiB at r=8.  Raising the limit waits for a representation of U that
+is not dense.
 """
 
 from __future__ import annotations
@@ -122,20 +128,30 @@ class IsometryReport:
                 and self.norm_deviation <= 1e-12)
 
 
+def _defect_residual(gram: sparse.csr_matrix, defect: int) -> int:
+    """max |gram - (I - |d><d|)| over all entries, from the sparse difference."""
+    target = np.ones(gram.shape[0], dtype=np.int64)
+    target[defect] = 0
+    diff = gram - sparse.diags_array(target, format="csr", dtype=np.int64)
+    return int(abs(diff).max())
+
+
 def check_partial_isometry(t_op: TransitionOperator, samples: int = 20,
                            rng: np.random.Generator | None = None
                            ) -> IsometryReport:
+    """Exact integer residuals of the two isometry identities.
+
+    U is taken as a sparse int64 matrix, so U U+ and U+ U are exact
+    integer products for any integer U (no 0/1 or injectivity structure
+    is assumed).  With one nonzero per column they cost O(dim) instead
+    of the dense O(dim^3); reading the dense matrix is an O(dim^2) scan.
+    """
     if rng is None:
         rng = np.random.default_rng(0)
-    mat = t_op.matrix.astype(np.int64)
+    mat = sparse.csr_matrix(t_op.matrix, dtype=np.int64)
     dim = t_op.dimension
-    eye = np.eye(dim, dtype=np.int64)
-    range_target = eye.copy()
-    range_target[t_op.preimage_index, t_op.preimage_index] = 0
-    support_target = eye.copy()
-    support_target[t_op.null_index, t_op.null_index] = 0
-    range_residual = int(np.abs(mat @ mat.T - range_target).max())
-    support_residual = int(np.abs(mat.T @ mat - support_target).max())
+    range_residual = _defect_residual(mat @ mat.T, t_op.preimage_index)
+    support_residual = _defect_residual(mat.T @ mat, t_op.null_index)
 
     matf = mat.astype(float)
     worst = 0.0

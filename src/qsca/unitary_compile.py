@@ -36,6 +36,8 @@ def _unitarity_residual(u: np.ndarray) -> float:
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise ValueError("matrix has non-finite entries")
     return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
 
 
@@ -53,8 +55,9 @@ class EmbeddedRotation:
         u = np.asarray(self.u, dtype=complex)
         if u.shape != (2, 2):
             raise ValueError("rotation block must be 2x2")
-        if _unitarity_residual(u) > 1e-12:
-            raise NotUnitary(_unitarity_residual(u))
+        residual = _unitarity_residual(u)
+        if not residual <= 1e-12:
+            raise NotUnitary(residual)
         u = u.copy()
         u.flags.writeable = False
         object.__setattr__(self, "u", u)
@@ -81,7 +84,7 @@ class ReckPlan:
         phases = np.asarray(self.phases, dtype=complex)
         if phases.shape != (self.dimension,):
             raise ValueError("need one phase per mode")
-        if np.abs(np.abs(phases) - 1.0).max() > 1e-12:
+        if not np.abs(np.abs(phases) - 1.0).max() <= 1e-12:
             raise ValueError("phases must have unit modulus")
         n = self.dimension
         if len(self.rotations) > n * (n - 1) // 2:
@@ -103,7 +106,7 @@ def reck_decompose(u: np.ndarray, tol: float = 1e-10) -> ReckPlan:
     """
     work = np.asarray(u, dtype=complex).copy()
     residual = _unitarity_residual(work)
-    if residual > tol:
+    if not residual <= tol:
         raise NotUnitary(residual)
     n = work.shape[0]
     rotations: list[EmbeddedRotation] = []
@@ -127,10 +130,15 @@ def reck_decompose(u: np.ndarray, tol: float = 1e-10) -> ReckPlan:
 
 
 def reck_reconstruct(plan: ReckPlan) -> np.ndarray:
-    """Multiply the plan back out: rotations in listed order, phases last."""
+    """Multiply the plan back out: rotations in listed order, phases last.
+
+    Each rotation touches only rows i and j, so its 2x2 block is applied
+    to those two rows in place: O(n) per rotation, O(n^3) per plan.
+    """
     mat = np.diag(plan.phases).astype(complex)
     for rot in reversed(plan.rotations):
-        mat = rot.embedded(plan.dimension) @ mat
+        rows = [rot.i, rot.j]
+        mat[rows] = rot.u @ mat[rows]
     return mat
 
 

@@ -173,6 +173,14 @@ def test_frt_quantum_bad_block(capsys, config):
     assert code == 1 and "error:" in err
 
 
+def test_frt_quantum_register_too_large(capsys, config):
+    code, out, err = run(capsys, "frt-quantum",
+                         "--blocks", config("11\n"),
+                         "--radius", "1", "--padding", "40")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # -- parallelism, reck, check -----------------------------------------------
 
 def test_parallelism(capsys):

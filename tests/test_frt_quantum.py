@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from qsca.errors import DimensionTooLarge
 from qsca.frt_quantum import (
+    MAX_REGISTER_QUBITS,
     BlockRegister,
     FrtStagePlan,
     emit_frt_report,
@@ -70,6 +72,14 @@ def test_input_validation():
         run_frt([(1, 1)], 1, executor="dense")
     with pytest.raises(ValueError):
         make_particle_state([(1,)], 0)
+
+
+def test_register_size_guard():
+    # r=1: 2-qubit blocks, so one block past the limit
+    with pytest.raises(DimensionTooLarge):
+        make_particle_state([(1, 1)], MAX_REGISTER_QUBITS // 2)
+    with pytest.raises(DimensionTooLarge):
+        run_frt([(1, 1)], 40)
 
 
 def test_stage_plan_validation():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,62 @@ def test_partial_isometry_detects_corruption():
     report = check_partial_isometry(corrupted)
     assert not report.ok
     assert report.range_residual > 0 or report.support_residual > 0
+
+
+def dense_isometry_report(t_op, samples=20):
+    """Oracle: dense int64 products and dense float matvecs."""
+    mat = t_op.matrix.astype(np.int64)
+    range_target = np.eye(t_op.dimension, dtype=np.int64)
+    range_target[t_op.preimage_index, t_op.preimage_index] = 0
+    support_target = np.eye(t_op.dimension, dtype=np.int64)
+    support_target[t_op.null_index, t_op.null_index] = 0
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(samples):
+        v = rng.standard_normal(t_op.dimension) \
+            + 1j * rng.standard_normal(t_op.dimension)
+        v[t_op.null_index] = 0.0
+        worst = max(worst, abs(np.linalg.norm(mat @ v) - np.linalg.norm(v)))
+    return (int(np.abs(mat @ mat.T - range_target).max()),
+            int(np.abs(mat.T @ mat - support_target).max()), worst)
+
+
+def perturbed_copies(t_op):
+    """U with an extra 1 in a column, a zeroed column, and an entry set to 2."""
+    dim = t_op.dimension
+    col = dim // 2 + 1
+    row = int(np.flatnonzero(t_op.matrix[:, col])[0])
+    extra = t_op.matrix.copy()
+    extra[(row + 1) % dim, col] = 1
+    zeroed = t_op.matrix.copy()
+    zeroed[:, col] = 0
+    doubled = t_op.matrix.copy()
+    doubled[row, col] = 2
+    return [type(t_op)(t_op.radius, bad, t_op.null_word, t_op.preimage_word)
+            for bad in (extra, zeroed, doubled)]
+
+
+def test_sparse_residuals_match_dense_products():
+    for r in (1, 2, 3):
+        t_op = build_uf_matrix(r)
+        for candidate in [t_op] + perturbed_copies(t_op):
+            report = check_partial_isometry(candidate)
+            want_range, want_support, want_norm = \
+                dense_isometry_report(candidate)
+            assert report.range_residual == want_range
+            assert report.support_residual == want_support
+            assert abs(report.norm_deviation - want_norm) <= 1e-12
+            assert report.ok == (candidate is t_op)
+
+
+def test_partial_isometry_radius6_within_budget():
+    start = time.perf_counter()
+    report = check_partial_isometry(build_uf_matrix(6))
+    elapsed = time.perf_counter() - start
+    print(f"build + check_partial_isometry r=6: {elapsed:.3f} s")
+    assert report.ok
+    assert report.range_residual == 0 and report.support_residual == 0
+    assert elapsed < 5.0
 
 
 # -- basis partition and block form -----------------------------------------

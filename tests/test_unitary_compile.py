@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsca.errors import NotUnitary, ParseError
 from qsca.qstate import circuit_matrix
@@ -87,6 +91,66 @@ def test_round_trip_random():
         assert np.abs(reck_reconstruct(plan) - u).max() <= 1e-12
 
 
+def embedded_product(plan):
+    """Oracle: the plan multiplied out with dense embedded n x n matrices."""
+    mat = np.diag(plan.phases).astype(complex)
+    for rot in reversed(plan.rotations):
+        mat = rot.embedded(plan.dimension) @ mat
+    return mat
+
+
+def random_plan(n, count, rng):
+    """Arbitrary (not triangular-nulling) plan of `count` rotations."""
+    rotations = []
+    for _ in range(count):
+        i, j = sorted(rng.choice(n, size=2, replace=False))
+        rotations.append(EmbeddedRotation(int(i), int(j), haar_unitary(2, rng)))
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    return ReckPlan(n, tuple(rotations), phases)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 32), fill=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_reconstruct_matches_embedded_product(n, fill, seed):
+    rng = np.random.default_rng(seed)
+    plan = random_plan(n, int(fill * n * (n - 1) // 2), rng)
+    assert np.abs(reck_reconstruct(plan) - embedded_product(plan)).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(perm=st.integers(2, 32).flatmap(lambda n: st.permutations(range(n))))
+def test_reconstruct_matches_embedded_product_permutations(perm):
+    target = np.eye(len(perm))[list(perm)]
+    plan = reck_decompose(target)
+    assert len(plan.rotations) < len(perm)
+    out = reck_reconstruct(plan)
+    assert np.abs(out - embedded_product(plan)).max() <= 1e-12
+    assert np.abs(out - target).max() <= 1e-12
+
+
+def test_reconstruct_n128_within_budget():
+    rng = np.random.default_rng(128)
+    u = haar_unitary(128, rng)
+    plan = reck_decompose(u)
+    start = time.perf_counter()
+    out = reck_reconstruct(plan)
+    elapsed = time.perf_counter() - start
+    print(f"reck_reconstruct n=128: {elapsed:.3f} s")
+    assert elapsed < 1.0
+    assert np.abs(out - u).max() <= 1e-10
+
+
+def test_rejects_nan():
+    u = np.eye(3)
+    u[1, 1] = np.nan
+    with pytest.raises(ValueError):
+        reck_decompose(u)
+    with pytest.raises(ValueError):
+        EmbeddedRotation(0, 1, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        ReckPlan(2, (), np.array([np.nan, 1.0]))
+
+
 def test_partial_products_stay_unitary():
     rng = np.random.default_rng(7)
     u = haar_unitary(6, rng)
@@ -141,3 +205,25 @@ def test_parse_errors():
     with pytest.raises(ParseError):
         # phase off the unit circle
         parse_reck_plan("P 1 2 0\n")
+    with pytest.raises(ParseError):
+        # NaN rotation entry and NaN phase
+        parse_reck_plan("R 1 2 nan 0 0 0 0 0 1 0\nP 1 nan 0\nP 2 1 0\n")
+    with pytest.raises(ParseError):
+        parse_reck_plan("P 1 nan 0\nP 2 1 0\n")
+    with pytest.raises(ParseError):
+        parse_reck_plan("R 1 2 inf 0 0 0 0 0 1 0\nP 1 1 0\nP 2 1 0\n")
+
+
+_PLAN_TOKENS = st.sampled_from(
+    ["R", "P", "Q", "0", "1", "2", "3", "-1", "0.5", "nan", "inf", "-inf",
+     "1e400", "x", ""])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_PLAN_TOKENS, max_size=12).map(" ".join), max_size=6))
+def test_parser_raises_only_parse_error(lines):
+    try:
+        plan = parse_reck_plan("\n".join(lines))
+    except ParseError:
+        return
+    assert np.isfinite(plan.phases).all()
