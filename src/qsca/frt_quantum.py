@@ -8,24 +8,23 @@ becomes |O, B^C1, ..., B^CL⟩.  Running one stage per padding block
 walks the particle to the far end: after p stages the state is exactly
 the input translated by p blocks.
 
-Two executors produce identical results.  The `gates` executor applies
-the stage ops one gate at a time through the state-vector kernels.  The
-`compiled` executor pre-builds each stage as a sparse matrix restricted
-to the rows reachable in this run (blocks 1..m null after stage m form
-a contiguous index prefix, since earlier blocks are more significant),
-which turns a stage into one small sparse matvec; the matrices are
-cached and reused across runs of the same geometry.  Large registers
-route to `compiled` automatically.
+A basis input stays a basis state: each stage's CN cascade is one
+affine map of the register index over GF(2) (qstate.affine_fold) and
+the reset clears block m's bits, or, in the literal variant, annihilates
+the state when they are already clear.  So run_frt and
+stage_identity_check track register indices, never state vectors; the
+sweep pushes all its instances through each stage as one int64 array.
+run_frt builds state vectors only when asked to keep them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import product
+from math import prod
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DimensionTooLarge
 from .qstate import (
@@ -34,6 +33,8 @@ from .qstate import (
     CollectiveCn,
     GateOp,
     StateVector,
+    affine_fold,
+    affine_image,
     apply_block_reset,
     apply_collective_cn,
 )
@@ -53,8 +54,8 @@ __all__ = [
     "emit_frt_report",
 ]
 
-_COMPILED_THRESHOLD = 15  # qubits; above this the sparse executor wins
 MAX_REGISTER_QUBITS = 24  # one state vector of 2^24 complex amplitudes = 256 MiB
+_INDEX_QUBITS = 63  # register indices are int64
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,12 @@ def _coerce_blocks(blocks: Sequence) -> tuple[BasicString, ...]:
     return out
 
 
+def _check_width(n_qubits: int, limit: int) -> None:
+    if n_qubits > limit:
+        raise DimensionTooLarge(
+            f"register of {n_qubits} qubits exceeds the limit of {limit}")
+
+
 def make_particle_state(blocks: Sequence, padding: int) -> BlockRegister:
     """Basis register |A1 ... AL O^padding⟩."""
     blocks = _coerce_blocks(blocks)
@@ -151,10 +158,7 @@ def make_particle_state(blocks: Sequence, padding: int) -> BlockRegister:
         bits.extend(b.bits)
     bits.extend([0] * (padding * w))
     n_blocks = len(blocks) + padding
-    if n_blocks * w > MAX_REGISTER_QUBITS:
-        raise DimensionTooLarge(
-            f"register of {n_blocks * w} qubits exceeds the limit of "
-            f"{MAX_REGISTER_QUBITS}")
+    _check_width(n_blocks * w, MAX_REGISTER_QUBITS)
     amp = np.zeros(2 ** (n_blocks * w), dtype=complex)
     amp[int("".join(str(b) for b in bits), 2)] = 1.0
     return BlockRegister(w - 1, n_blocks,
@@ -176,43 +180,18 @@ def frt_stage(reg: BlockRegister, m: int, L: int,
     return BlockRegister(reg.radius, reg.n_blocks, state)
 
 
-@lru_cache(maxsize=8)
-def _stage_matrices(block_len: int, L: int, n_blocks: int, variant: str
-                    ) -> tuple[sparse.csr_matrix, ...]:
-    """Per-stage sparse operators restricted to this run's reachable rows.
-
-    Stage m's output lives on the index prefix where blocks 1..m are
-    null, so the matrices are rectangular: stage m maps the length
-    2^(q - w(m-1)) prefix onto the length 2^(q - w m) prefix, with w the
-    block width in qubits and q the register width.  Row (c', q) pulls
-    amplitude from columns (B, c' xor B...B, q) over the leading-block
-    words B, which is the collective-CN cascade followed by the reset in
-    one gather.
-    """
-    w = block_len
-    padding = n_blocks - L
-    jc = 2 ** (w * L)
-    b_words = range(2 ** w) if variant == "extended" else range(1, 2 ** w)
-    b_words = list(b_words)
-    mats = []
-    for m in range(1, padding + 1):
-        post = 2 ** (w * (n_blocks - m - L))
-        cpr = np.arange(jc, dtype=np.int64)
-        q = np.arange(post, dtype=np.int64)
-        rows_base = (cpr[:, None] * post + q[None, :]).ravel()
-        cols = np.empty((rows_base.size, len(b_words)), dtype=np.int64)
-        for idx, b in enumerate(b_words):
-            mask = 0
-            for k in range(L):
-                mask |= b << (w * k)
-            cols[:, idx] = (((b * jc + (cpr ^ mask))[:, None]) * post
-                            + q[None, :]).ravel()
-        rows = np.repeat(rows_base, len(b_words))
-        data = np.ones(rows.size, dtype=complex)
-        shape = (jc * post, (2 ** w) * jc * post)
-        mats.append(sparse.csr_matrix((data, (rows, cols.ravel())),
-                                      shape=shape))
-    return tuple(mats)
+def _track(plan: FrtStagePlan, x: np.ndarray, reset_variant: str):
+    """Register indices x after each stage of plan; -1 marks annihilation."""
+    n, w = plan.n_qubits, plan.block_len
+    for m in range(1, plan.padding + 1):
+        lead = (2 ** w - 1) << (n - m * w)
+        dead = x < 0
+        run = plan.stage_ops(m, reset_variant)[:-1]
+        x = affine_image(n, affine_fold(n, run), x)
+        if reset_variant == "literal":
+            dead |= (x & lead) == 0
+        x = np.where(dead, -1, x & ~lead)
+        yield x
 
 
 @dataclass(frozen=True)
@@ -235,7 +214,6 @@ class FrtRunReport:
     L: int
     padding: int
     reset_variant: str
-    executor: str
     input_blocks: tuple[BasicString, ...]
     records: tuple[FrtStageRecord, ...]
     final_ok: bool
@@ -245,96 +223,76 @@ class FrtRunReport:
         return self.records[-1].blocks
 
 
-def _decode_blocks(amp: np.ndarray, n_known_null: int, n_blocks: int,
-                   block_len: int):
-    """Block list of a single-component vector, or (None, None).
-
-    amp may be a prefix vector; n_known_null leading blocks are implied
-    null and prepended to the decoded list.
-    """
-    hits = np.flatnonzero(amp)
-    if hits.size != 1:
-        return None, None
-    index = int(hits[0])
-    width = (n_blocks - n_known_null) * block_len
+def _decode_blocks(index: int, n_blocks: int, block_len: int
+                   ) -> tuple[BasicString, ...]:
+    """Block list of the basis register with this index."""
+    width = n_blocks * block_len
     bits = [(index >> (width - 1 - i)) & 1 for i in range(width)]
-    blocks = [BasicString((0,) * block_len)] * n_known_null
-    for b in range(n_blocks - n_known_null):
-        blocks.append(BasicString(tuple(bits[b * block_len:(b + 1) * block_len])))
-    return tuple(blocks), complex(amp[index])
+    return tuple(BasicString(tuple(bits[b * block_len:(b + 1) * block_len]))
+                 for b in range(n_blocks))
 
 
 def run_frt(blocks: Sequence, padding: int, reset_variant: str = "extended",
-            executor: str = "auto", keep_states: bool = False) -> FrtRunReport:
+            keep_states: bool = False) -> FrtRunReport:
     """Run the full propagation circuit and record each stage.
 
     The final check asserts the state is exactly the basis vector of the
     input particle translated by `padding` blocks.
     """
     blocks = _coerce_blocks(blocks)
-    if padding < 1:
-        raise ValueError("padding must be >= 1")
     w = len(blocks[0].bits)
-    L = len(blocks)
-    n_blocks = L + padding
-    n_qubits = n_blocks * w
-    if executor == "auto":
-        executor = "compiled" if n_qubits >= _COMPILED_THRESHOLD else "gates"
-    if executor not in ("gates", "compiled"):
-        raise ValueError(f"unknown executor {executor!r}")
+    plan = FrtStagePlan(len(blocks), padding, w)
+    n_qubits = plan.n_qubits
+    _check_width(n_qubits, MAX_REGISTER_QUBITS)
 
-    reg = make_particle_state(blocks, padding)
-    records = [FrtStageRecord(0, blocks + (BasicString((0,) * w),) * padding,
-                              1.0 + 0j,
-                              reg.state if keep_states else None)]
-
-    if executor == "gates":
-        for m in range(1, padding + 1):
-            reg = frt_stage(reg, m, L, reset_variant)
-            decoded, amp = _decode_blocks(reg.state.amplitudes, 0,
-                                          n_blocks, w)
+    start = int("".join(str(b) for blk in blocks for b in blk.bits), 2) \
+        << (padding * w)
+    indices = [start] + [int(x[0]) for x in _track(
+        plan, np.array([start], dtype=np.int64), reset_variant)]
+    records = []
+    for m, index in enumerate(indices):
+        state = None
+        if keep_states:
+            amp = np.zeros(2 ** n_qubits, dtype=complex)
+            if index >= 0:
+                amp[index] = 1.0
+            state = StateVector(n_qubits, amp)
+        if index < 0:
+            records.append(FrtStageRecord(m, None, None, state))
+        else:
             records.append(FrtStageRecord(
-                m, decoded, amp, reg.state if keep_states else None))
-    else:
-        mats = _stage_matrices(w, L, n_blocks, reset_variant)
-        v = np.asarray(reg.state.amplitudes)
-        for m in range(1, padding + 1):
-            v = mats[m - 1] @ v
-            decoded, amp = _decode_blocks(v, m, n_blocks, w)
-            state = None
-            if keep_states:
-                full = np.zeros(2 ** n_qubits, dtype=complex)
-                full[:v.size] = v
-                state = StateVector(n_qubits, full)
-            records.append(FrtStageRecord(m, decoded, amp, state))
+                m, _decode_blocks(index, plan.n_blocks, w), 1.0 + 0j, state))
 
     expected = (BasicString((0,) * w),) * padding + blocks
     last = records[-1]
     final_ok = last.blocks == expected and last.amplitude == 1.0
-    return FrtRunReport(w - 1, L, padding, reset_variant, executor,
+    return FrtRunReport(w - 1, plan.L, padding, reset_variant,
                         blocks, tuple(records), final_ok)
 
 
-def _predicted_pattern(blocks: tuple[BasicString, ...], m: int
-                       ) -> tuple[BasicString, ...]:
-    """Closed form for the live blocks after stage m.
+def _predicted_pattern(words: np.ndarray, m: int) -> np.ndarray:
+    """Closed form for the live block words after stage m.
 
-    With the cyclic list (O, A1, ..., AL) of length L+1, the blocks
-    m+1..m+L hold base ^ next L entries, base being entry m mod L+1.
+    words holds one particle's L block words per row.  With the cyclic
+    list (O, A1, ..., AL) of length L+1, the blocks m+1..m+L hold
+    base ^ the next L entries, base being entry m mod L+1.
     """
-    L = len(blocks)
-    ext = (BasicString((0,) * len(blocks[0].bits)),) + blocks
-    base = ext[m % (L + 1)]
-    return tuple(base ^ ext[(m + j) % (L + 1)] for j in range(1, L + 1))
+    L = words.shape[1]
+    ext = np.concatenate([np.zeros_like(words[:, :1]), words], axis=1)
+    nxt = [(m + j) % (L + 1) for j in range(1, L + 1)]
+    return ext[:, [m % (L + 1)]] ^ ext[:, nxt]
 
 
 @dataclass(frozen=True)
 class StageIdentityReport:
+    """Outcome of a sweep; first_mismatch is (instance words, stage)."""
+
     L: int
     radius: int
     n_instances: int
     stages_checked: int
     mismatches: int
+    first_mismatch: tuple[tuple[int, ...], int] | None = None
 
     @property
     def ok(self) -> bool:
@@ -345,57 +303,41 @@ def stage_identity_check(L: int, r: int, padding: int | None = None,
                          samples: int = 50,
                          rng: np.random.Generator | None = None
                          ) -> StageIdentityReport:
-    """Check every stage's decoded blocks against the closed-form pattern.
+    """Check every stage's register against the closed-form pattern.
 
     Exhausts all block assignments when there are at most `samples`,
     otherwise draws seeded random ones (first and last blocks nonzero).
+    No state vector is built, so the register may be up to 63 qubits.
     """
     if padding is None:
         padding = L + 1
     w = r + 1
+    plan = FrtStagePlan(L, padding, w)
+    _check_width(plan.n_qubits, _INDEX_QUBITS)
     n_words = 2 ** w
-    interior = L - 2
+    ends = [range(1, n_words)] * min(L, 2)
+    choices = ends[:1] + [range(n_words)] * max(L - 2, 0) + ends[1:]
 
-    def instances():
-        total = (n_words - 1) ** 2 * n_words ** max(interior, 0) \
-            if L >= 2 else n_words - 1
-        if total <= samples:
-            def rec(prefix, k):
-                if k == L:
-                    yield tuple(prefix)
-                    return
-                first_or_last = k in (0, L - 1)
-                for word in range(1 if first_or_last else 0, n_words):
-                    yield from rec(prefix + [word], k + 1)
-            yield from rec([], 0)
-            return
+    if prod(len(c) for c in choices) <= samples:
+        instances = list(product(*choices))
+    else:
         gen = rng if rng is not None else np.random.default_rng(11)
-        for _ in range(samples):
-            words = [int(gen.integers(1, n_words))]
-            for _ in range(max(interior, 0)):
-                words.append(int(gen.integers(0, n_words)))
-            if L >= 2:
-                words.append(int(gen.integers(1, n_words)))
-            yield tuple(words)
+        instances = [tuple(int(gen.integers(c.start, c.stop)) for c in choices)
+                     for _ in range(samples)]
 
-    def to_blocks(words):
-        return tuple(
-            BasicString(tuple((x >> (w - 1 - i)) & 1 for i in range(w)))
-            for x in words)
-
-    n_instances = 0
-    mismatches = 0
-    for words in instances():
-        blocks = to_blocks(words)
-        n_instances += 1
-        report = run_frt(blocks, padding)
-        null = BasicString((0,) * w)
-        for m in range(1, padding + 1):
-            want = ((null,) * m + _predicted_pattern(blocks, m)
-                    + (null,) * (padding - m))
-            if report.records[m].blocks != want:
-                mismatches += 1
-    return StageIdentityReport(L, r, n_instances, padding, mismatches)
+    words = np.array(instances, dtype=np.int64).reshape(-1, L)
+    shifts = w * np.arange(plan.n_blocks - 1, -1, -1)
+    start = (words << shifts[:L]).sum(axis=1)
+    bad = np.zeros((len(words), padding), dtype=bool)
+    for m, x in enumerate(_track(plan, start, "extended"), start=1):
+        want = (_predicted_pattern(words, m) << shifts[m:m + L]).sum(axis=1)
+        bad[:, m - 1] = x != want
+    first = None
+    if bad.any():
+        i, m = np.argwhere(bad)[0]
+        first = (instances[i], int(m) + 1)
+    return StageIdentityReport(L, r, len(words), padding, int(bad.sum()),
+                               first)
 
 
 def emit_frt_report(report: FrtRunReport) -> str:

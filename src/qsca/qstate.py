@@ -1,4 +1,4 @@
-"""Dense state-vector simulator for the automaton's gate set.
+"""State-vector simulator for the automaton's gate set.
 
 States live on n qubits with qubit 1 the most significant index bit, so
 the basis label read left to right is the binary expansion of the array
@@ -11,15 +11,23 @@ zero), `extended` sums over all words (fixing the zero block).  Neither
 variant preserves the norm, which is why unit norm is not an invariant
 of StateVector.
 
-Gate application is written against reshaped views so the same kernels
-run on single state vectors and on whole matrices (states stacked along
-the second axis), which is how circuit_matrix is produced.
+NOT, CN and the collective CN are affine maps x -> Ax ^ b of the basis
+index over GF(2) (Aaronson & Gottesman, PRA 70, 052328 (2004)).
+`affine_fold` folds a run of them into one (A, b), so a circuit runs as
+one index permutation per maximal run of such gates plus the reset
+kernel for each reset; `affine_image` maps basis indices through a fold
+without any state vector.  The single-gate kernels behind `apply_not`,
+`apply_cn`, `apply_collective_cn` and `apply_block_reset` stay as the
+gate-by-gate reference.  All kernels treat the state index as axis 0,
+so they run unchanged on whole matrices (states stacked along the second
+axis), which is how circuit_matrix is produced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from itertools import groupby
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -40,6 +48,8 @@ __all__ = [
     "apply_block_reset",
     "apply_circuit",
     "circuit_matrix",
+    "affine_fold",
+    "affine_image",
     "uniform_superposition_nonnull",
     "parse_gatelist",
     "emit_gatelist",
@@ -227,24 +237,67 @@ def _reset_inplace(buf: np.ndarray, n: int, block: int, block_len: int,
     view[:, 0] = total
 
 
-def _apply_ops(n: int, buf: np.ndarray, ops: Sequence[GateOp]) -> np.ndarray:
-    """Run ops over buf, using a lazily allocated scratch for NOT swaps."""
-    scratch = None
+def affine_fold(n: int, ops: Iterable[GateOp]) -> tuple[tuple[int, ...], int]:
+    """Fold a run of NOT/CN/CollectiveCn ops into x -> Ax ^ b over GF(2).
+
+    Returns (cols, b) on basis indices: cols[j - 1] is the image under A
+    of the index bit of qubit j, and b the image of index 0.  The fold
+    keeps one integer row mask per output qubit, so it costs O(1) per
+    two-qubit gate and O(n^2) to turn the rows into columns.
+    """
+    rows = [1 << (n - q) for q in range(1, n + 1)]
+    b = 0
     for op in ops:
         if isinstance(op, Not):
-            if scratch is None:
-                scratch = np.empty_like(buf)
-            _not_into(buf, scratch, n, op.q)
-            buf, scratch = scratch, buf
-        elif isinstance(op, Cn):
-            _cn_inplace(buf, n, op.control, op.target)
+            b ^= 1 << (n - op.q)
+            continue
+        if isinstance(op, Cn):
+            pairs = ((op.control, op.target),)
         elif isinstance(op, CollectiveCn):
-            for k in range(op.block_len):
-                _cn_inplace(buf, n, op.control_block + k, op.target_block + k)
-        elif isinstance(op, BlockReset):
-            _reset_inplace(buf, n, op.block, op.block_len, op.variant)
+            pairs = ((op.control_block + k, op.target_block + k)
+                     for k in range(op.block_len))
         else:
-            raise TypeError(f"not a gate op: {op!r}")
+            raise TypeError(f"not a NOT/CN op: {op!r}")
+        for c, t in pairs:
+            rows[t - 1] ^= rows[c - 1]
+            b ^= ((b >> (n - c)) & 1) << (n - t)
+    cols = tuple(
+        sum(((rows[q - 1] >> (n - j)) & 1) << (n - q) for q in range(1, n + 1))
+        for j in range(1, n + 1))
+    return cols, b
+
+
+def affine_image(n: int, fold: tuple[tuple[int, ...], int],
+                 x: np.ndarray) -> np.ndarray:
+    """Images of the int64 basis indices x under a fold from affine_fold."""
+    cols, b = fold
+    y = np.full_like(x, b)
+    for j, col in enumerate(cols, start=1):
+        y ^= ((x >> (n - j)) & 1) * col
+    return y
+
+
+def _destinations(n: int, fold: tuple[tuple[int, ...], int]) -> np.ndarray:
+    """Image of every basis index, built by doubling from qubit n up."""
+    cols, b = fold
+    dest = np.empty(2 ** n, dtype=np.int64)
+    dest[0] = b
+    for k, col in enumerate(reversed(cols)):
+        np.bitwise_xor(dest[:2 ** k], col, out=dest[2 ** k:2 ** (k + 1)])
+    return dest
+
+
+def _apply_ops(n: int, buf: np.ndarray, ops: Sequence[GateOp]) -> np.ndarray:
+    """Run ops over buf: one permutation per NOT/CN run, resets in place."""
+    for is_reset, run in groupby(ops, lambda op: isinstance(op, BlockReset)):
+        if is_reset:
+            for op in run:
+                _reset_inplace(buf, n, op.block, op.block_len, op.variant)
+        else:
+            out = np.empty_like(buf)
+            out.reshape(2 ** n, -1)[_destinations(n, affine_fold(n, run))] = \
+                buf.reshape(2 ** n, -1)
+            buf = out
     return buf
 
 

@@ -177,8 +177,11 @@ def parse_reck_plan(text: str) -> ReckPlan:
                 ).reshape(2, 2)
                 rotations.append(EmbeddedRotation(i, j, block))
             elif fields[0] == "P" and len(fields) == 4:
-                phases[int(fields[1]) - 1] = complex(float(fields[2]),
-                                                     float(fields[3]))
+                mode = int(fields[1]) - 1
+                if mode in phases:
+                    raise ParseError(f"second phase line for mode {mode + 1}",
+                                     line_no=line_no)
+                phases[mode] = complex(float(fields[2]), float(fields[3]))
             else:
                 raise ParseError(f"unrecognized plan line {line!r}",
                                  line_no=line_no)

@@ -1,7 +1,11 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
 from qsca.errors import DimensionTooLarge
+from qsca import frt_quantum
 from qsca.frt_quantum import (
     MAX_REGISTER_QUBITS,
     BlockRegister,
@@ -12,7 +16,13 @@ from qsca.frt_quantum import (
     run_frt,
     stage_identity_check,
 )
-from qsca.qstate import BlockReset, CollectiveCn, StateVector, apply_circuit
+from qsca.qstate import (
+    BlockReset,
+    Circuit,
+    CollectiveCn,
+    StateVector,
+    apply_circuit,
+)
 from qsca.sca_core import BasicString
 
 
@@ -69,8 +79,6 @@ def test_input_validation():
     with pytest.raises(ValueError):
         run_frt([(1, 1)], 0)
     with pytest.raises(ValueError):
-        run_frt([(1, 1)], 1, executor="dense")
-    with pytest.raises(ValueError):
         make_particle_state([(1,)], 0)
 
 
@@ -80,6 +88,9 @@ def test_register_size_guard():
         make_particle_state([(1, 1)], MAX_REGISTER_QUBITS // 2)
     with pytest.raises(DimensionTooLarge):
         run_frt([(1, 1)], 40)
+    # the sweep builds no state vector: its limit is the int64 index width
+    with pytest.raises(DimensionTooLarge):
+        stage_identity_check(1, 31, padding=1)
 
 
 def test_stage_plan_validation():
@@ -170,7 +181,7 @@ def test_run_matches_word_oracle():
                 words.append(int(rng.integers(0, n_words)))
             if L >= 2:
                 words.append(int(rng.integers(1, n_words)))
-            report = run_frt(blocks_of(words, w), padding, executor="gates")
+            report = run_frt(blocks_of(words, w), padding)
             current = tuple(words) + (0,) * padding
             for m in range(1, padding + 1):
                 current = stage_words(current, m, L)
@@ -178,22 +189,28 @@ def test_run_matches_word_oracle():
                 assert got == current
 
 
-# -- executors --------------------------------------------------------------
+# -- index tracking against the state-vector path ---------------------------
 
-def test_compiled_matches_gates():
-    blocks = [(1, 0, 1), (0, 1, 1)]
-    a = run_frt(blocks, 3, executor="gates", keep_states=True)
-    b = run_frt(blocks, 3, executor="compiled", keep_states=True)
-    assert a.final_ok and b.final_ok
-    for ra, rb in zip(a.records, b.records):
-        assert ra.blocks == rb.blocks
-        assert ra.amplitude == rb.amplitude
-        assert np.array_equal(ra.state.amplitudes, rb.state.amplitudes)
-
-
-def test_auto_executor_threshold():
-    assert run_frt([(1, 1)], 2).executor == "gates"            # 6 qubits
-    assert run_frt([(1, 0, 1)], 4).executor == "compiled"      # 15 qubits
+@pytest.mark.parametrize("L, r, padding",
+                         [(1, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)])
+@pytest.mark.parametrize("variant", ["literal", "extended"])
+def test_run_frt_states_match_apply_circuit(L, r, padding, variant):
+    w = r + 1
+    plan = FrtStagePlan(L, padding, w)
+    ends = [range(1, 2 ** w)] * min(L, 2)
+    choices = ends[:1] + [range(2 ** w)] * (L - 2) + ends[1:]
+    for words in itertools.product(*choices):
+        report = run_frt(blocks_of(words, w), padding, reset_variant=variant,
+                         keep_states=True)
+        state = make_particle_state(blocks_of(words, w), padding).state
+        assert np.array_equal(report.records[0].state.amplitudes,
+                              state.amplitudes)
+        for m in range(1, padding + 1):
+            state = apply_circuit(
+                state, Circuit(plan.n_qubits, plan.stage_ops(m, variant)))
+            rec = report.records[m]
+            assert np.array_equal(rec.state.amplitudes, state.amplitudes)
+            assert (rec.blocks is None) == (not state.amplitudes.any())
 
 
 def test_circuit_linear_on_superpositions():
@@ -246,7 +263,32 @@ def test_stage_identity_exhaustive_pairs():
 def test_stage_identity_sampled_deterministic():
     report = stage_identity_check(2, 2, padding=3, samples=5)
     assert report.ok and report.n_instances == 5
+    assert report.first_mismatch is None
     assert stage_identity_check(2, 2, padding=3, samples=5) == report
+
+
+def test_stage_identity_exhaustive_budget():
+    start = time.perf_counter()
+    report = stage_identity_check(3, 2, padding=4, samples=392)
+    assert time.perf_counter() - start < 2.0
+    assert report.ok and report.n_instances == 392
+    # 28 qubits: past the state-vector limit, still exhaustive
+    wide = stage_identity_check(3, 3, padding=4, samples=3600)
+    assert wide.ok and wide.n_instances == 3600
+
+
+def test_stage_identity_names_first_mismatch(monkeypatch):
+    right = frt_quantum._predicted_pattern
+
+    def wrong_at_stage_two(words, m):
+        return right(words, m) ^ (m == 2) * (words[:, :1] == 2)
+
+    monkeypatch.setattr(frt_quantum, "_predicted_pattern", wrong_at_stage_two)
+    report = stage_identity_check(2, 1, padding=3, samples=9)
+    assert not report.ok
+    assert report.n_instances == 9 and report.stages_checked == 3
+    assert report.mismatches == 3  # the three particles that lead with 10
+    assert report.first_mismatch == ((2, 1), 2)
 
 
 # -- text format ------------------------------------------------------------

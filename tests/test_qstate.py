@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsca.errors import DimensionTooLarge, ParseError
 from qsca.qstate import (
@@ -61,6 +63,46 @@ def reset_matrix(n, block, block_len, variant):
 def random_state(rng, n):
     amp = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
     return StateVector(n, amp / np.linalg.norm(amp))
+
+
+def gate_by_gate(state, ops):
+    """The circuit run one op at a time through the single-gate kernels."""
+    for op in ops:
+        if isinstance(op, Not):
+            state = apply_not(state, op.q)
+        elif isinstance(op, Cn):
+            state = apply_cn(state, op.control, op.target)
+        elif isinstance(op, CollectiveCn):
+            state = apply_collective_cn(state, op.control_block,
+                                        op.target_block, op.block_len)
+        else:
+            state = apply_block_reset(state, op.block, op.block_len,
+                                      op.variant)
+    return state
+
+
+@st.composite
+def circuits(draw, max_qubits):
+    """Random circuits over all four op kinds, both reset variants."""
+    n = draw(st.integers(1, max_qubits))
+    qubit = st.integers(1, n)
+
+    @st.composite
+    def block_op(draw, kind):
+        w = draw(st.integers(1, n // 2 if kind is CollectiveCn else n))
+        start = st.integers(1, n - w + 1)
+        if kind is BlockReset:
+            return BlockReset(draw(start), w,
+                              draw(st.sampled_from(("literal", "extended"))))
+        c, t = draw(st.tuples(start, start).filter(
+            lambda p: abs(p[0] - p[1]) >= w))
+        return CollectiveCn(c, t, w)
+
+    kinds = [st.builds(Not, qubit), block_op(BlockReset)]
+    if n >= 2:
+        kinds += [st.tuples(qubit, qubit).filter(lambda p: p[0] != p[1])
+                  .map(lambda p: Cn(*p)), block_op(CollectiveCn)]
+    return Circuit(n, tuple(draw(st.lists(st.one_of(kinds), max_size=12))))
 
 
 # -- states -----------------------------------------------------------------
@@ -250,6 +292,23 @@ def test_circuit_matrix_random_against_oracle():
         assert np.array_equal(mat.imag, np.zeros_like(oracle))
 
 
+@settings(max_examples=60, deadline=None)
+@given(circuits(max_qubits=10), st.integers(0, 2 ** 32 - 1))
+def test_apply_circuit_matches_gate_by_gate(circuit, seed):
+    state = random_state(np.random.default_rng(seed), circuit.n_qubits)
+    assert np.array_equal(apply_circuit(state, circuit).amplitudes,
+                          gate_by_gate(state, circuit.ops).amplitudes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(circuits(max_qubits=10))
+def test_circuit_matrix_stacks_basis_images(circuit):
+    n = circuit.n_qubits
+    images = [gate_by_gate(StateVector(n, col), circuit.ops).amplitudes
+              for col in np.eye(2 ** n)]
+    assert np.array_equal(circuit_matrix(circuit), np.array(images).T)
+
+
 def test_circuit_matrix_dimension_limit():
     big = Circuit(15, (Not(1),))
     with pytest.raises(DimensionTooLarge):
@@ -293,6 +352,12 @@ def test_gatelist_round_trip():
     # comments and spacing normalize away
     assert emit_gatelist(parse_gatelist("# c\n  X 3\n\nCN 1 4 # z\n")) \
         == "X 3\nCN 1 4\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuits(max_qubits=10))
+def test_gatelist_round_trip_property(circuit):
+    assert parse_gatelist(emit_gatelist(circuit), circuit.n_qubits) == circuit
 
 
 def test_emit_state():

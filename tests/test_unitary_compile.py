@@ -212,6 +212,10 @@ def test_parse_errors():
         parse_reck_plan("P 1 nan 0\nP 2 1 0\n")
     with pytest.raises(ParseError):
         parse_reck_plan("R 1 2 inf 0 0 0 0 0 1 0\nP 1 1 0\nP 2 1 0\n")
+    with pytest.raises(ParseError) as info:
+        # a repeated phase line would silently override the first
+        parse_reck_plan("P 1 1 0\nP 1 -1 0\nP 2 1 0\n")
+    assert info.value.line_no == 2
 
 
 _PLAN_TOKENS = st.sampled_from(
