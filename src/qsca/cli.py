@@ -87,17 +87,8 @@ def cmd_uf(args) -> int:
     partition = quantize.partition_basis(args.radius)
     blocked = quantize.represent_blocked(t_op, partition)
     k = len(partition.invariant_words)
-    dim = t_op.dimension
-    ident_ok = np.array_equal(blocked[:k, :k], np.eye(k, dtype=blocked.dtype))
-    corner = blocked[k:, k:]
-    anti = np.zeros_like(corner)
-    m = dim - k
-    for idx in range(m - 1):
-        anti[idx, m - 1 - idx] = 1
-    anti_ok = np.array_equal(corner, anti)
-    off_ok = (not blocked[:k, k:].any()) and (not blocked[k:, :k].any())
-    ok = ident_ok and anti_ok and off_ok
-    text = "invariant {} flipped {}\n".format(k, dim - k)
+    ok = quantize.block_form_ok(blocked, k)
+    text = "invariant {} flipped {}\n".format(k, t_op.dimension - k)
     text += quantize.emit_matrix_csv(blocked)
     text += "blockform {}\n".format("ok" if ok else "MISMATCH")
     _write(args.out, text)
@@ -196,6 +187,8 @@ def cmd_parallelism(args) -> int:
 
 def cmd_reck(args) -> int:
     if args.dimension is not None:
+        if args.dimension < 1:
+            raise _UsageError("--dimension must be at least 1")
         rng = np.random.default_rng(args.seed)
         raw = rng.standard_normal((args.dimension, args.dimension)) \
             + 1j * rng.standard_normal((args.dimension, args.dimension))
@@ -243,17 +236,10 @@ def cmd_check(args) -> int:
 
     # block form
     for r in (1, 2):
-        t_op = quantize.build_uf_matrix(r)
-        blocked = quantize.represent_blocked(t_op, quantize.partition_basis(r))
-        k = 2 ** (2 * r)
-        m = t_op.dimension - k
-        anti = np.zeros((m, m), dtype=blocked.dtype)
-        for idx in range(m - 1):
-            anti[idx, m - 1 - idx] = 1
-        want = np.zeros_like(blocked)
-        want[:k, :k] = np.eye(k, dtype=blocked.dtype)
-        want[k:, k:] = anti
-        record(f"block form r={r}", np.array_equal(blocked, want))
+        blocked = quantize.represent_blocked(quantize.build_uf_matrix(r),
+                                             quantize.partition_basis(r))
+        record(f"block form r={r}",
+               quantize.block_form_ok(blocked, 2 ** (2 * r)))
 
     # circuit factorization
     for r in (1, 2, 3):
@@ -449,13 +435,7 @@ def main(argv=None) -> int:
                 and args.dimension is None:
             raise _UsageError("reck needs --radius or --dimension")
         return args.func(args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (_UsageError, ParseError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except QscaError as err:

@@ -5,33 +5,30 @@ its updated word f(x) and annihilates the all-zero word.  It is a 0/1
 matrix with a zero column at the null word and a zero row at the single
 word missing from f's image (zero sides, center 1), and it is a partial
 isometry: U U+ and U+ U are the identity minus the rank-one projectors
-on those two words.
+on those two words.  That is, f is injective on nonzero words with one
+word missing from its image, so this module stores U as that word map,
+filled by the rule kernel `window_centers` that the whole-chain step
+shares, and checks the isometry identities from preimage counts.  It
+also produces the basis ordering that brings U to the block form
+diag(identity, antidiagonal(1,...,1,0)), the NOT/controlled-NOT circuit
+on the window, the whole-chain step in its unitary-circuit and
+partial-isometry readings, and the one-shot superposition update.
 
-This module builds U as an explicit matrix, verifies the isometry
-identities with integer arithmetic, produces the basis ordering that
-brings U to the block form diag(identity, antidiagonal(1,...,1,0)),
-expresses U as a NOT/controlled-NOT circuit on the window, assembles the
-whole-chain step in both its unitary-circuit and partial-isometry
-readings, and runs the one-shot superposition update demonstration.
-
-MAX_RADIUS stays at 6 (dimension 2^13 = 8192).  The isometry check works
-on sparse integer products and takes well under a second there, but U
-itself is still a dense int8 matrix: 64 MiB at r=6, 1 GiB at r=7 and
-16 GiB at r=8.  Raising the limit waits for a representation of U that
-is not dense.
+MAX_RADIUS stays at 6 (dimension 2^13 = 8192).  The word map would go
+further; the dense consumers bound it: `uf export` derives the dense
+int8 U (64 MiB at r=6, 1 GiB at r=7), the block-form CSV stops at 4096
+rows, and `reck --radius` goes through `circuit_matrix`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .errors import DimensionTooLarge, RadiusError
 from .qstate import Circuit, Cn, Not, uniform_superposition_nonnull
-from .sca_core import Rule, f_window
 
 __all__ = [
     "MAX_RADIUS",
@@ -39,10 +36,12 @@ __all__ = [
     "BasisPartition",
     "IsometryReport",
     "ParallelismReport",
+    "window_centers",
     "build_uf_matrix",
     "check_partial_isometry",
     "partition_basis",
     "represent_blocked",
+    "block_form_ok",
     "build_uf_circuit",
     "total_step",
     "parallelism_demo",
@@ -53,58 +52,72 @@ __all__ = [
 MAX_RADIUS = 6  # dimension 2^13 = 8192
 
 
-def _word_bits(index: int, width: int) -> tuple[int, ...]:
-    return tuple((index >> (width - 1 - i)) & 1 for i in range(width))
-
-
-def _word_index(bits: Sequence[int]) -> int:
-    index = 0
-    for b in bits:
-        index = (index << 1) | int(b)
-    return index
-
-
-def _check_radius(r: int) -> Rule:
+def _check_radius(r: int) -> None:
     if not 1 <= r <= MAX_RADIUS:
         raise RadiusError(f"radius must be in 1..{MAX_RADIUS}, got {r}")
-    return Rule(r)
+
+
+def window_centers(windows: np.ndarray) -> np.ndarray:
+    """Vectorized `sca_core.next_center` over int64 window words: 1 xor
+    the parity, 0 for the all-zero window (words hold only window bits)."""
+    w = np.asarray(windows, dtype=np.int64)
+    return ((w != 0) & (np.bitwise_count(w) % 2 == 0)).astype(np.int64)
 
 
 @dataclass(frozen=True)
 class TransitionOperator:
-    """U as a dense 0/1 matrix over the 2^(2r+1) window words."""
+    """U as its word map: image[x] is the index of f(x), -1 at the null
+    word (the leftmost cell is the most significant bit)."""
 
     radius: int
-    matrix: np.ndarray
-    null_word: tuple[int, ...]
-    preimage_word: tuple[int, ...]
+    image: np.ndarray
+    null_index = 0  # class constant, not a field
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return self.image.size
 
     @property
-    def null_index(self) -> int:
-        return _word_index(self.null_word)
+    def null_word(self) -> tuple[int, ...]:
+        return (0,) * (2 * self.radius + 1)
+
+    @property
+    def preimage_word(self) -> tuple[int, ...]:
+        return (0,) * self.radius + (1,) + (0,) * self.radius
 
     @property
     def preimage_index(self) -> int:
         """Index of the single word absent from the image."""
-        return _word_index(self.preimage_word)
+        return 1 << self.radius
+
+    def mapped(self) -> tuple[np.ndarray, np.ndarray]:
+        """(words, images) over the words that have an image."""
+        src = np.flatnonzero(self.image >= 0)
+        return src, self.image[src]
+
+    def apply(self, vector: np.ndarray) -> np.ndarray:
+        """U @ vector, summing where two words share an image."""
+        src, dest = self.mapped()
+        out = np.zeros(self.dimension, dtype=np.result_type(vector, float))
+        np.add.at(out, dest, vector[src])
+        return out
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense int8 U, derived on demand."""
+        src, dest = self.mapped()
+        mat = np.zeros((self.dimension, self.dimension), dtype=np.int8)
+        mat[dest, src] = 1
+        return mat
 
 
 def build_uf_matrix(r: int) -> TransitionOperator:
-    """Assemble U column by column from the window map."""
-    rule = _check_radius(r)
-    width = rule.window_len
-    dim = 2 ** width
-    mat = np.zeros((dim, dim), dtype=np.int8)
-    for x in range(1, dim):
-        y = _word_index(f_window(rule, _word_bits(x, width)))
-        mat[y, x] = 1
-    null_word = (0,) * width
-    preimage_word = (0,) * r + (1,) + (0,) * r
-    return TransitionOperator(r, mat, null_word, preimage_word)
+    """U from the window rule applied to every word at once."""
+    _check_radius(r)
+    words = np.arange(2 ** (2 * r + 1), dtype=np.int64)
+    image = (words & ~(1 << r)) | (window_centers(words) << r)
+    image[0] = -1
+    return TransitionOperator(r, image)
 
 
 @dataclass(frozen=True)
@@ -128,43 +141,37 @@ class IsometryReport:
                 and self.norm_deviation <= 1e-12)
 
 
-def _defect_residual(gram: sparse.csr_matrix, defect: int) -> int:
-    """max |gram - (I - |d><d|)| over all entries, from the sparse difference."""
-    target = np.ones(gram.shape[0], dtype=np.int64)
-    target[defect] = 0
-    diff = gram - sparse.diags_array(target, format="csr", dtype=np.int64)
-    return int(abs(diff).max())
-
-
 def check_partial_isometry(t_op: TransitionOperator, samples: int = 20,
                            rng: np.random.Generator | None = None
                            ) -> IsometryReport:
-    """Exact integer residuals of the two isometry identities.
+    """Exact residuals of the two isometry identities in O(dim).
 
-    U is taken as a sparse int64 matrix, so U U+ and U+ U are exact
-    integer products for any integer U (no 0/1 or injectivity structure
-    is assumed).  With one nonzero per column they cost O(dim) instead
-    of the dense O(dim^3); reading the dense matrix is an O(dim^2) scan.
+    U U+ = diag(counts), counts[y] being the number of words mapped to
+    y; U+ U has the mapped indicator on its diagonal and a 1 at (x, x')
+    for every pair of distinct words sharing an image.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    mat = sparse.csr_matrix(t_op.matrix, dtype=np.int64)
     dim = t_op.dimension
-    range_residual = _defect_residual(mat @ mat.T, t_op.preimage_index)
-    support_residual = _defect_residual(mat.T @ mat, t_op.null_index)
+    _, dest = t_op.mapped()
+    counts = np.bincount(dest, minlength=dim)
+    words = np.arange(dim)
+    range_residual = int(np.abs(counts - (words != t_op.preimage_index)).max())
+    support_residual = int(counts.max() > 1 or np.any(
+        (t_op.image >= 0) != (words != t_op.null_index)))
 
-    matf = mat.astype(float)
     worst = 0.0
     for _ in range(samples):
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v[t_op.null_index] = 0.0
-        worst = max(worst, abs(np.linalg.norm(matf @ v) - np.linalg.norm(v)))
+        worst = max(worst, abs(np.linalg.norm(t_op.apply(v))
+                               - np.linalg.norm(v)))
     return IsometryReport(range_residual, support_residual, worst)
 
 
 @dataclass(frozen=True)
 class BasisPartition:
-    """Window words split into rule-invariant and center-flipped classes.
+    """Window word indices split into invariant and center-flipped classes.
 
     invariant_words are sorted ascending.  flipped_words are arranged so
     that column x lands on row pair-of-x along the antidiagonal: the
@@ -175,35 +182,41 @@ class BasisPartition:
     """
 
     radius: int
-    invariant_words: tuple[tuple[int, ...], ...]
-    flipped_words: tuple[tuple[int, ...], ...]
+    invariant_words: tuple[int, ...]
+    flipped_words: tuple[int, ...]
 
 
 def partition_basis(r: int) -> BasisPartition:
-    rule = _check_radius(r)
-    width = rule.window_len
+    image = build_uf_matrix(r).image
     center = 1 << r
-    invariant = []
-    mids = []
-    for x in range(1, 2 ** width):
-        y = _word_index(f_window(rule, _word_bits(x, width)))
-        if y == x:
-            invariant.append(x)
-        elif not x & center:
-            mids.append(x)
-    flipped = [0] + mids + [m ^ center for m in reversed(mids)] + [center]
-    return BasisPartition(
-        r,
-        tuple(_word_bits(x, width) for x in sorted(invariant)),
-        tuple(_word_bits(x, width) for x in flipped))
+    words = np.arange(1, image.size, dtype=np.int64)
+    moved = image[1:] != words
+    mids = words[moved & ((words & center) == 0)]
+    flipped = np.concatenate(([0], mids, mids[::-1] ^ center, [center]))
+    return BasisPartition(r, tuple(words[~moved].tolist()),
+                          tuple(flipped.tolist()))
 
 
 def represent_blocked(t_op: TransitionOperator,
                       partition: BasisPartition) -> np.ndarray:
-    """U conjugated by the partition's basis permutation."""
-    order = [_word_index(w) for w in
-             partition.invariant_words + partition.flipped_words]
-    return t_op.matrix[np.ix_(order, order)]
+    """U conjugated by the partition's basis permutation, dense int8."""
+    order = np.concatenate((partition.invariant_words,
+                            partition.flipped_words))
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    src, dest = t_op.mapped()
+    blocked = np.zeros((t_op.dimension, t_op.dimension), dtype=np.int8)
+    blocked[pos[dest], pos[src]] = 1
+    return blocked
+
+
+def block_form_ok(blocked: np.ndarray, invariant_count: int) -> bool:
+    """Whether blocked is diag(I_invariant_count, antidiag(1, ..., 1, 0))."""
+    dim, k = blocked.shape[0], invariant_count
+    want = np.zeros_like(blocked)
+    want[np.arange(k), np.arange(k)] = 1
+    want[np.arange(k, dim - 1), np.arange(dim - 1, k, -1)] = 1
+    return np.array_equal(blocked, want)
 
 
 def build_uf_circuit(r: int, site: int, n_qubits: int) -> Circuit:
@@ -239,9 +252,10 @@ def total_step(r: int, n_sites: int, mode: str):
     per-site factors C_i (I - P_i) + P_i, where P_i projects onto the
     components whose site-i window reads all zero.  On basis states this
     is exactly the classical bounded-lattice step (cells outside the
-    chain are fixed zeros), so the vacuum is fixed.
+    chain are fixed zeros), so the vacuum is fixed.  Each site applies
+    `window_centers` to all words, left neighbors already updated.
     """
-    rule = _check_radius(r)
+    _check_radius(r)
     if mode == "unitary_circuit":
         ops: list = []
         for site in range(1, n_sites + 1):
@@ -254,19 +268,14 @@ def total_step(r: int, n_sites: int, mode: str):
             f"partial_isometry mode supports up to 14 sites, got {n_sites}")
     n = n_sites
     words = np.arange(2 ** n, dtype=np.int64)
-    new = np.zeros_like(words)
+    new = words.copy()
+    window_mask = (1 << (2 * r + 1)) - 1
     for site in range(1, n + 1):
-        parity = np.zeros_like(words)
-        nonzero = np.zeros_like(words)
-        for s in range(max(1, site - r), site):
-            bit = (new >> (n - s)) & 1
-            parity ^= bit
-            nonzero |= bit
-        for s in range(site, min(n, site + r) + 1):
-            bit = (words >> (n - s)) & 1
-            parity ^= bit
-            nonzero |= bit
-        new |= ((1 ^ parity) & nonzero) << (n - site)
+        # window cells site-r..site+r, with cell site+r at bit 0
+        shift = n - site - r
+        window = (new >> shift if shift >= 0 else new << -shift) & window_mask
+        bit = n - site
+        new = (new & ~(1 << bit)) | (window_centers(window) << bit)
     data = np.ones(words.size, dtype=float)
     return sparse.csr_matrix((data, (new, words)),
                              shape=(2 ** n, 2 ** n))
@@ -297,8 +306,7 @@ class ParallelismReport:
 
 def parallelism_demo(r: int) -> ParallelismReport:
     t_op = build_uf_matrix(r)
-    psi = uniform_superposition_nonnull(2 * r + 1)
-    out = t_op.matrix.astype(float) @ psi.amplitudes
+    out = t_op.apply(uniform_superposition_nonnull(2 * r + 1).amplitudes)
     expected = 1.0 / np.sqrt(t_op.dimension - 1)
     target = np.full(t_op.dimension, expected, dtype=complex)
     target[t_op.preimage_index] = 0.0

@@ -85,6 +85,13 @@ def test_uf_check(capsys):
     assert "support residual 0\n" in out
 
 
+def test_uf_check_radius_limit(capsys):
+    code, out, _ = run(capsys, "uf", "check", "--radius", "6")
+    assert code == 0
+    assert "range residual 0\n" in out
+    assert "support residual 0\n" in out
+
+
 def test_uf_blockform(capsys):
     code, out, _ = run(capsys, "uf", "blockform", "--radius", "1")
     assert code == 0
@@ -219,6 +226,29 @@ def test_check_deterministic(capsys):
     _, first, _ = run(capsys, "check", "--seed", "3")
     _, second, _ = run(capsys, "check", "--seed", "3")
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ("frt-quantum", "--blocks", "O 11", "--radius", "1", "--padding", "2"),
+    ("frt-quantum", "--blocks", "11 01", "--radius", "1", "--padding", "0"),
+    ("evolve", "origin=0\n111\n", "--radius", "1", "--steps", "-1"),
+    ("circuit", "--radius", "1", "--site", "5", "--n-qubits", "3"),
+    ("frt-classical", "origin=0\n110\n", "--radius", "2", "--horizon", "0"),
+    ("reck", "--dimension", "0"),
+    ("hamiltonian", "--n-sites", "0", "--radius", "1"),
+    ("circuit", "--radius", "1", "--total", "0"),
+])
+def test_out_of_range_arguments_report_errors(capsys, config, argv):
+    # file arguments (blocks, configurations) are given by their text
+    argv = list(argv)
+    if argv[0] in ("evolve", "frt-classical"):
+        argv[1] = config(argv[1])
+    if "--blocks" in argv:
+        at = argv.index("--blocks") + 1
+        argv[at] = config(argv[at] + "\n")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_unknown_command(capsys):

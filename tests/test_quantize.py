@@ -6,6 +6,8 @@ import pytest
 from qsca.errors import DimensionTooLarge, RadiusError
 from qsca.qstate import Circuit, Cn, Not, basis_state, circuit_matrix
 from qsca.quantize import (
+    TransitionOperator,
+    block_form_ok,
     build_uf_circuit,
     build_uf_matrix,
     check_partial_isometry,
@@ -15,8 +17,16 @@ from qsca.quantize import (
     partition_basis,
     represent_blocked,
     total_step,
+    window_centers,
 )
-from qsca.sca_core import Configuration, Rule, f_window, step
+from qsca.sca_core import (
+    Configuration,
+    Rule,
+    Window,
+    f_window,
+    next_center,
+    step,
+)
 
 
 def word_bits(x, width):
@@ -78,6 +88,16 @@ def test_build_uf_matrix_radius_bounds():
         build_uf_matrix(7)
 
 
+def test_window_centers_match_next_center():
+    for r in range(1, 5):
+        rule = Rule(r)
+        width = rule.window_len
+        words = np.arange(2 ** width)
+        want = [next_center(rule, Window(b[:r], b[r], b[r + 1:]))
+                for b in (word_bits(x, width) for x in words)]
+        assert window_centers(words).tolist() == want
+
+
 def test_equivariance_with_window_map():
     # applying the matrix to a word state gives the stepped word state
     for r in (1, 2, 3):
@@ -99,18 +119,25 @@ def test_partial_isometry_identities():
         assert report.ok
 
 
+def corrupted_images(t_op):
+    """U with two words sharing an image, a dropped image, and an image
+    for the null word."""
+    col = t_op.dimension // 2 + 1
+    shared = t_op.image.copy()
+    shared[col] = shared[col + 1]
+    dropped = t_op.image.copy()
+    dropped[col] = -1
+    null_mapped = t_op.image.copy()
+    null_mapped[t_op.null_index] = t_op.preimage_index
+    return [TransitionOperator(t_op.radius, image)
+            for image in (shared, dropped, null_mapped)]
+
+
 def test_partial_isometry_detects_corruption():
-    t_op = build_uf_matrix(1)
-    bad = t_op.matrix.copy()
-    col = 3
-    row = int(np.flatnonzero(bad[:, col])[0])
-    bad[row, col] = 0
-    bad[(row + 1) % 8, col] = 1
-    corrupted = type(t_op)(t_op.radius, bad, t_op.null_word,
-                           t_op.preimage_word)
-    report = check_partial_isometry(corrupted)
-    assert not report.ok
-    assert report.range_residual > 0 or report.support_residual > 0
+    for corrupted in corrupted_images(build_uf_matrix(1)):
+        report = check_partial_isometry(corrupted)
+        assert not report.ok
+        assert report.range_residual > 0 or report.support_residual > 0
 
 
 def dense_isometry_report(t_op, samples=20):
@@ -131,25 +158,10 @@ def dense_isometry_report(t_op, samples=20):
             int(np.abs(mat.T @ mat - support_target).max()), worst)
 
 
-def perturbed_copies(t_op):
-    """U with an extra 1 in a column, a zeroed column, and an entry set to 2."""
-    dim = t_op.dimension
-    col = dim // 2 + 1
-    row = int(np.flatnonzero(t_op.matrix[:, col])[0])
-    extra = t_op.matrix.copy()
-    extra[(row + 1) % dim, col] = 1
-    zeroed = t_op.matrix.copy()
-    zeroed[:, col] = 0
-    doubled = t_op.matrix.copy()
-    doubled[row, col] = 2
-    return [type(t_op)(t_op.radius, bad, t_op.null_word, t_op.preimage_word)
-            for bad in (extra, zeroed, doubled)]
-
-
-def test_sparse_residuals_match_dense_products():
+def test_count_residuals_match_dense_products():
     for r in (1, 2, 3):
         t_op = build_uf_matrix(r)
-        for candidate in [t_op] + perturbed_copies(t_op):
+        for candidate in [t_op] + corrupted_images(t_op):
             report = check_partial_isometry(candidate)
             want_range, want_support, want_norm = \
                 dense_isometry_report(candidate)
@@ -173,10 +185,8 @@ def test_partial_isometry_radius6_within_budget():
 
 def test_partition_radius1_order():
     part = partition_basis(1)
-    as_ints = [int("".join(map(str, w)), 2) for w in part.invariant_words]
-    assert as_ints == [1, 3, 4, 6]
-    as_ints = [int("".join(map(str, w)), 2) for w in part.flipped_words]
-    assert as_ints == [0, 5, 7, 2]
+    assert part.invariant_words == (1, 3, 4, 6)
+    assert part.flipped_words == (0, 5, 7, 2)
 
 
 def test_partition_covers_basis():
@@ -189,9 +199,11 @@ def test_partition_covers_basis():
         assert len(words) == 2 ** width
         # invariant words are the fixed points; flipped words pair with
         # their center-flips
-        for w in part.invariant_words:
+        for x in part.invariant_words:
+            w = word_bits(x, width)
             assert f_window(rule, w) == w
-        for w in part.flipped_words:
+        for x in part.flipped_words:
+            w = word_bits(x, width)
             if any(w):
                 flip = w[:r] + (1 - w[r],) + w[r + 1:]
                 assert f_window(rule, w) == flip
@@ -212,6 +224,17 @@ def test_blocked_form_radius2():
     for k in range(15):
         want[16 + k, 31 - k] = 1
     assert np.array_equal(blocked, want)
+
+
+def test_blocked_form_matches_dense_permutation():
+    for r in range(1, 5):
+        t_op = build_uf_matrix(r)
+        part = partition_basis(r)
+        order = np.concatenate((part.invariant_words, part.flipped_words))
+        blocked = represent_blocked(t_op, part)
+        assert np.array_equal(blocked, t_op.matrix[np.ix_(order, order)])
+        assert block_form_ok(blocked, 2 ** (2 * r))
+        assert not block_form_ok(t_op.matrix, 2 ** (2 * r))
 
 
 def test_blocked_form_stable_under_repartition():
