@@ -68,6 +68,7 @@ from .quantize import (
 from .spin_chain import (
     HamiltonianSum,
     PauliTerm,
+    apply_site_exponential,
     build_chain_hamiltonian,
     build_site_hamiltonian,
     generator_cn,

@@ -84,6 +84,7 @@ def cmd_uf(args) -> int:
                    report.norm_deviation))
         return 0 if report.ok else 2
     # blockform: permuted matrix plus structural verdict
+    quantize.check_csv_dimension(t_op.dimension)
     partition = quantize.partition_basis(args.radius)
     blocked = quantize.represent_blocked(t_op, partition)
     k = len(partition.invariant_words)

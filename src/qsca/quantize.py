@@ -18,6 +18,10 @@ MAX_RADIUS stays at 6 (dimension 2^13 = 8192).  The word map would go
 further; the dense consumers bound it: `uf export` derives the dense
 int8 U (64 MiB at r=6, 1 GiB at r=7), the block-form CSV stops at 4096
 rows, and `reck --radius` goes through `circuit_matrix`.
+
+scipy is imported only by the partial-isometry reading of `total_step`,
+which returns a sparse matrix, so importing the package and the CLI
+does not load it.
 """
 
 from __future__ import annotations
@@ -25,13 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DimensionTooLarge, RadiusError
 from .qstate import Circuit, Cn, Not, uniform_superposition_nonnull
 
 __all__ = [
     "MAX_RADIUS",
+    "CSV_MAX_DIMENSION",
     "TransitionOperator",
     "BasisPartition",
     "IsometryReport",
@@ -46,10 +50,12 @@ __all__ = [
     "total_step",
     "parallelism_demo",
     "emit_matrix_triplets",
+    "check_csv_dimension",
     "emit_matrix_csv",
 ]
 
 MAX_RADIUS = 6  # dimension 2^13 = 8192
+CSV_MAX_DIMENSION = 4096
 
 
 def _check_radius(r: int) -> None:
@@ -64,14 +70,32 @@ def window_centers(windows: np.ndarray) -> np.ndarray:
     return ((w != 0) & (np.bitwise_count(w) % 2 == 0)).astype(np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionOperator:
     """U as its word map: image[x] is the index of f(x), -1 at the null
-    word (the leftmost cell is the most significant bit)."""
+    word (the leftmost cell is the most significant bit).
+
+    The image is held as a read-only int64 copy; two operators are equal
+    when radius and image are.
+    """
 
     radius: int
     image: np.ndarray
     null_index = 0  # class constant, not a field
+
+    def __post_init__(self):
+        image = np.array(self.image, dtype=np.int64)
+        image.flags.writeable = False
+        object.__setattr__(self, "image", image)
+
+    def __eq__(self, other):
+        if not isinstance(other, TransitionOperator):
+            return NotImplemented
+        return (self.radius == other.radius
+                and np.array_equal(self.image, other.image))
+
+    def __hash__(self):
+        return hash((self.radius, self.image.tobytes()))
 
     @property
     def dimension(self) -> int:
@@ -276,6 +300,8 @@ def total_step(r: int, n_sites: int, mode: str):
         window = (new >> shift if shift >= 0 else new << -shift) & window_mask
         bit = n - site
         new = (new & ~(1 << bit)) | (window_centers(window) << bit)
+    from scipy import sparse  # only this reading needs scipy
+
     data = np.ones(words.size, dtype=float)
     return sparse.csr_matrix((data, (new, words)),
                              shape=(2 ** n, 2 ** n))
@@ -333,10 +359,16 @@ def emit_matrix_triplets(matrix: np.ndarray) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def check_csv_dimension(dimension: int) -> None:
+    """Refuse, before anything is built, a CSV of more than 4096 rows."""
+    if dimension > CSV_MAX_DIMENSION:
+        raise DimensionTooLarge(
+            f"CSV export supports dimensions up to {CSV_MAX_DIMENSION}")
+
+
 def emit_matrix_csv(matrix: np.ndarray) -> str:
     """Dense integer CSV for matrices of dimension at most 4096."""
     mat = np.asarray(matrix)
-    if mat.shape[0] > 4096:
-        raise DimensionTooLarge("CSV export supports dimensions up to 4096")
+    check_csv_dimension(mat.shape[0])
     rows = [",".join(str(int(v)) for v in row) for row in mat]
     return "\n".join(rows) + "\n"

@@ -9,7 +9,11 @@ to its right.  The window rule is the parity rule
 
 totalized so that an all-zero window stays zero (the quiescent background
 is a fixed point).  Equivalently: the new bit is 1 iff the window holds a
-positive even number of ones.
+positive even number of ones.  That is the parity filter rule of Park,
+Steiglitz and Thurston (Physica D 19, 423 (1986)); `step` slides the
+window along the row keeping only its count of ones, so a site costs
+O(1) whatever the radius, and `next_center` stays as the per-window
+reference.
 
 On top of the raw evolution this module provides particle segmentation
 into (r+1)-cell blocks (basic strings) and the fast-recurrence predictor:
@@ -20,7 +24,6 @@ returns, up to translation, to its initial shape.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -82,17 +85,17 @@ class Configuration:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in bits):
+        bits = tuple(map(int, self.bits))
+        if not {0, 1}.issuperset(bits):
             raise ValueError("bits must be 0 or 1")
-        lo = 0
-        hi = len(bits)
-        while lo < hi and bits[lo] == 0:
-            lo += 1
-        while hi > lo and bits[hi - 1] == 0:
-            hi -= 1
-        object.__setattr__(self, "bits", bits[lo:hi])
-        object.__setattr__(self, "origin", self.origin + lo if lo < hi else 0)
+        if 1 in bits:
+            lo = bits.index(1)
+            hi = len(bits) - bits[::-1].index(1)
+            object.__setattr__(self, "bits", bits[lo:hi])
+            object.__setattr__(self, "origin", self.origin + lo)
+        else:
+            object.__setattr__(self, "bits", ())
+            object.__setattr__(self, "origin", 0)
 
     @property
     def is_empty(self) -> bool:
@@ -173,26 +176,35 @@ def step(rule: Rule, config: Configuration, scan_limit: int | None = None
     of scanned sites; the default allows the old support width plus
     64*(r+1) extra sites, after which StepDivergedError signals a
     configuration outside the finite-support regime.
+
+    The scan keeps only the sliding window's count of ones, so each site
+    costs O(1) int operations whatever r is.
     """
     if config.is_empty:
         return config
     r = rule.radius
+    bits = config.bits
     if scan_limit is None:
-        scan_limit = len(config.bits) + 64 * (r + 1)
-    start = config.origin - r
-    recent = deque([0] * r, maxlen=r)
-    out: list[int] = []
-    n = start
-    while not (n > config.end and not any(recent)):
-        if n - start >= scan_limit:
-            raise StepDivergedError(n - start)
-        window = Window(tuple(recent), config.site(n),
-                        tuple(config.site(n + j) for j in range(1, r + 1)))
-        bit = next_center(rule, window)
-        out.append(bit)
-        recent.append(bit)
-        n += 1
-    return Configuration(start, tuple(out))
+        scan_limit = len(bits) + 64 * (r + 1)
+    # old[k] is the old bit of site origin - r + k, all zero from
+    # k = len(bits) + r on; new[r + k] is its new bit, after r zeros
+    # for the sites left of the scan
+    old = (0,) * r + bits + (0,) * (r + 1)
+    old_len = len(bits) + r
+    new = [0] * r
+    ones = sum(old[:r + 1])
+    k = 0
+    while k < old_len or ones:
+        if k >= scan_limit:
+            raise StepDivergedError(k)
+        bit = 1 if ones and not ones & 1 else 0
+        new.append(bit)
+        # slide: new bit in, new bit k - r out; old bit k out, k + r + 1 in
+        ones += bit - new[k]
+        if k < old_len:
+            ones += old[k + r + 1] - old[k]
+        k += 1
+    return Configuration(config.origin - r, tuple(new[r:]))
 
 
 def evolve(rule: Rule, config: Configuration, steps: int,

@@ -24,7 +24,11 @@ real symmetric matrix by construction.
 Because the per-site generators at different sites do not commute, the
 exponential of the summed Hamiltonian is not the product of the per-site
 gate unitaries; sum_product_gap measures that distance instead of
-asserting equality.
+asserting equality.  A site generator acts by X and Z on its own site
+and by Z only on its neighbours, so `apply_site_exponential` applies
+its exponential in closed form, one 2x2 block per pair of words that
+differ at the site, in O(4^n) per site against O(8^n) for an eigh and
+a dense product; the summed Hamiltonian keeps its one eigh.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ __all__ = [
     "build_chain_hamiltonian",
     "to_dense",
     "matrix_exp_hermitian",
+    "apply_site_exponential",
     "sum_product_gap",
     "emit_hamiltonian_terms",
 ]
@@ -224,11 +229,63 @@ def to_dense(h: HamiltonianSum, dense_limit: int = 14) -> np.ndarray:
 def matrix_exp_hermitian(h: np.ndarray, scale: float) -> np.ndarray:
     """exp(i * scale * h) through the eigendecomposition of Hermitian h."""
     h = np.asarray(h)
+    if not np.isfinite(h).all():
+        raise ValueError("matrix has non-finite entries")
     residual = float(np.abs(h - h.conj().T).max())
-    if residual > 1e-10:
+    if not residual <= 1e-10:
         raise NotHermitian(residual)
     vals, vecs = np.linalg.eigh(h)
     return (vecs * np.exp(1j * scale * vals)) @ vecs.conj().T
+
+
+def apply_site_exponential(h: HamiltonianSum, site: int,
+                           mat: np.ndarray) -> np.ndarray:
+    """exp(i pi h) @ mat in closed form, for h = a + b X_site + c Z_site.
+
+    a, b and c are sums of Z products on the other sites, so they are
+    diagonal there, and on each pair of words that differ only at site
+    the exponential is the 2x2 block
+    e^{i pi a} (cos(pi w) + i sin(pi w)/w (b X + c Z)), w = sqrt(b^2 + c^2).
+    Applying the blocks mixes the two rows of each pair: O(rows of mat)
+    per column, where exponentiating the dense h costs an eigh.  Every
+    site generator of `build_site_hamiltonian` has this form; a term
+    with X on another site raises ValueError.
+    """
+    n = h.n_sites
+    if not 1 <= site <= n:
+        raise ValueError(f"site {site} out of range")
+    mat = np.asarray(mat)
+    if mat.shape[0] != 2 ** n:
+        raise ValueError(f"expected {2 ** n} rows, got {mat.shape[0]}")
+    shape = (2 ** (site - 1), 2 ** (n - site))
+    # words with a 0 at site, as (bits above site, bits below site)
+    words = np.arange(2 ** n).reshape(shape[0], 2, shape[1])[:, 0]
+    parts = {op: np.zeros(shape) for op in ("", "X", "Z")}
+    for term in h.terms:
+        here = ""
+        mask_z = 0
+        for s, op in term.factors:
+            if s == site:
+                here = op
+            elif op == "Z":
+                mask_z |= 1 << (n - s)
+            else:
+                raise ValueError(f"term {term} has X off site {site}")
+        parts[here] += term.coefficient * (
+            1.0 - 2.0 * (np.bitwise_count(words & mask_z) & 1))
+    a, b, c = parts[""], parts["X"], parts["Z"]
+    omega = np.hypot(b, c)
+    phase = np.exp(1j * np.pi * a)
+    cos = phase * np.cos(np.pi * omega)
+    isin = phase * 1j * np.pi * np.sinc(omega)  # i e^{i pi a} sin(pi w) / w
+    e00, e01, e11 = ((cos + isin * c)[..., None], (isin * b)[..., None],
+                     (cos - isin * c)[..., None])
+    rows = mat.reshape(shape[0], 2, shape[1], -1)
+    top, bottom = rows[:, 0], rows[:, 1]
+    out = np.empty(rows.shape, dtype=complex)
+    out[:, 0] = e00 * top + e01 * bottom
+    out[:, 1] = e01 * top + e11 * bottom
+    return out.reshape(mat.shape)
 
 
 @dataclass(frozen=True)
@@ -258,9 +315,8 @@ def sum_product_gap(n_sites: int, r: int,
         to_dense(build_chain_hamiltonian(n_sites, r, variant)), np.pi)
     product = np.eye(2 ** n_sites, dtype=complex)
     for i in range(1, n_sites + 1):
-        site = matrix_exp_hermitian(
-            to_dense(build_site_hamiltonian(i, r, n_sites, variant)), np.pi)
-        product = site @ product
+        product = apply_site_exponential(
+            build_site_hamiltonian(i, r, n_sites, variant), i, product)
     circuit = circuit_matrix(total_step(r, n_sites, "unitary_circuit"))
     return SumProductReport(
         n_sites=n_sites,

@@ -16,6 +16,7 @@ other format in this package.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,17 @@ def _unitarity_residual(u: np.ndarray) -> float:
     return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
 
 
+def _rotation_residual(u: np.ndarray) -> float:
+    """`_unitarity_residual` of a 2x2 block in closed form: the largest
+    of the three distinct entries of |U+U - I|, two diagonal, one off."""
+    (p, q), (s, t) = u.tolist()
+    if not all(map(cmath.isfinite, (p, q, s, t))):
+        raise ValueError("matrix has non-finite entries")
+    return max(abs(abs(p) ** 2 + abs(s) ** 2 - 1.0),
+               abs(abs(q) ** 2 + abs(t) ** 2 - 1.0),
+               abs(p.conjugate() * q + s.conjugate() * t))
+
+
 @dataclass(frozen=True)
 class EmbeddedRotation:
     """A 2x2 unitary acting on modes i < j of a larger space (0-based)."""
@@ -55,7 +67,7 @@ class EmbeddedRotation:
         u = np.asarray(self.u, dtype=complex)
         if u.shape != (2, 2):
             raise ValueError("rotation block must be 2x2")
-        residual = _unitarity_residual(u)
+        residual = _rotation_residual(u)
         if not residual <= 1e-12:
             raise NotUnitary(residual)
         u = u.copy()

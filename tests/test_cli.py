@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from qsca import quantize
 from qsca.cli import main
 from qsca.unitary_compile import parse_reck_plan
 
@@ -99,6 +105,16 @@ def test_uf_blockform(capsys):
     assert lines[0] == "invariant 4 flipped 4"
     assert lines[-1] == "blockform ok"
     assert len(lines) == 10  # header + 8 matrix rows + verdict
+
+
+def test_uf_blockform_refuses_csv_before_building(capsys, monkeypatch):
+    def not_built(*args):
+        raise AssertionError("the blocked matrix was built")
+    monkeypatch.setattr(quantize, "partition_basis", not_built)
+    monkeypatch.setattr(quantize, "represent_blocked", not_built)
+    code, out, err = run(capsys, "uf", "blockform", "--radius", "6")
+    assert code == 2 and out == ""
+    assert err == "error: CSV export supports dimensions up to 4096\n"
 
 
 # -- circuit and hamiltonian ------------------------------------------------
@@ -254,3 +270,15 @@ def test_out_of_range_arguments_report_errors(capsys, config, argv):
 def test_unknown_command(capsys):
     code, _, err = run(capsys, "fold")
     assert code == 1 and "error:" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = "import sys, qsca.cli; print('scipy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"

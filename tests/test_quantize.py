@@ -76,6 +76,20 @@ def test_build_uf_matrix_radius2():
     assert not t_op.matrix[t_op.preimage_index, :].any()
 
 
+def test_transition_operator_value_equality():
+    t_op = build_uf_matrix(2)
+    same = TransitionOperator(2, t_op.image.astype(np.int32))
+    assert t_op == build_uf_matrix(2) == same
+    assert hash(t_op) == hash(build_uf_matrix(2)) == hash(same)
+    assert len({t_op, same, build_uf_matrix(1)}) == 2
+    assert t_op != build_uf_matrix(1)
+    assert t_op != TransitionOperator(3, t_op.image)
+    assert all(t_op != other for other in corrupted_images(t_op))
+    assert t_op != (2, t_op.image)
+    with pytest.raises(ValueError):
+        t_op.image[1] = 0  # the image is read-only, so the hash holds
+
+
 def test_build_uf_matrix_matches_dyad_sum():
     for r in (1, 2):
         assert np.array_equal(build_uf_matrix(r).matrix, dyad_sum(r))

@@ -1,5 +1,9 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsca.errors import NullWordError, ParseError, StepDivergedError
 from qsca.sca_core import (
@@ -46,6 +50,37 @@ def reference_step(rule, config, extra=200):
         new[n] = bit
     assert all(new[hi - k] == 0 for k in range(r)), "range too small"
     return Configuration(lo, tuple(new[n] for n in range(lo, hi + 1)))
+
+
+def window_scan_step(rule, config, scan_limit=None):
+    """Per-site oracle: one `Window` and one `next_center` call per site,
+    with the stop rule and scan limit of `step`."""
+    if config.is_empty:
+        return config
+    r = rule.radius
+    if scan_limit is None:
+        scan_limit = len(config.bits) + 64 * (r + 1)
+    start = config.origin - r
+    recent = deque([0] * r, maxlen=r)
+    out = []
+    n = start
+    while not (n > config.end and not any(recent)):
+        if n - start >= scan_limit:
+            raise StepDivergedError(n - start)
+        window = Window(tuple(recent), config.site(n),
+                        tuple(config.site(n + j) for j in range(1, r + 1)))
+        bit = next_center(rule, window)
+        out.append(bit)
+        recent.append(bit)
+        n += 1
+    return Configuration(start, tuple(out))
+
+
+def step_outcome(fn, rule, config, scan_limit):
+    try:
+        return fn(rule, config, scan_limit=scan_limit)
+    except StepDivergedError as err:
+        return ("diverged", err.sites_scanned, err.time_index)
 
 
 def random_config(rng, max_width=12):
@@ -139,6 +174,38 @@ def test_step_matches_reference_scan():
         for _ in range(60):
             config = random_config(rng)
             assert step(rule, config) == reference_step(rule, config)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.integers(1, 4),
+       origin=st.integers(-20, 20),
+       bits=st.lists(st.integers(0, 1), max_size=40),
+       scan_limit=st.one_of(st.none(), st.integers(-2, 120)))
+def test_step_matches_window_oracle(r, origin, bits, scan_limit):
+    # the sliding count against one next_center call per site, divergence
+    # and the number of sites scanned included
+    rule = Rule(r)
+    config = Configuration(origin, tuple(bits))
+    assert step_outcome(step, rule, config, scan_limit) == \
+        step_outcome(window_scan_step, rule, config, scan_limit)
+
+
+def test_step_matches_window_oracle_on_long_rows():
+    # 200-bit rows under the default limit and under limits close to the
+    # scan length, so that some scans stop and some diverge
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for r in (1, 2, 3, 4):
+        rule = Rule(r)
+        for _ in range(30):
+            config = random_config(rng, max_width=200)
+            width = len(config.bits)
+            for limit in (None, int(rng.integers(width, width + 4 * r))):
+                got = step_outcome(step, rule, config, limit)
+                assert got == step_outcome(window_scan_step, rule, config,
+                                           limit)
+                outcomes.add(isinstance(got, tuple))
+    assert outcomes == {False, True}
 
 
 def test_step_translation_covariance():

@@ -8,6 +8,7 @@ from qsca.quantize import total_step
 from qsca.spin_chain import (
     HamiltonianSum,
     PauliTerm,
+    apply_site_exponential,
     build_chain_hamiltonian,
     build_site_hamiltonian,
     emit_hamiltonian_terms,
@@ -230,6 +231,52 @@ def test_matrix_exp_hermitian():
                   - expm(0.7j * herm)).max() <= 1e-9
     with pytest.raises(NotHermitian):
         matrix_exp_hermitian(raw, 1.0)
+
+
+def test_matrix_exp_hermitian_rejects_nan():
+    # eigh reads one triangle, so a NaN in the other one went unnoticed
+    with pytest.raises(ValueError):
+        matrix_exp_hermitian(np.array([[1.0, np.nan], [0.0, 2.0]]), 1.0)
+    with pytest.raises(ValueError):
+        matrix_exp_hermitian(np.array([[np.inf, 0.0], [0.0, 2.0]]), 1.0)
+
+
+@pytest.mark.parametrize("variant", ["literal", "verified"])
+def test_closed_form_site_exponential(variant):
+    for n in range(1, 9):
+        for r in range(1, 5):
+            # every site up to n = 5; ends, neighbours of the ends and the
+            # middle beyond
+            sites = range(1, n + 1) if n <= 5 else (1, 2, r + 1, n - 1, n)
+            for i in sorted(set(sites)):
+                h = build_site_hamiltonian(i, r, n, variant)
+                got = apply_site_exponential(h, i, np.eye(2 ** n))
+                dense = to_dense(h)
+                assert np.abs(got - matrix_exp_hermitian(dense, np.pi)
+                              ).max() <= 1e-12
+                assert np.abs(got - expm(1j * np.pi * dense)).max() <= 1e-12
+
+
+def test_closed_form_site_exponential_applies_to_any_rows():
+    rng = np.random.default_rng(4)
+    h = build_site_hamiltonian(3, 2, 5, "literal")
+    mat = rng.standard_normal((32, 7)) + 1j * rng.standard_normal((32, 7))
+    want = expm(1j * np.pi * to_dense(h)) @ mat
+    assert np.abs(apply_site_exponential(h, 3, mat) - want).max() <= 1e-12
+    assert np.abs(apply_site_exponential(h, 3, mat[:, 0])
+                  - want[:, 0]).max() <= 1e-12
+
+
+def test_closed_form_site_exponential_rejects_other_forms():
+    h = build_site_hamiltonian(2, 1, 4)
+    with pytest.raises(ValueError):
+        apply_site_exponential(h, 3, np.eye(16))  # X sits on site 2
+    with pytest.raises(ValueError):
+        apply_site_exponential(build_chain_hamiltonian(3, 1), 1, np.eye(8))
+    with pytest.raises(ValueError):
+        apply_site_exponential(h, 5, np.eye(16))
+    with pytest.raises(ValueError):
+        apply_site_exponential(h, 2, np.eye(8))
 
 
 def test_site_exponential_equals_site_circuit():

@@ -10,6 +10,8 @@ from qsca.qstate import circuit_matrix
 from qsca.quantize import build_uf_circuit, build_uf_matrix
 from qsca.unitary_compile import (
     EmbeddedRotation,
+    _rotation_residual,
+    _unitarity_residual,
     ReckPlan,
     emit_reck_plan,
     parse_reck_plan,
@@ -149,6 +151,28 @@ def test_rejects_nan():
         EmbeddedRotation(0, 1, np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         ReckPlan(2, (), np.array([np.nan, 1.0]))
+
+
+def test_rotation_residual_closed_form():
+    rng = np.random.default_rng(12)
+    blocks = [haar_unitary(2, rng) for _ in range(200)]
+    blocks += [u + eps * (rng.standard_normal((2, 2))
+                          + 1j * rng.standard_normal((2, 2)))
+               for u in blocks[:100] for eps in (1e-13, 1e-9, 0.3)]
+    blocks += [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+               for _ in range(100)]
+    blocks += [np.zeros((2, 2)), np.eye(2), np.array([[0, 1j], [1, 0]])]
+    for u in blocks:
+        want = _unitarity_residual(u)
+        assert abs(_rotation_residual(u) - want) <= 1e-15 * max(1.0, want)
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+        for k in range(4):
+            u = np.eye(2, dtype=complex)
+            u.flat[k] = bad
+            with pytest.raises(ValueError):
+                _rotation_residual(u)
+            with pytest.raises(ValueError):
+                EmbeddedRotation(0, 1, u)
 
 
 def test_partial_products_stay_unitary():
