@@ -57,6 +57,7 @@ from .qstate import (
 from .quantize import (
     BasisPartition,
     TransitionOperator,
+    WordMap,
     build_uf_circuit,
     build_uf_matrix,
     check_partial_isometry,

@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 RESET_VARIANTS = ("literal", "extended")
+DENSE_LIMIT = 14  # qubits (or sites) of a dense matrix: 4 GiB complex
 
 
 @dataclass(frozen=True)
@@ -350,12 +351,12 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     return StateVector(state.n_qubits, buf)
 
 
-def circuit_matrix(circuit: Circuit, dense_limit: int = 14) -> np.ndarray:
+def circuit_matrix(circuit: Circuit) -> np.ndarray:
     """Dense matrix of a circuit, built by running it on every basis state."""
     n = circuit.n_qubits
-    if n > dense_limit:
+    if n > DENSE_LIMIT:
         raise DimensionTooLarge(
-            f"{n} qubits exceeds the dense limit of {dense_limit}")
+            f"{n} qubits exceeds the dense limit of {DENSE_LIMIT}")
     mat = np.eye(2 ** n, dtype=complex)
     return _apply_ops(n, mat, circuit.ops).reshape(2 ** n, 2 ** n)
 

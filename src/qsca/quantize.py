@@ -15,13 +15,11 @@ on the window, the whole-chain step in its unitary-circuit and
 partial-isometry readings, and the one-shot superposition update.
 
 MAX_RADIUS stays at 6 (dimension 2^13 = 8192).  The word map would go
-further; the dense consumers bound it: `uf export` derives the dense
-int8 U (64 MiB at r=6, 1 GiB at r=7), the block-form CSV stops at 4096
+further; the dense consumers bound it: the block-form CSV stops at 4096
 rows, and `reck --radius` goes through `circuit_matrix`.
 
-scipy is imported only by the partial-isometry reading of `total_step`,
-which returns a sparse matrix, so importing the package and the CLI
-does not load it.
+U and the partial-isometry chain step are both a `WordMap`.  Only its
+`tocsc` imports scipy, and nothing in the package calls it.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ from .qstate import Circuit, Cn, Not, uniform_superposition_nonnull
 __all__ = [
     "MAX_RADIUS",
     "CSV_MAX_DIMENSION",
+    "WordMap",
     "TransitionOperator",
     "BasisPartition",
     "IsometryReport",
@@ -71,17 +70,14 @@ def window_centers(windows: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class TransitionOperator:
-    """U as its word map: image[x] is the index of f(x), -1 at the null
-    word (the leftmost cell is the most significant bit).
-
-    The image is held as a read-only int64 copy; two operators are equal
-    when radius and image are.
-    """
+class WordMap:
+    """A map of basis words under the radius-r rule: image[x] is the
+    index of x's image, -1 where x is annihilated (the leftmost cell is
+    the most significant bit).  The image is a read-only int64 copy; two
+    maps are equal when their types, radii and images are."""
 
     radius: int
     image: np.ndarray
-    null_index = 0  # class constant, not a field
 
     def __post_init__(self):
         image = np.array(self.image, dtype=np.int64)
@@ -89,7 +85,7 @@ class TransitionOperator:
         object.__setattr__(self, "image", image)
 
     def __eq__(self, other):
-        if not isinstance(other, TransitionOperator):
+        if type(other) is not type(self):
             return NotImplemented
         return (self.radius == other.radius
                 and np.array_equal(self.image, other.image))
@@ -100,6 +96,40 @@ class TransitionOperator:
     @property
     def dimension(self) -> int:
         return self.image.size
+
+    def mapped(self) -> tuple[np.ndarray, np.ndarray]:
+        """(words, images) over the words that have an image."""
+        src = np.flatnonzero(self.image >= 0)
+        return src, self.image[src]
+
+    def apply(self, vector: np.ndarray) -> np.ndarray:
+        """matrix @ vector, summing where two words share an image."""
+        src, dest = self.mapped()
+        out = np.zeros(self.dimension, dtype=np.result_type(vector, float))
+        np.add.at(out, dest, vector[src])
+        return out
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense int8 matrix, derived on demand."""
+        src, dest = self.mapped()
+        mat = np.zeros((self.dimension, self.dimension), dtype=np.int8)
+        mat[dest, src] = 1
+        return mat
+
+    def tocsc(self):
+        """The sparse counterpart of `matrix`: a float scipy CSC matrix."""
+        from scipy import sparse
+        src, dest = self.mapped()
+        indptr = np.concatenate(([0], np.cumsum(self.image >= 0)))
+        return sparse.csc_matrix((np.ones(src.size), dest, indptr),
+                                 shape=(self.dimension, self.dimension))
+
+
+class TransitionOperator(WordMap):
+    """U as the word map of one window of 2r+1 cells."""
+
+    null_index = 0
 
     @property
     def null_word(self) -> tuple[int, ...]:
@@ -113,26 +143,6 @@ class TransitionOperator:
     def preimage_index(self) -> int:
         """Index of the single word absent from the image."""
         return 1 << self.radius
-
-    def mapped(self) -> tuple[np.ndarray, np.ndarray]:
-        """(words, images) over the words that have an image."""
-        src = np.flatnonzero(self.image >= 0)
-        return src, self.image[src]
-
-    def apply(self, vector: np.ndarray) -> np.ndarray:
-        """U @ vector, summing where two words share an image."""
-        src, dest = self.mapped()
-        out = np.zeros(self.dimension, dtype=np.result_type(vector, float))
-        np.add.at(out, dest, vector[src])
-        return out
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense int8 U, derived on demand."""
-        src, dest = self.mapped()
-        mat = np.zeros((self.dimension, self.dimension), dtype=np.int8)
-        mat[dest, src] = 1
-        return mat
 
 
 def build_uf_matrix(r: int) -> TransitionOperator:
@@ -165,17 +175,22 @@ class IsometryReport:
                 and self.norm_deviation <= 1e-12)
 
 
-def check_partial_isometry(t_op: TransitionOperator, samples: int = 20,
+def _norm(v: np.ndarray) -> float:
+    """2-norm summed in ascending order, so equal for any permutation."""
+    return float(np.sqrt(np.sort(v.real ** 2 + v.imag ** 2).sum()))
+
+
+def check_partial_isometry(t_op: TransitionOperator,
                            rng: np.random.Generator | None = None
                            ) -> IsometryReport:
     """Exact residuals of the two isometry identities in O(dim).
 
     U U+ = diag(counts), counts[y] being the number of words mapped to
     y; U+ U has the mapped indicator on its diagonal and a 1 at (x, x')
-    for every pair of distinct words sharing an image.
+    for every pair of distinct words sharing an image.  On a partial
+    permutation the 20 sampled norm deviations are exactly 0 (`_norm`).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0) if rng is None else rng
     dim = t_op.dimension
     _, dest = t_op.mapped()
     counts = np.bincount(dest, minlength=dim)
@@ -185,11 +200,10 @@ def check_partial_isometry(t_op: TransitionOperator, samples: int = 20,
         (t_op.image >= 0) != (words != t_op.null_index)))
 
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(20):
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v[t_op.null_index] = 0.0
-        worst = max(worst, abs(np.linalg.norm(t_op.apply(v))
-                               - np.linalg.norm(v)))
+        worst = max(worst, abs(_norm(t_op.apply(v)) - _norm(v)))
     return IsometryReport(range_residual, support_residual, worst)
 
 
@@ -264,22 +278,24 @@ def build_uf_circuit(r: int, site: int, n_qubits: int) -> Circuit:
     return Circuit(n_qubits, tuple(ops))
 
 
-def total_step(r: int, n_sites: int, mode: str):
-    """Whole-chain step over n_sites cells.
+def total_step(r: int, n_sites: int, mode: str) -> Circuit | WordMap:
+    """Whole-chain step over n_sites >= 1 cells.
 
     unitary_circuit: the concatenation of the per-site circuits for
     sites 1..n_sites (boundary-truncated).  Genuinely unitary, but it
     disagrees with the automaton on components containing null windows;
     in particular the vacuum is not fixed (the unconditional NOTs fire).
 
-    partial_isometry: the sparse 0/1 matrix of the composition of
-    per-site factors C_i (I - P_i) + P_i, where P_i projects onto the
-    components whose site-i window reads all zero.  On basis states this
+    partial_isometry: the `WordMap` of the composition of per-site
+    factors C_i (I - P_i) + P_i, where P_i projects onto the components
+    whose site-i window reads all zero.  On basis states this
     is exactly the classical bounded-lattice step (cells outside the
     chain are fixed zeros), so the vacuum is fixed.  Each site applies
     `window_centers` to all words, left neighbors already updated.
     """
     _check_radius(r)
+    if n_sites < 1:
+        raise ValueError(f"n_sites must be at least 1, got {n_sites}")
     if mode == "unitary_circuit":
         ops: list = []
         for site in range(1, n_sites + 1):
@@ -290,21 +306,15 @@ def total_step(r: int, n_sites: int, mode: str):
     if n_sites > 14:
         raise DimensionTooLarge(
             f"partial_isometry mode supports up to 14 sites, got {n_sites}")
-    n = n_sites
-    words = np.arange(2 ** n, dtype=np.int64)
-    new = words.copy()
+    new = np.arange(2 ** n_sites, dtype=np.int64)
     window_mask = (1 << (2 * r + 1)) - 1
-    for site in range(1, n + 1):
+    for site in range(1, n_sites + 1):
         # window cells site-r..site+r, with cell site+r at bit 0
-        shift = n - site - r
+        shift = n_sites - site - r
         window = (new >> shift if shift >= 0 else new << -shift) & window_mask
-        bit = n - site
+        bit = n_sites - site
         new = (new & ~(1 << bit)) | (window_centers(window) << bit)
-    from scipy import sparse  # only this reading needs scipy
-
-    data = np.ones(words.size, dtype=float)
-    return sparse.csr_matrix((data, (new, words)),
-                             shape=(2 ** n, 2 ** n))
+    return WordMap(r, new)
 
 
 @dataclass(frozen=True)
@@ -348,15 +358,13 @@ def parallelism_demo(r: int) -> ParallelismReport:
 
 # -- text formats -----------------------------------------------------------
 
-def emit_matrix_triplets(matrix: np.ndarray) -> str:
-    """Nonzero entries as `row col value`, 1-based, row-major ascending."""
-    mat = np.asarray(matrix)
-    lines = []
-    for i, j in zip(*np.nonzero(mat)):
-        v = mat[i, j]
-        text = str(int(v)) if float(v) == int(v) else f"{float(v):.17g}"
-        lines.append(f"{i + 1} {j + 1} {text}")
-    return "\n".join(lines) + ("\n" if lines else "")
+def emit_matrix_triplets(word_map: WordMap) -> str:
+    """The map's matrix entries as `row col 1`, 1-based, row-major
+    ascending."""
+    src, dest = word_map.mapped()
+    order = np.argsort(dest, kind="stable")  # src ascends within a row
+    return "".join(f"{i + 1} {j + 1} 1\n"
+                   for i, j in zip(dest[order].tolist(), src[order].tolist()))
 
 
 def check_csv_dimension(dimension: int) -> None:

@@ -39,7 +39,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DimensionTooLarge, NotHermitian
-from .qstate import circuit_matrix
+from .qstate import DENSE_LIMIT, circuit_matrix
 from .quantize import total_step
 
 __all__ = [
@@ -128,9 +128,8 @@ def generator_not(variant: str) -> np.ndarray:
     return (_ID - _SX) / 2
 
 
-def generator_cn(variant: str, control_before_target: bool = True
-                 ) -> np.ndarray:
-    """4x4 generator of the CN gate, control on the first slot by default."""
+def generator_cn(variant: str) -> np.ndarray:
+    """4x4 generator of the CN gate, control on the first slot."""
     _check_variant(variant)
     if variant == "literal":
         ctrl, tgt = _ID - _SZ, _SX - _ID
@@ -138,9 +137,7 @@ def generator_cn(variant: str, control_before_target: bool = True
     else:
         ctrl, tgt = _ID - _SZ, _ID - _SX
         coeff = 0.25
-    if control_before_target:
-        return coeff * np.kron(ctrl, tgt)
-    return coeff * np.kron(tgt, ctrl)
+    return coeff * np.kron(ctrl, tgt)
 
 
 def _not_terms(i: int, variant: str) -> list[PauliTerm]:
@@ -198,7 +195,7 @@ def build_chain_hamiltonian(n_sites: int, r: int,
     return HamiltonianSum(n_sites, r, _merge(terms))
 
 
-def to_dense(h: HamiltonianSum, dense_limit: int = 14) -> np.ndarray:
+def to_dense(h: HamiltonianSum) -> np.ndarray:
     """Dense real symmetric matrix of a Pauli sum, site 1 most significant.
 
     Per term, X factors form a column-index xor mask and Z factors a
@@ -206,9 +203,9 @@ def to_dense(h: HamiltonianSum, dense_limit: int = 14) -> np.ndarray:
     products are materialized.
     """
     n = h.n_sites
-    if n > dense_limit:
+    if n > DENSE_LIMIT:
         raise DimensionTooLarge(
-            f"{n} sites exceeds the dense limit of {dense_limit}")
+            f"{n} sites exceeds the dense limit of {DENSE_LIMIT}")
     dim = 2 ** n
     cols = np.arange(dim)
     mat = np.zeros((dim, dim))

@@ -109,23 +109,24 @@ class ReckPlan:
         object.__setattr__(self, "phases", phases)
 
 
-def reck_decompose(u: np.ndarray, tol: float = 1e-10) -> ReckPlan:
+def reck_decompose(u: np.ndarray) -> ReckPlan:
     """Null the below-diagonal entries of a unitary with 2x2 rotations.
 
-    Entries already below tol emit no rotation, so permutation-like
-    matrices produce short plans.  The residual diagonal becomes the
-    phase list after renormalizing each entry to unit modulus.
+    Entries already within 1e-10 of zero emit no rotation, so
+    permutation-like matrices produce short plans.  The residual
+    diagonal becomes the phase list after renormalizing each entry to
+    unit modulus.
     """
     work = np.asarray(u, dtype=complex).copy()
     residual = _unitarity_residual(work)
-    if not residual <= tol:
+    if not residual <= 1e-10:
         raise NotUnitary(residual)
     n = work.shape[0]
     rotations: list[EmbeddedRotation] = []
     for col in range(n - 1):
         for row in range(n - 1, col, -1):
             b = work[row, col]
-            if abs(b) <= tol:
+            if abs(b) <= 1e-10:
                 work[row, col] = 0.0
                 continue
             a = work[col, col]

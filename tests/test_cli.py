@@ -84,6 +84,15 @@ def test_uf_export(capsys):
     assert all(line.split()[2] == "1" for line in lines)
 
 
+def test_uf_export_matches_dense_nonzeros(capsys):
+    # the triplets come from the word map; the dense U is the oracle
+    for r in range(1, 7):
+        code, out, _ = run(capsys, "uf", "export", "--radius", str(r))
+        rows, cols = np.nonzero(quantize.build_uf_matrix(r).matrix)
+        want = "".join(f"{i + 1} {j + 1} 1\n" for i, j in zip(rows, cols))
+        assert code == 0 and out == want
+
+
 def test_uf_check(capsys):
     code, out, _ = run(capsys, "uf", "check", "--radius", "2")
     assert code == 0
@@ -273,12 +282,19 @@ def test_unknown_command(capsys):
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    # the import alone, and the two commands that once built a sparse
+    # chain step (check) or a dense U (uf export)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = "import sys, qsca.cli; print('scipy' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout == "False\n"
+    code = ("import contextlib, io, sys, qsca.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = qsca.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "print(code, 'scipy' in sys.modules)\n")
+    for argv in ([], ["check", "--seed", "1"],
+                 ["uf", "export", "--radius", "6"]):
+        res = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "0 False\n", argv

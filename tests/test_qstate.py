@@ -313,9 +313,6 @@ def test_circuit_matrix_dimension_limit():
     big = Circuit(15, (Not(1),))
     with pytest.raises(DimensionTooLarge):
         circuit_matrix(big)
-    small = Circuit(3, (Not(1),))
-    with pytest.raises(DimensionTooLarge):
-        circuit_matrix(small, dense_limit=2)
 
 
 # -- text formats -----------------------------------------------------------

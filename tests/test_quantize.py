@@ -7,6 +7,7 @@ from qsca.errors import DimensionTooLarge, RadiusError
 from qsca.qstate import Circuit, Cn, Not, basis_state, circuit_matrix
 from qsca.quantize import (
     TransitionOperator,
+    WordMap,
     block_form_ok,
     build_uf_circuit,
     build_uf_matrix,
@@ -86,6 +87,7 @@ def test_transition_operator_value_equality():
     assert t_op != TransitionOperator(3, t_op.image)
     assert all(t_op != other for other in corrupted_images(t_op))
     assert t_op != (2, t_op.image)
+    assert t_op != WordMap(2, t_op.image)  # same image, other type
     with pytest.raises(ValueError):
         t_op.image[1] = 0  # the image is read-only, so the hash holds
 
@@ -183,6 +185,30 @@ def test_count_residuals_match_dense_products():
             assert report.support_residual == want_support
             assert abs(report.norm_deviation - want_norm) <= 1e-12
             assert report.ok == (candidate is t_op)
+
+
+def radius8_images():
+    """U at r = 8 built by hand (build_uf_matrix stops at MAX_RADIUS)."""
+    words = np.arange(2 ** 17, dtype=np.int64)
+    image = (words & ~(1 << 8)) | (window_centers(words) << 8)
+    image[0] = -1
+    return TransitionOperator(8, image)
+
+
+def test_partial_isometry_exact_norms_at_radius8():
+    # sampled norms are summed independently of order, so an exact
+    # partial permutation deviates by exactly 0 at any radius
+    t_op = radius8_images()
+    start = time.perf_counter()
+    report = check_partial_isometry(t_op)
+    elapsed = time.perf_counter() - start
+    print(f"check_partial_isometry r=8: {elapsed:.3f} s")
+    assert report.range_residual == 0 and report.support_residual == 0
+    assert report.norm_deviation == 0.0
+    assert report.ok
+    assert elapsed < 5.0
+    for corrupted in corrupted_images(t_op):
+        assert not check_partial_isometry(corrupted).ok
 
 
 def test_partial_isometry_radius6_within_budget():
@@ -323,8 +349,9 @@ def test_total_step_circuit_vacuum_image():
 
 
 def test_total_step_isometry_fixes_vacuum():
-    op = total_step(2, 8, "partial_isometry").tocsc()
-    assert int(op.indices[op.indptr[0]]) == 0
+    step_map = total_step(2, 8, "partial_isometry")
+    assert isinstance(step_map, WordMap) and step_map.radius == 2
+    assert step_map.image[0] == 0
 
 
 def test_total_step_isometry_matches_classical_scan():
@@ -332,11 +359,11 @@ def test_total_step_isometry_matches_classical_scan():
     # exactly as on the infinite lattice
     rule = Rule(2)
     n = 12
-    op = total_step(2, n, "partial_isometry").tocsc()
+    step_image = total_step(2, n, "partial_isometry").image
     for x in range(32):
         config = Configuration(4, word_bits(x, 5))
         word = sum(config.site(s) << (n - s) for s in range(1, n + 1))
-        image = int(op.indices[op.indptr[word]])
+        image = int(step_image[word])
         stepped = step(rule, config)
         want = sum(stepped.site(s) << (n - s) for s in range(1, n + 1))
         if not stepped.is_empty:
@@ -345,9 +372,18 @@ def test_total_step_isometry_matches_classical_scan():
 
 
 def test_total_step_isometry_columns_are_units():
-    op = total_step(1, 6, "partial_isometry").tocsc()
-    counts = np.diff(op.indptr)
-    assert np.array_equal(counts, np.ones(2 ** 6, dtype=counts.dtype))
+    step_map = total_step(1, 6, "partial_isometry")
+    assert step_map.dimension == 2 ** 6
+    assert (step_map.image >= 0).all()
+    # the sparse export: one entry per column, at the image
+    op = step_map.tocsc()
+    assert op.format == "csc" and op.shape == (2 ** 6, 2 ** 6)
+    assert np.array_equal(np.diff(op.indptr), np.ones(2 ** 6, dtype=int))
+    assert np.array_equal(op.indices, step_map.image)
+    assert np.array_equal(op.data, np.ones(2 ** 6))
+    assert np.array_equal(op.toarray(), step_map.matrix)
+    t_op = build_uf_matrix(2)  # the null word's column is empty
+    assert np.array_equal(t_op.tocsc().toarray(), t_op.matrix)
 
 
 def test_total_step_validation():
@@ -355,6 +391,10 @@ def test_total_step_validation():
         total_step(2, 6, "both")
     with pytest.raises(DimensionTooLarge):
         total_step(2, 15, "partial_isometry")
+    for mode in ("unitary_circuit", "partial_isometry"):
+        for n_sites in (0, -1):
+            with pytest.raises(ValueError, match="n_sites"):
+                total_step(2, n_sites, mode)
 
 
 # -- superposition update ---------------------------------------------------
@@ -383,9 +423,10 @@ def test_parallelism_image_misses_only_preimage_word():
 # -- text formats -----------------------------------------------------------
 
 def test_emit_matrix_triplets_golden():
-    mat = np.array([[0, 1], [2, 0.5]])
-    assert emit_matrix_triplets(mat) == "1 2 1\n2 1 2\n2 2 0.5\n"
-    assert emit_matrix_triplets(np.zeros((2, 2))) == ""
+    # rows ascend, and columns ascend within a row
+    word_map = WordMap(1, [1, 0, -1, 0])
+    assert emit_matrix_triplets(word_map) == "1 2 1\n1 4 1\n2 1 1\n"
+    assert emit_matrix_triplets(WordMap(1, [-1, -1])) == ""
 
 
 def test_emit_matrix_csv():
