@@ -455,17 +455,30 @@ def frt_check(rule: Rule, particle: Particle, horizon: int | None = None
 # -- text formats -----------------------------------------------------------
 
 def parse_configuration(text: str) -> Configuration:
-    """Read the two-line format: `origin=<int>` then a row of 0/1 digits."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("origin="):
-        raise ParseError("expected a leading origin=<int> line", line_no=1)
+    """Read the two-line format: `origin=<int>` then one row of 0/1 digits.
+
+    Blank lines are skipped; error line numbers count them.
+    """
+    lines = [(line_no, ln.strip())
+             for line_no, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
+    if not lines or not lines[0][1].startswith("origin="):
+        raise ParseError("expected a leading origin=<int> line",
+                         line_no=lines[0][0] if lines else 1)
+    (line_no, head), *rest = lines
     try:
-        origin = int(lines[0][len("origin="):])
+        origin = int(head[len("origin="):])
     except ValueError:
-        raise ParseError("bad origin integer", line_no=1) from None
-    row = lines[1] if len(lines) > 1 else ""
+        raise ParseError("bad origin integer", line_no=line_no) from None
+    if not rest:
+        return Configuration(origin, ())
+    line_no, row = rest[0]
     if set(row) - {"0", "1"}:
-        raise ParseError("configuration row must contain only 0/1", line_no=2)
+        raise ParseError("configuration row must contain only 0/1",
+                         line_no=line_no)
+    if len(rest) > 1:
+        raise ParseError("unexpected line after the configuration row",
+                         line_no=rest[1][0])
     return Configuration(origin, tuple(int(c) for c in row))
 
 

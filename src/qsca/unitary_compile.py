@@ -1,14 +1,35 @@
 """Factorization of unitaries into embedded 2x2 rotations plus phases.
 
-Triangular nulling: walking columns left to right and rows bottom-up
-within each column, each below-diagonal entry is zeroed by a 2x2 unitary
-acting on the (pivot row, offending row) pair.  For a unitary input the
-eliminated matrix is then diagonal with unit-modulus entries, so the
-original factors as (rotation product) times a phase diagonal.  This is
-the mesh picture of a unitary as a chain of two-mode mixers and phase
-shifters; only genuinely unitary matrices qualify, and the non-unitary
-transition operator itself is rejected with NotUnitary (its circuit
-form, which is unitary, decomposes fine).
+Triangular nulling (Reck et al., PRL 73, 58 (1994)): walking columns
+left to right and rows bottom-up within each column, each
+below-diagonal entry is zeroed by a 2x2 unitary acting on the (pivot
+row, offending row) pair.  For a unitary input the eliminated matrix is
+then diagonal with unit-modulus entries, so the original factors as
+(rotation product) times a phase diagonal.  This is the mesh picture of
+a unitary as a chain of two-mode mixers and phase shifters; only
+genuinely unitary matrices qualify, and the non-unitary transition
+operator itself is rejected with NotUnitary (its circuit form, which is
+unitary, decomposes fine).
+
+Every rotation of column c shares the pivot row c and touches each
+partner row w_k once, so the entries b_k it nulls are all known when
+the column starts.  With a_1 the diagonal entry and p_0 the pivot row
+at that point, the pivot after k rotations obeys
+
+    rho_k^2   = |a_1|^2 + sum_{j<=k} |b_j|^2,
+    rho_k p_k = conj(a_1) p_0 + sum_{j<=k} conj(b_j) w_j,
+
+so a column is one cumulative sum over its partner rows plus one
+broadcast update of them, O(1) numpy calls instead of O(n).
+
+A plan holds its rotations as arrays: `modes` (m x 2 mode pairs) and
+`blocks` (m x 2 x 2), validated in one vectorized pass;
+`ReckPlan.rotations` views row k as an `EmbeddedRotation` on access.
+Reconstruction splits the plan into maximal runs of consecutive
+rotations that share the pivot and have distinct partners.  Applied in
+reverse, a run is the affine recurrence x <- u00 x + u01 w_k on the
+pivot row, which an inclusive odd-even scan evaluates in O(K n) work
+with no division, so arbitrary and parsed plans take the same path.
 
 Mode indices are 0-based in code; the text format is 1-based like every
 other format in this package.
@@ -16,7 +37,7 @@ other format in this package.
 
 from __future__ import annotations
 
-import cmath
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,14 +64,24 @@ def _unitarity_residual(u: np.ndarray) -> float:
 
 
 def _rotation_residual(u: np.ndarray) -> float:
-    """`_unitarity_residual` of a 2x2 block in closed form: the largest
-    of the three distinct entries of |U+U - I|, two diagonal, one off."""
-    (p, q), (s, t) = u.tolist()
-    if not all(map(cmath.isfinite, (p, q, s, t))):
+    """`_unitarity_residual` of 2x2 blocks in closed form, the largest over
+    a stack (..., 2, 2): per block, the largest of the three distinct
+    entries of |U+U - I|, two diagonal, one off."""
+    u = np.asarray(u, dtype=complex)
+    if not np.isfinite(u).all():
         raise ValueError("matrix has non-finite entries")
-    return max(abs(abs(p) ** 2 + abs(s) ** 2 - 1.0),
-               abs(abs(q) ** 2 + abs(t) ** 2 - 1.0),
-               abs(p.conjugate() * q + s.conjugate() * t))
+    p, q, s, t = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
+    residual = np.maximum.reduce([
+        np.abs(np.abs(p) ** 2 + np.abs(s) ** 2 - 1.0),
+        np.abs(np.abs(q) ** 2 + np.abs(t) ** 2 - 1.0),
+        np.abs(p.conj() * q + s.conj() * t)])
+    return float(np.max(residual, initial=0.0))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -70,9 +101,7 @@ class EmbeddedRotation:
         residual = _rotation_residual(u)
         if not residual <= 1e-12:
             raise NotUnitary(residual)
-        u = u.copy()
-        u.flags.writeable = False
-        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "u", _frozen(u))
 
     def embedded(self, dimension: int) -> np.ndarray:
         mat = np.eye(dimension, dtype=complex)
@@ -83,75 +112,180 @@ class EmbeddedRotation:
         return mat
 
 
+class _Rotations(Sequence):
+    """The rotations of a plan, each built as an `EmbeddedRotation` only
+    when indexed."""
+
+    def __init__(self, plan: "ReckPlan"):
+        self._plan = plan
+
+    def __len__(self) -> int:
+        return len(self._plan.modes)
+
+    def __getitem__(self, k: int) -> EmbeddedRotation:
+        i, j = self._plan.modes[k].tolist()
+        return EmbeddedRotation(i, j, self._plan.blocks[k])
+
+
 @dataclass(frozen=True)
 class ReckPlan:
-    """Rotations applied in order, then the phase diagonal."""
+    """Rotations applied in order, then the phase diagonal.
+
+    Rotation k acts on modes `modes[k]` = (i, j), 0-based, with the 2x2
+    block `blocks[k]`; all three arrays are read-only copies.
+    """
 
     dimension: int
-    rotations: tuple[EmbeddedRotation, ...]
+    modes: np.ndarray
+    blocks: np.ndarray
     phases: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rotations", tuple(self.rotations))
+        n = self.dimension
         phases = np.asarray(self.phases, dtype=complex)
-        if phases.shape != (self.dimension,):
+        if phases.shape != (n,):
             raise ValueError("need one phase per mode")
         if not np.abs(np.abs(phases) - 1.0).max() <= 1e-12:
             raise ValueError("phases must have unit modulus")
-        n = self.dimension
-        if len(self.rotations) > n * (n - 1) // 2:
+        modes = np.asarray(self.modes)
+        if modes.ndim != 2 or modes.shape[1] != 2:
+            raise ValueError("rotation modes must be an m x 2 array")
+        if not np.issubdtype(modes.dtype, np.integer):
+            raise ValueError("rotation modes must be integers")
+        modes = modes.astype(np.int64)
+        blocks = np.asarray(self.blocks, dtype=complex)
+        if blocks.ndim != 3 or blocks.shape[1:] != (2, 2):
+            raise ValueError("rotation blocks must be an m x 2 x 2 array")
+        if len(blocks) != len(modes):
+            raise ValueError("need one 2x2 block per rotation")
+        if len(modes) > n * (n - 1) // 2:
             raise ValueError("too many rotations for the dimension")
-        for rot in self.rotations:
-            if rot.j >= n:
-                raise ValueError(f"rotation on mode {rot.j} out of range")
-        phases = phases.copy()
-        phases.flags.writeable = False
-        object.__setattr__(self, "phases", phases)
+        i, j = modes.T
+        if not ((0 <= i) & (i < j) & (j < n)).all():
+            raise ValueError(f"rotation modes must satisfy 0 <= i < j < {n}")
+        residual = _rotation_residual(blocks)
+        if not residual <= 1e-12:
+            raise NotUnitary(residual)
+        object.__setattr__(self, "modes", _frozen(modes))
+        object.__setattr__(self, "blocks", _frozen(blocks))
+        object.__setattr__(self, "phases", _frozen(phases))
+
+    @property
+    def rotations(self) -> Sequence[EmbeddedRotation]:
+        return _Rotations(self)
 
 
 def reck_decompose(u: np.ndarray) -> ReckPlan:
     """Null the below-diagonal entries of a unitary with 2x2 rotations.
 
-    Entries already within 1e-10 of zero emit no rotation, so
-    permutation-like matrices produce short plans.  The residual
-    diagonal becomes the phase list after renormalizing each entry to
-    unit modulus.
+    Entries already within 1e-10 of zero are set to exactly zero and
+    emit no rotation, so permutation-like matrices produce short plans.
+    The residual diagonal becomes the phase list after renormalizing
+    each entry to unit modulus.
     """
     work = np.asarray(u, dtype=complex).copy()
     residual = _unitarity_residual(work)
     if not residual <= 1e-10:
         raise NotUnitary(residual)
     n = work.shape[0]
-    rotations: list[EmbeddedRotation] = []
+    modes, blocks = [], []
     for col in range(n - 1):
-        for row in range(n - 1, col, -1):
-            b = work[row, col]
-            if abs(b) <= 1e-10:
-                work[row, col] = 0.0
-                continue
-            a = work[col, col]
-            rho = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
-            g = np.array([[np.conj(a), np.conj(b)], [-b, a]]) / rho
-            pair = g @ work[[col, row], :]
-            work[col, :] = pair[0]
-            work[row, :] = pair[1]
-            work[row, col] = 0.0
-            rotations.append(EmbeddedRotation(col, row, g.conj().T))
+        below = work[:col:-1, col]              # rows n-1 .. col+1
+        keep = np.abs(below) > 1e-10
+        b = below[keep]
+        rows = np.arange(n - 1, col, -1)[keep]
+        work[col + 1:, col] = 0.0
+        if not len(b):
+            continue
+        a1 = work[col, col]
+        rho = np.sqrt(abs(a1) ** 2 + np.cumsum(np.abs(b) ** 2))
+        a = np.concatenate(([a1], rho[:-1]))
+        partners = work[rows, col + 1:]
+        # sums[0] is the pivot row p_0 and sums[k] = rho_k p_k; partner k
+        # becomes (a_k w_k - b_k p_{k-1}) / rho_k, with p_{k-1} read as
+        # sums[k-1] / rho_{k-1} and rho_0 taken as 1
+        sums = np.empty((len(b) + 1, n - col - 1), dtype=complex)
+        sums[0] = work[col, col + 1:]
+        np.multiply(b.conj()[:, None], partners, out=sums[1:])
+        np.cumsum(sums[1:], axis=0, out=sums[1:])
+        sums[1:] += a1.conjugate() * sums[0]
+        partners *= (a / rho)[:, None]
+        partners -= (b / (rho * np.concatenate(([1.0], rho[:-1]))))[:, None] \
+            * sums[:-1]
+        work[rows, col + 1:] = partners
+        work[col, col + 1:] = sums[-1] / rho[-1]
+        work[col, col] = rho[-1]
+        g = np.empty((len(b), 2, 2), dtype=complex)
+        g[:, 0, 0], g[:, 0, 1] = a.conj(), b.conj()
+        g[:, 1, 0], g[:, 1, 1] = -b, a
+        g /= rho[:, None, None]
+        modes.append(np.column_stack((np.full(len(b), col), rows)))
+        blocks.append(g.conj().transpose(0, 2, 1))
     diag = np.diag(work)
-    phases = diag / np.abs(diag)
-    return ReckPlan(n, tuple(rotations), phases)
+    return ReckPlan(n,
+                    np.concatenate(modes) if modes
+                    else np.empty((0, 2), dtype=np.int64),
+                    np.concatenate(blocks) if blocks else np.empty((0, 2, 2)),
+                    diag / np.abs(diag))
+
+
+def _run_starts(modes: np.ndarray) -> list[int]:
+    """Starts of the maximal runs of consecutive rotations that share the
+    pivot i and have distinct partners j."""
+    starts, pivot, seen = [], -1, set()
+    for k, (i, j) in enumerate(modes.tolist()):
+        if i != pivot or j in seen:
+            starts.append(k)
+            pivot, seen = i, set()
+        seen.add(j)
+    return starts
+
+
+def _affine_scan(alpha: np.ndarray, x: np.ndarray) -> None:
+    """In place, x[k] <- alpha[k] x[k-1] + x[k] for k = 1, 2, ... in
+    order, by odd-even reduction: fold each pair (2m, 2m+1) into row
+    2m+1, scan the odd rows recursively, then finish the even rows.
+    O(len(x)) row updates in O(log len(x)) numpy calls, no division."""
+    if len(x) < 2:
+        return
+    x[1::2] += alpha[1::2, None] * x[:-1:2]
+    _affine_scan(alpha[1::2] * alpha[:-1:2], x[1::2])
+    x[2::2] += alpha[2::2, None] * x[1:-1:2]
+
+
+def _apply_run(mat: np.ndarray, modes: np.ndarray, blocks: np.ndarray) -> None:
+    """Left-multiply `mat` in place by one run of rotations, last first."""
+    i, js, u = modes[0, 0], modes[::-1, 1], blocks[::-1]
+    partners = mat[js]
+    # x_0 is the pivot row and x_k = u00_k x_{k-1} + u01_k w_k
+    x = np.empty((len(js) + 1, mat.shape[1]), dtype=complex)
+    x[0] = mat[i]
+    np.multiply(u[:, 0, 1, None], partners, out=x[1:])
+    _affine_scan(np.concatenate(([0.0], u[:, 0, 0])), x)
+    partners *= u[:, 1, 1, None]
+    partners += u[:, 1, 0, None] * x[:-1]
+    mat[js] = partners
+    mat[i] = x[-1]
 
 
 def reck_reconstruct(plan: ReckPlan) -> np.ndarray:
     """Multiply the plan back out: rotations in listed order, phases last.
 
-    Each rotation touches only rows i and j, so its 2x2 block is applied
-    to those two rows in place: O(n) per rotation, O(n^3) per plan.
+    Each run of K rotations sharing a pivot is applied as one scan of
+    O(K n) work in O(log K) numpy calls, so a plan of n(n-1)/2
+    rotations costs O(n^3), like one 2x2 update per rotation.  A run
+    only touches the columns where its rows can be nonzero; for a plan
+    from `reck_decompose` that is columns c.. for pivot c.
     """
     mat = np.diag(plan.phases).astype(complex)
-    for rot in reversed(plan.rotations):
-        rows = [rot.i, rot.j]
-        mat[rows] = rot.u @ mat[rows]
+    first = np.arange(plan.dimension)     # row r is zero left of first[r]
+    starts = _run_starts(plan.modes)
+    for lo, hi in reversed(list(zip(starts, starts[1:] + [len(plan.modes)]))):
+        modes = plan.modes[lo:hi]
+        rows = np.append(modes[:, 1], modes[0, 0])
+        c = first[rows].min()
+        first[rows] = c
+        _apply_run(mat[:, c:], modes, plan.blocks[lo:hi])
     return mat
 
 
@@ -162,13 +296,11 @@ def reck_reconstruct(plan: ReckPlan) -> np.ndarray:
 
 def emit_reck_plan(plan: ReckPlan) -> str:
     lines = []
-    for rot in plan.rotations:
-        vals = []
-        for entry in rot.u.ravel():
-            vals.append(f"{entry.real:.17g}")
-            vals.append(f"{entry.imag:.17g}")
-        lines.append(f"R {rot.i + 1} {rot.j + 1} " + " ".join(vals))
-    for k, ph in enumerate(plan.phases):
+    for (i, j), block in zip(plan.modes.tolist(),
+                             plan.blocks.reshape(-1, 4).tolist()):
+        vals = " ".join(f"{e.real:.17g} {e.imag:.17g}" for e in block)
+        lines.append(f"R {i + 1} {j + 1} {vals}")
+    for k, ph in enumerate(plan.phases.tolist()):
         lines.append(f"P {k + 1} {ph.real:.17g} {ph.imag:.17g}")
     return "\n".join(lines) + "\n"
 
@@ -204,7 +336,11 @@ def parse_reck_plan(text: str) -> ReckPlan:
         raise ParseError("phase lines must cover modes 1..N")
     dim = len(phases)
     try:
-        return ReckPlan(dim, tuple(rotations),
-                        np.array([phases[k] for k in range(dim)]))
+        return ReckPlan(dim,
+                        np.array([(r.i, r.j) for r in rotations],
+                                 dtype=np.int64).reshape(-1, 2),
+                        np.array([r.u for r in rotations],
+                                 dtype=complex).reshape(-1, 2, 2),
+                        [phases[k] for k in range(dim)])
     except ValueError as err:
         raise ParseError(str(err)) from None

@@ -5,9 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsca import quantize
-from qsca.cli import main
+from qsca.cli import _parse_blocks, main
+from qsca.errors import ParseError
 from qsca.unitary_compile import parse_reck_plan
 
 
@@ -274,6 +277,36 @@ def test_out_of_range_arguments_report_errors(capsys, config, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(st.sampled_from(list("01O2x \n\t")), max_size=30),
+       width=st.integers(1, 4))
+def test_parse_blocks_raises_only_parse_error(text, width):
+    try:
+        blocks = _parse_blocks(text, width)
+    except ParseError:
+        return
+    assert blocks and all(len(b) == width and set(b) <= {0, 1}
+                          for b in blocks)
+
+
+@pytest.mark.parametrize("argv, text, where", [
+    (("evolve", "--radius", "1", "--steps", "1"), "origin=0\n101\n111\n",
+     "line 3"),
+    (("frt-classical", "--radius", "1"), "\n\norigin=x\n1\n", "line 3"),
+    (("frt-quantum", "--radius", "1", "--padding", "1"), "11 1x\n", "'1x'"),
+])
+def test_parse_errors_exit_1_without_traceback(capsys, config, argv, text,
+                                               where):
+    # one input file per parser the command line reads
+    path = config(text)
+    command, *rest = argv
+    files = ["--blocks", path] if command == "frt-quantum" else [path]
+    code, out, err = run(capsys, command, *files, *rest)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and where in err
+    assert "Traceback" not in err
 
 
 def test_unknown_command(capsys):

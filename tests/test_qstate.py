@@ -339,6 +339,23 @@ def test_parse_gatelist_errors():
         parse_gatelist("X 9\n", n_qubits=4)
 
 
+_GATE_TOKENS = st.sampled_from(
+    ["X", "CN", "CCN", "RESET", "x", "cn", "Y", "0", "1", "2", "3", "4", "-1",
+     "99", "1e3", "literal", "maybe", "#", "# 1", ""])
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.lists(_GATE_TOKENS, max_size=5).map(" ".join),
+                      max_size=6),
+       n_qubits=st.none() | st.integers(-1, 6))
+def test_parse_gatelist_raises_only_parse_error(lines, n_qubits):
+    try:
+        circuit = parse_gatelist("\n".join(lines), n_qubits=n_qubits)
+    except ParseError:
+        return
+    assert circuit.n_qubits >= 1
+
+
 def test_gatelist_round_trip():
     text = ("X 3\n"
             "CN 1 4\n"

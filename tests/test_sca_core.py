@@ -409,11 +409,18 @@ def test_frt_theorem_on_sampled_particles():
 
 # -- text formats -----------------------------------------------------------
 
-def test_configuration_text_round_trip():
-    config = Configuration(-3, (1, 0, 1, 1))
+@settings(max_examples=200, deadline=None)
+@given(origin=st.integers(), bits=st.lists(st.integers(0, 1), max_size=60))
+def test_configuration_text_round_trip(origin, bits):
+    config = Configuration(origin, tuple(bits))
     assert parse_configuration(emit_configuration(config)) == config
+
+
+def test_configuration_text_golden():
+    config = Configuration(-3, (1, 0, 1, 1))
     assert emit_configuration(config) == "origin=-3\n1011\n"
     assert parse_configuration("origin=5\n\n") == EMPTY
+    assert parse_configuration("\norigin=-3\n\n1011\n\n") == config
 
 
 def test_parse_configuration_errors():
@@ -423,6 +430,27 @@ def test_parse_configuration_errors():
         parse_configuration("origin=x\n1\n")
     with pytest.raises(ParseError):
         parse_configuration("origin=0\n10121\n")
+    # line numbers count blank lines; nothing may follow the row
+    for text, line_no in (("\n\norigin=x\n1\n", 3), ("\n1011\n", 2),
+                          ("origin=0\n\n10x1\n", 3),
+                          ("origin=0\n101\n111\n", 3),
+                          ("origin=0\n101\n\norigin=5\n", 4)):
+        with pytest.raises(ParseError) as info:
+            parse_configuration(text)
+        assert info.value.line_no == line_no, text
+
+
+_CONFIG_TEXT = st.text(st.sampled_from(list("origin=01x-5 \n\t_")), max_size=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_CONFIG_TEXT | _CONFIG_TEXT.map(lambda t: "origin=" + t))
+def test_parse_configuration_raises_only_parse_error(text):
+    try:
+        config = parse_configuration(text)
+    except ParseError:
+        return
+    assert parse_configuration(emit_configuration(config)) == config
 
 
 def test_ascii_diagram_golden():

@@ -11,6 +11,7 @@ from qsca.quantize import build_uf_circuit, build_uf_matrix
 from qsca.unitary_compile import (
     EmbeddedRotation,
     _rotation_residual,
+    _run_starts,
     _unitarity_residual,
     ReckPlan,
     emit_reck_plan,
@@ -46,23 +47,80 @@ def test_embedded_rotation_golden():
     assert not swap.u.flags.writeable
 
 
+def plan_of(n, rotations, phases):
+    """A plan from `EmbeddedRotation` objects, in order."""
+    return ReckPlan(n,
+                    np.array([(r.i, r.j) for r in rotations],
+                             dtype=np.int64).reshape(-1, 2),
+                    np.array([r.u for r in rotations],
+                             dtype=complex).reshape(-1, 2, 2),
+                    phases)
+
+
 def test_plan_validation():
     rot = EmbeddedRotation(0, 1, np.eye(2))
     with pytest.raises(ValueError):
-        ReckPlan(3, (), np.ones(2))
+        plan_of(3, (), np.ones(2))
     with pytest.raises(ValueError):
-        ReckPlan(2, (), np.array([1.0, 2.0]))
+        plan_of(2, (), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        ReckPlan(2, (rot, rot), np.ones(2))
+        plan_of(2, (rot, rot), np.ones(2))
     with pytest.raises(ValueError):
-        ReckPlan(1, (rot,), np.ones(1))
+        plan_of(1, (rot,), np.ones(1))
+    # the per-rotation gates of EmbeddedRotation, on the arrays at once
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for modes in ([(1, 0)], [(1, 1)], [(-1, 1)], [(0, 3)]):
+        with pytest.raises(ValueError):
+            ReckPlan(3, modes, [swap], np.ones(3))
+    with pytest.raises(ValueError):
+        ReckPlan(3, [(0, 1), (1, 2)], [swap], np.ones(3))
+    with pytest.raises(NotUnitary):
+        ReckPlan(3, [(0, 1), (1, 2)], [swap, np.diag([1.0, 2.0])], np.ones(3))
+    with pytest.raises(NotUnitary):
+        ReckPlan(3, [(0, 1)], [swap * (1 + 1e-11)], np.ones(3))
+    ReckPlan(3, [(0, 1)], [swap * (1 + 1e-13)], np.ones(3))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ReckPlan(3, [(0, 1)], [[[bad, 0.0], [0.0, 1.0]]], np.ones(3))
+    # shapes and dtypes are checked, not reshaped or cast
+    for modes, blocks in (([0, 1, 1, 2], [swap, swap]),
+                          ([(0, 1), (1, 2)], swap.ravel().tolist() * 2),
+                          ([(0, 1)], [swap.ravel()]),
+                          ([(0.0, 1.0)], [swap]),
+                          ([(0.5, 1.0)], [swap]),
+                          ([], [])):
+        with pytest.raises(ValueError):
+            ReckPlan(3, modes, blocks, np.ones(3))
+    ReckPlan(3, np.empty((0, 2), dtype=np.int32), np.empty((0, 2, 2)),
+             np.ones(3))
+
+
+def test_plan_arrays_and_rotation_views():
+    rng = np.random.default_rng(3)
+    rots = [EmbeddedRotation(0, 2, haar_unitary(2, rng)),
+            EmbeddedRotation(1, 3, haar_unitary(2, rng)),
+            EmbeddedRotation(0, 1, haar_unitary(2, rng))]
+    plan = plan_of(4, rots, np.ones(4))
+    assert plan.modes.dtype == np.int64 and plan.modes.shape == (3, 2)
+    assert plan.blocks.shape == (3, 2, 2)
+    for a in (plan.modes, plan.blocks, plan.phases):
+        assert not a.flags.writeable
+    assert len(plan.rotations) == 3
+    for k in (0, 1, 2, -1, -3):
+        view = plan.rotations[k]
+        assert (view.i, view.j) == (rots[k].i, rots[k].j)
+        assert np.array_equal(view.u, rots[k].u)
+    assert [(r.i, r.j) for r in reversed(plan.rotations)] == \
+        [(0, 1), (1, 3), (0, 2)]
+    with pytest.raises(IndexError):
+        plan.rotations[3]
 
 
 # -- decomposition ----------------------------------------------------------
 
 def test_identity_needs_no_rotations():
     plan = reck_decompose(np.eye(4))
-    assert plan.rotations == ()
+    assert len(plan.rotations) == 0 and plan.modes.shape == (0, 2)
     assert np.array_equal(plan.phases, np.ones(4))
     assert np.array_equal(reck_reconstruct(plan), np.eye(4))
 
@@ -93,6 +151,107 @@ def test_round_trip_random():
         assert np.abs(reck_reconstruct(plan) - u).max() <= 1e-12
 
 
+def sequential_decompose(u):
+    """Oracle: triangular nulling one rotation at a time, as (modes,
+    blocks, phases) arrays."""
+    work = np.asarray(u, dtype=complex).copy()
+    n = work.shape[0]
+    modes, blocks = [], []
+    for col in range(n - 1):
+        for row in range(n - 1, col, -1):
+            b = work[row, col]
+            if abs(b) <= 1e-10:
+                work[row, col] = 0.0
+                continue
+            a = work[col, col]
+            rho = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
+            g = np.array([[np.conj(a), np.conj(b)], [-b, a]]) / rho
+            pair = g @ work[[col, row], :]
+            work[col, :] = pair[0]
+            work[row, :] = pair[1]
+            work[row, col] = 0.0
+            modes.append((col, row))
+            blocks.append(g.conj().T)
+    diag = np.diag(work)
+    return (np.array(modes, dtype=np.int64).reshape(-1, 2),
+            np.array(blocks, dtype=complex).reshape(-1, 2, 2),
+            diag / np.abs(diag))
+
+
+def near_tolerance_target(n, rng):
+    """A Haar-like unitary whose first column has a 5e-11 entry, just
+    inside the 1e-10 skip tolerance, and an exact zero."""
+    first = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    first[-1], first[1] = 0.0, 0.0
+    first /= np.linalg.norm(first)
+    first[-1] = 5e-11
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    raw[:, 0] = first
+    q, r = np.linalg.qr(raw)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def assert_matches_oracle(u, skipped=0.0):
+    """`skipped` bounds the entries the tolerance dropped, which both
+    plans leave out of the product."""
+    modes, blocks, phases = sequential_decompose(u)
+    plan = reck_decompose(u)
+    assert np.array_equal(plan.modes, modes)
+    assert np.abs(plan.blocks - blocks).max(initial=0.0) <= 1e-12
+    assert np.abs(plan.phases - phases).max() <= 1e-12
+    out = reck_reconstruct(plan)
+    oracle = embedded_product(ReckPlan(len(u), modes, blocks, phases))
+    assert np.abs(out - oracle).max() <= 1e-12
+    assert np.abs(out - u).max() <= 1e-12 + skipped
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 32), seed=st.integers(0, 2**32 - 1))
+def test_decompose_matches_sequential_oracle_haar(n, seed):
+    assert_matches_oracle(haar_unitary(n, np.random.default_rng(seed)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(perm=st.integers(2, 24).flatmap(lambda n: st.permutations(range(n))),
+       signs=st.lists(st.sampled_from([1, -1, 1j, -1j]), min_size=24,
+                      max_size=24))
+def test_decompose_matches_sequential_oracle_permutations(perm, signs):
+    # zero pivots: the diagonal entry of a moved column is 0
+    target = np.eye(len(perm))[list(perm)] * np.array(signs[:len(perm)])
+    assert_matches_oracle(target)
+
+
+def test_decompose_circuit_targets_bit_identical_to_oracle():
+    # `qsca reck --radius` prints these plans; signed zeros included,
+    # the text stays what the sequential nulling printed
+    for r in (1, 2, 3):
+        u = circuit_matrix(build_uf_circuit(r, r + 1, 2 * r + 1))
+        modes, blocks, phases = sequential_decompose(u)
+        plan = reck_decompose(u)
+        assert np.array_equal(plan.modes, modes)
+        assert plan.blocks.tobytes() == blocks.tobytes()
+        assert plan.phases.tobytes() == phases.tobytes()
+
+
+def test_decompose_skips_entries_inside_tolerance():
+    rng = np.random.default_rng(11)
+    for n in (3, 8, 20):
+        u = near_tolerance_target(n, rng)
+        assert 0 < abs(u[-1, 0]) <= 1e-10 and u[1, 0] == 0
+        assert_matches_oracle(u, skipped=1e-10)
+        assert (n - 1, 0) not in map(tuple, reck_decompose(u).modes.tolist())
+
+
+def test_decompose_n128_within_budget():
+    u = haar_unitary(128, np.random.default_rng(128))
+    start = time.perf_counter()
+    plan = reck_decompose(u)
+    elapsed = time.perf_counter() - start
+    print(f"reck_decompose n=128: {elapsed:.3f} s")
+    assert elapsed < 1.0
+    assert len(plan.rotations) == 128 * 127 // 2
+
+
 def embedded_product(plan):
     """Oracle: the plan multiplied out with dense embedded n x n matrices."""
     mat = np.diag(plan.phases).astype(complex)
@@ -108,7 +267,7 @@ def random_plan(n, count, rng):
         i, j = sorted(rng.choice(n, size=2, replace=False))
         rotations.append(EmbeddedRotation(int(i), int(j), haar_unitary(2, rng)))
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-    return ReckPlan(n, tuple(rotations), phases)
+    return plan_of(n, rotations, phases)
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,6 +287,37 @@ def test_reconstruct_matches_embedded_product_permutations(perm):
     out = reck_reconstruct(plan)
     assert np.abs(out - embedded_product(plan)).max() <= 1e-12
     assert np.abs(out - target).max() <= 1e-12
+
+
+def test_run_starts_split_on_pivot_and_repeated_partner():
+    modes = np.array([(0, 1), (0, 2), (0, 1), (0, 2), (1, 2), (0, 2),
+                      (0, 3)])
+    assert _run_starts(modes) == [0, 2, 4, 5]
+    assert _run_starts(reck_decompose(haar_unitary(
+        5, np.random.default_rng(2))).modes) == [0, 4, 7, 9]
+    assert _run_starts(np.empty((0, 2), dtype=np.int64)) == []
+
+
+@st.composite
+def shared_pivot_plans(draw):
+    """Runs of rotations on one pivot, partners drawn with repeats."""
+    n = draw(st.integers(2, 39))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rotations = []
+    while len(rotations) < n * (n - 1) // 2 and draw(st.booleans()):
+        i = int(rng.integers(0, n - 1))
+        partners = rng.integers(i + 1, n, size=int(rng.integers(1, n)))
+        for j in partners[:n * (n - 1) // 2 - len(rotations)]:
+            rotations.append(EmbeddedRotation(i, int(j), haar_unitary(2, rng)))
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    return plan_of(n, rotations, phases)
+
+
+@settings(max_examples=100, deadline=None)
+@given(plan=shared_pivot_plans())
+def test_reconstruct_matches_embedded_product_shared_pivots(plan):
+    assert np.abs(reck_reconstruct(plan) - embedded_product(plan)).max() \
+        <= 1e-12
 
 
 def test_reconstruct_n128_within_budget():
@@ -150,7 +340,7 @@ def test_rejects_nan():
     with pytest.raises(ValueError):
         EmbeddedRotation(0, 1, np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        ReckPlan(2, (), np.array([np.nan, 1.0]))
+        plan_of(2, (), np.array([np.nan, 1.0]))
 
 
 def test_rotation_residual_closed_form():
@@ -195,21 +385,35 @@ def test_circuit_unitary_decomposes():
 
 # -- text format ------------------------------------------------------------
 
-def test_text_round_trip_exact():
-    rng = np.random.default_rng(13)
-    u = haar_unitary(5, rng)
-    plan = reck_decompose(u)
+def _plan_kinds():
+    """Decomposed Haar plans (n <= 16), permutation plans and arbitrary
+    plans, each drawn from a seed."""
+    seeds = st.integers(0, 2**32 - 1)
+    haar = st.tuples(st.integers(1, 16), seeds).map(
+        lambda a: reck_decompose(
+            haar_unitary(a[0], np.random.default_rng(a[1]))))
+    perms = st.integers(1, 16).flatmap(
+        lambda n: st.permutations(range(n))).map(
+        lambda p: reck_decompose(np.eye(len(p))[list(p)]))
+    arbitrary = st.tuples(st.integers(2, 16), st.floats(0, 1), seeds).map(
+        lambda a: random_plan(a[0], int(a[1] * a[0] * (a[0] - 1) // 2),
+                              np.random.default_rng(a[2])))
+    return haar | perms | arbitrary
+
+
+@settings(max_examples=80, deadline=None)
+@given(plan=_plan_kinds())
+def test_text_round_trip_exact(plan):
     back = parse_reck_plan(emit_reck_plan(plan))
     assert back.dimension == plan.dimension
-    assert len(back.rotations) == len(plan.rotations)
-    for a, b in zip(plan.rotations, back.rotations):
-        assert (a.i, a.j) == (b.i, b.j)
-        assert np.array_equal(a.u, b.u)
-    assert np.array_equal(back.phases, plan.phases)
+    assert np.array_equal(back.modes, plan.modes)
+    # bit-identical, signed zeros included
+    assert back.blocks.tobytes() == plan.blocks.tobytes()
+    assert back.phases.tobytes() == plan.phases.tobytes()
 
 
 def test_emit_golden():
-    plan = ReckPlan(2, (), np.array([1.0, -1.0]))
+    plan = plan_of(2, (), np.array([1.0, -1.0]))
     assert emit_reck_plan(plan) == "P 1 1 0\nP 2 -1 0\n"
 
 
