@@ -303,9 +303,8 @@ def cmd_check(args) -> int:
             words.append(int(rng.integers(0, 8)))
         if L > 1:
             words.append(int(rng.integers(1, 8)))
-        blocks = [sca_core.BasicString(
-            tuple((x >> (2 - i)) & 1 for i in range(3))) for x in words]
-        particle = sca_core.Particle(0, tuple(blocks))
+        particle = sca_core.Particle(0, tuple(
+            sca_core.BasicString(format(x, "03b")) for x in words))
         report = sca_core.frt_check(rule, particle)
         if report.condition_held:
             passed += 1

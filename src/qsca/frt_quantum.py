@@ -14,7 +14,11 @@ the reset clears block m's bits, or, in the literal variant, annihilates
 the state when they are already clear.  So run_frt and
 stage_identity_check track register indices, never state vectors; the
 sweep pushes all its instances through each stage as one int64 array.
-run_frt builds state vectors only when asked to keep them.
+run_frt builds state vectors only when asked to keep them, and its
+records hold the indices themselves; blocks are read from an index by
+shifts only to format a report.  The closed form every stage is checked
+against is `sca_core.frt_pattern`, the function the classical
+recurrence check uses, applied to the array of particle words.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .qstate import (
     apply_block_reset,
     apply_collective_cn,
 )
-from .sca_core import BasicString
+from .sca_core import as_word, format_block, frt_pattern
 
 __all__ = [
     "BlockRegister",
@@ -128,17 +132,17 @@ class FrtStagePlan:
         return Circuit(self.n_qubits, tuple(ops))
 
 
-def _coerce_blocks(blocks: Sequence) -> tuple[BasicString, ...]:
-    out = tuple(b if isinstance(b, BasicString) else BasicString(tuple(b))
-                for b in blocks)
-    if not out:
+def _coerce_blocks(blocks: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Particle word, block count and block width of a list of bit blocks."""
+    blocks = [tuple(b) for b in blocks]
+    if not blocks:
         raise ValueError("need at least one block")
-    widths = {len(b.bits) for b in out}
+    widths = {len(b) for b in blocks}
     if len(widths) != 1:
         raise ValueError("blocks must share one length")
-    if out[0].is_null or out[-1].is_null:
+    if not any(blocks[0]) or not any(blocks[-1]):
         raise ValueError("first and last blocks must be nonzero")
-    return out
+    return as_word(b for blk in blocks for b in blk), len(blocks), widths.pop()
 
 
 def _check_width(n_qubits: int, limit: int) -> None:
@@ -149,18 +153,13 @@ def _check_width(n_qubits: int, limit: int) -> None:
 
 def make_particle_state(blocks: Sequence, padding: int) -> BlockRegister:
     """Basis register |A1 ... AL O^padding⟩."""
-    blocks = _coerce_blocks(blocks)
+    word, L, w = _coerce_blocks(blocks)
     if padding < 1:
         raise ValueError("padding must be >= 1")
-    w = len(blocks[0].bits)
-    bits: list[int] = []
-    for b in blocks:
-        bits.extend(b.bits)
-    bits.extend([0] * (padding * w))
-    n_blocks = len(blocks) + padding
+    n_blocks = L + padding
     _check_width(n_blocks * w, MAX_REGISTER_QUBITS)
     amp = np.zeros(2 ** (n_blocks * w), dtype=complex)
-    amp[int("".join(str(b) for b in bits), 2)] = 1.0
+    amp[word << padding * w] = 1.0
     return BlockRegister(w - 1, n_blocks,
                          StateVector(n_blocks * w, amp))
 
@@ -198,13 +197,12 @@ def _track(plan: FrtStagePlan, x: np.ndarray, reset_variant: str):
 class FrtStageRecord:
     """Register contents after one stage (stage 0 is the input).
 
-    blocks is the decoded block list when the state is a single basis
-    component, else None; amplitude is that component's amplitude.
+    index is the register index of the basis state, block 1 most
+    significant, or None once the state is annihilated.
     """
 
     stage: int
-    blocks: tuple[BasicString, ...] | None
-    amplitude: complex | None
+    index: int | None
     state: StateVector | None
 
 
@@ -214,22 +212,8 @@ class FrtRunReport:
     L: int
     padding: int
     reset_variant: str
-    input_blocks: tuple[BasicString, ...]
     records: tuple[FrtStageRecord, ...]
     final_ok: bool
-
-    @property
-    def final_blocks(self) -> tuple[BasicString, ...] | None:
-        return self.records[-1].blocks
-
-
-def _decode_blocks(index: int, n_blocks: int, block_len: int
-                   ) -> tuple[BasicString, ...]:
-    """Block list of the basis register with this index."""
-    width = n_blocks * block_len
-    bits = [(index >> (width - 1 - i)) & 1 for i in range(width)]
-    return tuple(BasicString(tuple(bits[b * block_len:(b + 1) * block_len]))
-                 for b in range(n_blocks))
 
 
 def run_frt(blocks: Sequence, padding: int, reset_variant: str = "extended",
@@ -239,14 +223,12 @@ def run_frt(blocks: Sequence, padding: int, reset_variant: str = "extended",
     The final check asserts the state is exactly the basis vector of the
     input particle translated by `padding` blocks.
     """
-    blocks = _coerce_blocks(blocks)
-    w = len(blocks[0].bits)
-    plan = FrtStagePlan(len(blocks), padding, w)
+    word, L, w = _coerce_blocks(blocks)
+    plan = FrtStagePlan(L, padding, w)
     n_qubits = plan.n_qubits
     _check_width(n_qubits, MAX_REGISTER_QUBITS)
 
-    start = int("".join(str(b) for blk in blocks for b in blk.bits), 2) \
-        << (padding * w)
+    start = word << (padding * w)
     indices = [start] + [int(x[0]) for x in _track(
         plan, np.array([start], dtype=np.int64), reset_variant)]
     records = []
@@ -257,30 +239,11 @@ def run_frt(blocks: Sequence, padding: int, reset_variant: str = "extended",
             if index >= 0:
                 amp[index] = 1.0
             state = StateVector(n_qubits, amp)
-        if index < 0:
-            records.append(FrtStageRecord(m, None, None, state))
-        else:
-            records.append(FrtStageRecord(
-                m, _decode_blocks(index, plan.n_blocks, w), 1.0 + 0j, state))
-
-    expected = (BasicString((0,) * w),) * padding + blocks
-    last = records[-1]
-    final_ok = last.blocks == expected and last.amplitude == 1.0
-    return FrtRunReport(w - 1, plan.L, padding, reset_variant,
-                        blocks, tuple(records), final_ok)
-
-
-def _predicted_pattern(words: np.ndarray, m: int) -> np.ndarray:
-    """Closed form for the live block words after stage m.
-
-    words holds one particle's L block words per row.  With the cyclic
-    list (O, A1, ..., AL) of length L+1, the blocks m+1..m+L hold
-    base ^ the next L entries, base being entry m mod L+1.
-    """
-    L = words.shape[1]
-    ext = np.concatenate([np.zeros_like(words[:, :1]), words], axis=1)
-    nxt = [(m + j) % (L + 1) for j in range(1, L + 1)]
-    return ext[:, [m % (L + 1)]] ^ ext[:, nxt]
+        records.append(FrtStageRecord(m, index if index >= 0 else None,
+                                      state))
+    # translated by padding blocks, the particle fills the low L*w bits
+    return FrtRunReport(w - 1, L, padding, reset_variant, tuple(records),
+                        records[-1].index == word)
 
 
 @dataclass(frozen=True)
@@ -326,11 +289,11 @@ def stage_identity_check(L: int, r: int, padding: int | None = None,
                      for _ in range(samples)]
 
     words = np.array(instances, dtype=np.int64).reshape(-1, L)
-    shifts = w * np.arange(plan.n_blocks - 1, -1, -1)
-    start = (words << shifts[:L]).sum(axis=1)
+    particles = (words << w * np.arange(L - 1, -1, -1)).sum(axis=1)
     bad = np.zeros((len(words), padding), dtype=bool)
-    for m, x in enumerate(_track(plan, start, "extended"), start=1):
-        want = (_predicted_pattern(words, m) << shifts[m:m + L]).sum(axis=1)
+    track = _track(plan, particles << padding * w, "extended")
+    for m, x in enumerate(track, start=1):
+        want = frt_pattern(particles, m, L, w) << (padding - m) * w
         bad[:, m - 1] = x != want
     first = None
     if bad.any():
@@ -342,12 +305,16 @@ def stage_identity_check(L: int, r: int, padding: int | None = None,
 
 def emit_frt_report(report: FrtRunReport) -> str:
     """Stage-by-stage block listing, one line per recorded state."""
+    w, n_blocks = report.radius + 1, report.L + report.padding
     lines = []
     for rec in report.records:
-        if rec.blocks is None:
+        if rec.index is None:
             body = "(not a basis state)"
         else:
-            body = " ".join(str(b) for b in rec.blocks)
+            body = " ".join(
+                format_block(rec.index >> (n_blocks - 1 - b) * w
+                             & ((1 << w) - 1), w)
+                for b in range(n_blocks))
         lines.append(f"stage {rec.stage}: {body}")
     lines.append("final translated by {} blocks: {}".format(
         report.padding, "ok" if report.final_ok else "MISMATCH"))

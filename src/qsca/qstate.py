@@ -25,7 +25,7 @@ axis), which is how circuit_matrix is produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby
 from typing import Iterable, Sequence, Union
 
@@ -34,6 +34,7 @@ import numpy as np
 from .errors import DimensionTooLarge, ParseError
 
 __all__ = [
+    "ArrayEq",
     "StateVector",
     "Not",
     "Cn",
@@ -60,8 +61,28 @@ RESET_VARIANTS = ("literal", "extended")
 DENSE_LIMIT = 14  # qubits (or sites) of a dense matrix: 4 GiB complex
 
 
-@dataclass(frozen=True)
-class StateVector:
+class ArrayEq:
+    """Value equality for frozen dataclasses with array fields, declared
+    with eq=False: equal when the types match and every field is
+    np.array_equal.  The hash agrees with it (+ 0 turns -0.0 into 0.0),
+    so the arrays must be read-only."""
+
+    def _values(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(a, b)
+                   for a, b in zip(self._values(), other._values()))
+
+    def __hash__(self):
+        return hash(tuple((v + 0).tobytes() if isinstance(v, np.ndarray)
+                          else v for v in self._values()))
+
+
+@dataclass(frozen=True, eq=False)
+class StateVector(ArrayEq):
     """Amplitudes over 2^n basis labels, qubit 1 most significant."""
 
     n_qubits: int

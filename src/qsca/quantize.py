@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLarge, RadiusError
-from .qstate import Circuit, Cn, Not, uniform_superposition_nonnull
+from .qstate import ArrayEq, Circuit, Cn, Not, uniform_superposition_nonnull
 
 __all__ = [
     "MAX_RADIUS",
@@ -70,7 +70,7 @@ def window_centers(windows: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class WordMap:
+class WordMap(ArrayEq):
     """A map of basis words under the radius-r rule: image[x] is the
     index of x's image, -1 where x is annihilated (the leftmost cell is
     the most significant bit).  The image is a read-only int64 copy; two
@@ -83,15 +83,6 @@ class WordMap:
         image = np.array(self.image, dtype=np.int64)
         image.flags.writeable = False
         object.__setattr__(self, "image", image)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.radius == other.radius
-                and np.array_equal(self.image, other.image))
-
-    def __hash__(self):
-        return hash((self.radius, self.image.tobytes()))
 
     @property
     def dimension(self) -> int:

@@ -15,16 +15,20 @@ window along the row keeping only its count of ones, so a site costs
 O(1) whatever the radius, and `next_center` stays as the per-window
 reference.
 
-On top of the raw evolution this module provides particle segmentation
-into (r+1)-cell blocks (basic strings) and the fast-recurrence predictor:
-from the 1-counts of consecutive block differences it computes the times
-at which a particle repeats intermediate block patterns and finally
-returns, up to translation, to its initial shape.
+Particles are runs of (r+1)-cell blocks (basic strings) held as int
+words: a block is an int of r+1 bits, a particle of L blocks an int of
+L(r+1) bits, A1 most significant.  The fast recurrence (Papatheodorou,
+Ablowitz & Saridakis, Stud. Appl. Math. 79, 173 (1988)) takes the return
+times from the 1-counts of consecutive block differences; `frt_pattern`
+gives the pattern after k returns with bit operators alone, for
+`frt_check` here and for the propagation circuit check in `frt_quantum`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import NullWordError, ParseError, StepDivergedError
@@ -43,6 +47,9 @@ __all__ = [
     "step",
     "evolve",
     "parse_particles",
+    "as_word",
+    "format_block",
+    "frt_pattern",
     "frt_predict",
     "frt_check",
     "render_particles",
@@ -221,6 +228,16 @@ def evolve(rule: Rule, config: Configuration, steps: int,
     return rows
 
 
+def as_word(bits: Iterable[int]) -> int:
+    """The bits read as a binary number, the first bit most significant."""
+    return int("".join(map(str, bits)) or "0", 2)
+
+
+def format_block(word: int, width: int) -> str:
+    """A block word as its width binary digits, `O` for the null block."""
+    return format(word, f"0{width}b") if word else "O"
+
+
 @dataclass(frozen=True)
 class BasicString:
     """An (r+1)-bit block; the building unit of particles."""
@@ -231,31 +248,20 @@ class BasicString:
         object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
 
     @property
+    def word(self) -> int:
+        return as_word(self.bits)
+
+    @property
     def is_null(self) -> bool:
         return not any(self.bits)
 
-    @property
-    def weight(self) -> int:
-        return sum(self.bits)
-
-    def __xor__(self, other: "BasicString") -> "BasicString":
-        if len(self.bits) != len(other.bits):
-            raise ValueError("length mismatch")
-        return BasicString(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
-
     def __str__(self) -> str:
-        if self.is_null:
-            return "O"
-        return "".join(str(b) for b in self.bits)
-
-
-def null_string(rule: Rule) -> BasicString:
-    return BasicString((0,) * rule.block_len)
+        return format_block(self.word, len(self.bits))
 
 
 @dataclass(frozen=True)
 class Particle:
-    """A run of basic strings anchored at a site; first and last are nonzero."""
+    """Basic strings anchored at a site; the first and last are nonzero."""
 
     start_site: int
     blocks: tuple[BasicString, ...]
@@ -274,12 +280,20 @@ class Particle:
         return len(self.blocks)
 
     @property
+    def block_len(self) -> int:
+        return len(self.blocks[0].bits)
+
+    @property
     def width(self) -> int:
-        return len(self.blocks) * len(self.blocks[0].bits)
+        return len(self.blocks) * self.block_len
 
     @property
     def flat_bits(self) -> tuple[int, ...]:
         return tuple(b for blk in self.blocks for b in blk.bits)
+
+    @cached_property
+    def word(self) -> int:
+        return as_word(self.flat_bits)
 
 
 def parse_particles(rule: Rule, config: Configuration) -> list[Particle]:
@@ -290,28 +304,20 @@ def parse_particles(rule: Rule, config: Configuration) -> list[Particle]:
     particle's leftmost 1, and the next particle re-anchors at the next
     1 after the separator.
     """
-    out: list[Particle] = []
-    if config.is_empty:
-        return out
     w = rule.block_len
-    pos = config.origin
-    while pos <= config.end:
-        while pos <= config.end and config.site(pos) == 0:
-            pos += 1
-        if pos > config.end:
-            break
-        anchor = pos
-        blocks: list[BasicString] = []
-        b = 0
-        while True:
-            blk = BasicString(tuple(config.site(anchor + b * w + j)
-                                    for j in range(w)))
-            if blk.is_null:
-                break
-            blocks.append(blk)
-            b += 1
-        out.append(Particle(anchor, tuple(blocks)))
-        pos = anchor + (b + 1) * w
+    # the row then two null blocks, so every block read below lies in the
+    # word; pos counts sites from the origin
+    n = len(config.bits) + 2 * w
+    row = as_word(config.bits) << 2 * w
+    out: list[Particle] = []
+    pos = 0
+    while rest := row & ((1 << (n - pos)) - 1):
+        anchor = pos = n - rest.bit_length()
+        blocks = []
+        while blk := row >> (n - pos - w) & (1 << w) - 1:
+            blocks.append(BasicString(format(blk, f"0{w}b")))
+            pos += w
+        out.append(Particle(config.origin + anchor, tuple(blocks)))
     return out
 
 
@@ -323,13 +329,24 @@ def render_particles(rule: Rule, particles: Iterable[Particle]) -> Configuration
     for a, b in zip(placed, placed[1:]):
         if a.start_site + a.width > b.start_site:
             raise ValueError("particles overlap")
-    lo = placed[0].start_site
-    hi = placed[-1].start_site + placed[-1].width
-    bits = [0] * (hi - lo)
-    for p in placed:
-        for i, bit in enumerate(p.flat_bits):
-            bits[p.start_site - lo + i] = bit
-    return Configuration(lo, tuple(bits))
+    lo, hi = placed[0].start_site, placed[-1].start_site + placed[-1].width
+    row = sum(p.word << (hi - p.start_site - p.width) for p in placed)
+    return Configuration(lo, format(row, f"0{hi - lo}b"))
+
+
+def frt_pattern(word, k: int, L: int, w: int):
+    """Predicted word of a particle of L w-bit blocks after k returns.
+
+    Rotate the cyclic list (O, A1, ..., AL) left by k blocks and xor its
+    new head into the L blocks after it: the particle itself for k = 0
+    mod L+1, A(m+1) ^ (A(m+2), ..., AL, O, A1, ..., Am) for k = m+1.
+    Only ^ >> << & * touch word, an int or an int64 array ((L+1)w <= 63).
+    """
+    n = L * w
+    keep = n + w - k % (L + 1) * w
+    rot = ((word & ((1 << keep) - 1)) << (n + w - keep)) ^ (word >> keep)
+    spread = ((1 << n) - 1) // ((1 << w) - 1)  # a 1 at the foot of each block
+    return (rot & ((1 << n) - 1)) ^ (rot >> n) * spread
 
 
 @dataclass(frozen=True)
@@ -338,41 +355,27 @@ class FrtPrediction:
 
     l_counts[i] is the 1-count of the i-th difference string
     (A1, A1^A2, ..., A(L-1)^AL, AL); return_times are their prefix sums.
-    predicted_blocks[m] is the block pattern expected at return_times[m]
-    for m < L; at return_times[L] (the period) the original pattern
-    recurs.
+    predicted_blocks[m] is the word `frt_pattern` gives for return m+1.
     """
 
     l_counts: tuple[int, ...]
     return_times: tuple[int, ...]
-    predicted_blocks: tuple[tuple[BasicString, ...], ...]
+    predicted_blocks: tuple[int, ...]
     period: int
 
 
 def frt_predict(rule: Rule, particle: Particle) -> FrtPrediction:
-    """Fast-recurrence data for a particle.
-
-    The pattern predicted at the m-th return time is
-    A(m+1) ^ (A(m+2), ..., AL, O, A1, ..., Am), the base block xored
-    into the cyclic rotation of the remaining blocks with the null block
-    standing in at the wrap position.
-    """
-    A = particle.blocks
-    L = len(A)
-    O = BasicString((0,) * len(A[0].bits))
-    diffs = [A[0]] + [A[i] ^ A[i + 1] for i in range(L - 1)] + [A[-1]]
-    l_counts = tuple(d.weight for d in diffs)
-    times = []
-    acc = 0
-    for l in l_counts:
-        acc += l
-        times.append(acc)
-    patterns = []
-    for m in range(L):
-        base = A[m]
-        seq = list(A[m + 1:]) + [O] + list(A[:m])
-        patterns.append(tuple(base ^ x for x in seq))
-    return FrtPrediction(l_counts, tuple(times), tuple(patterns), acc)
+    """Fast-recurrence data for a particle of (r+1)-bit blocks."""
+    L, w, word = particle.block_count, rule.block_len, particle.word
+    if particle.block_len != w:
+        raise ValueError(f"particle blocks must have {w} bits")
+    # the blocks of (A1..AL O) ^ (O A1..AL) are the difference strings
+    diffs = (word << w) ^ word
+    l_counts = tuple((diffs >> (j * w) & ((1 << w) - 1)).bit_count()
+                     for j in range(L, -1, -1))
+    times = tuple(accumulate(l_counts))
+    patterns = tuple(frt_pattern(word, k, L, w) for k in range(1, L + 1))
+    return FrtPrediction(l_counts, times, patterns, times[-1])
 
 
 @dataclass(frozen=True)
@@ -405,51 +408,45 @@ def frt_check(rule: Rule, particle: Particle, horizon: int | None = None
               ) -> FrtReport:
     """Evolve a particle in isolation and compare against its prediction.
 
-    At every step the detector requires the configuration to still be a
-    single particle of the original block count (the non-splitting side
-    condition); a failure is recorded, not raised, and later comparisons
-    are marked not-applicable.  Pattern comparisons are up to
-    translation, with the observed shift reported.
+    The detector requires every row to stay one particle of L blocks
+    (the non-splitting side condition); a failure is recorded, not
+    raised, and later checks are marked not-applicable.  The row after
+    return k = 1..L+1 must equal `frt_pattern` up to translation.
     """
     pred = frt_predict(rule, particle)
-    if horizon is None:
-        horizon = pred.period
+    horizon = pred.period if horizon is None else horizon
     if horizon < pred.period:
         raise ValueError("horizon must cover the period")
-    L = len(particle.blocks)
+    L, w, word = particle.block_count, rule.block_len, particle.word
 
-    # expected configurations per predicted time m = 0..L-1, plus the
-    # period return of the original pattern; all referenced to the anchor
-    expected: dict[int, list[tuple[int, Configuration]]] = {}
-    for m in range(L):
-        flat = tuple(b for blk in pred.predicted_blocks[m] for b in blk.bits)
-        expected.setdefault(pred.return_times[m], []).append(
-            (m, Configuration(particle.start_site, flat)))
-    expected.setdefault(pred.period, []).append(
-        (L, Configuration(particle.start_site, particle.flat_bits)))
+    def placed(k: int) -> Configuration:  # the row after k returns
+        return Configuration(particle.start_site,
+                             format(frt_pattern(word, k, L, w), f"0{L * w}b"))
 
-    config = render_particles(rule, [particle])
-    condition_held = True
+    config = placed(0)
+    seen: dict[int, Configuration] = {}
     failed_at = None
-    checks: list[FrtTimeCheck] = []
     for t in range(1, horizon + 1):
         config = step(rule, config)
-        found = parse_particles(rule, config)
-        if len(found) != 1 or found[0].block_count != L:
-            condition_held = False
+        # one particle: it fits in L blocks from its first 1, none null
+        spare = L * w - len(config.bits)
+        row = as_word(config.bits) << max(spare, 0)
+        if spare < 0 or not all(row >> j * w & (1 << w) - 1
+                                for j in range(L)):
             failed_at = t
             break
-        for m, want in expected.get(t, ()):
-            matched = config.bits == want.bits
-            shift = config.origin - want.origin if matched else None
-            checks.append(FrtTimeCheck(t, m, matched, shift))
-    if not condition_held:
-        for t, entries in expected.items():
-            if t >= failed_at:
-                for m, _ in entries:
-                    checks.append(FrtTimeCheck(t, m, None, None))
-    checks.sort(key=lambda c: (c.time, c.pattern_index))
-    return FrtReport(pred, condition_held, failed_at, tuple(checks))
+        seen[t] = config
+    checks = []
+    for k, t in enumerate(pred.return_times, start=1):
+        got = seen.get(t)
+        if got is None:
+            checks.append(FrtTimeCheck(t, k - 1, None, None))
+            continue
+        want = placed(k)
+        matched = got.bits == want.bits
+        checks.append(FrtTimeCheck(t, k - 1, matched, got.origin - want.origin
+                                   if matched else None))
+    return FrtReport(pred, failed_at is None, failed_at, tuple(checks))
 
 
 # -- text formats -----------------------------------------------------------
@@ -492,24 +489,26 @@ def _frame(configs: Sequence[Configuration]) -> tuple[int, int]:
     nonempty = [c for c in configs if not c.is_empty]
     if not nonempty:
         return 0, 1
-    lo = min(c.origin for c in nonempty)
-    hi = max(c.end for c in nonempty) + 1
-    return lo, hi
+    return min(c.origin for c in nonempty), max(c.end for c in nonempty) + 1
+
+
+def _row_digits(config: Configuration, lo: int, hi: int) -> str:
+    """The 0/1 digits of sites lo..hi-1, which cover the configuration."""
+    left = "0" * (config.origin - lo) if config.bits else ""
+    return (left + "".join(map(str, config.bits))).ljust(hi - lo, "0")
 
 
 def ascii_diagram(configs: Sequence[Configuration]) -> str:
     """Space-time diagram, one text row per configuration: `.`=0, `#`=1."""
     lo, hi = _frame(configs)
-    rows = []
-    for c in configs:
-        rows.append("".join("#" if c.site(n) else "." for n in range(lo, hi)))
-    return "\n".join(rows) + "\n"
+    table = str.maketrans("01", ".#")
+    return "".join(_row_digits(c, lo, hi).translate(table) + "\n"
+                   for c in configs)
 
 
 def pbm_diagram(configs: Sequence[Configuration]) -> str:
     """Portable bitmap (P1) with one image row per configuration."""
     lo, hi = _frame(configs)
     lines = ["P1", f"{hi - lo} {len(configs)}"]
-    for c in configs:
-        lines.append(" ".join("1" if c.site(n) else "0" for n in range(lo, hi)))
+    lines += [" ".join(_row_digits(c, lo, hi)) for c in configs]
     return "\n".join(lines) + "\n"

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitary, ParseError
+from .qstate import ArrayEq
 
 __all__ = [
     "EmbeddedRotation",
@@ -84,8 +85,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class EmbeddedRotation:
+@dataclass(frozen=True, eq=False)
+class EmbeddedRotation(ArrayEq):
     """A 2x2 unitary acting on modes i < j of a larger space (0-based)."""
 
     i: int
@@ -127,8 +128,8 @@ class _Rotations(Sequence):
         return EmbeddedRotation(i, j, self._plan.blocks[k])
 
 
-@dataclass(frozen=True)
-class ReckPlan:
+@dataclass(frozen=True, eq=False)
+class ReckPlan(ArrayEq):
     """Rotations applied in order, then the phase diagonal.
 
     Rotation k acts on modes `modes[k]` = (i, j), 0-based, with the 2x2

@@ -170,6 +170,29 @@ def test_frt_classical(capsys, config):
                for line in lines[3:])
 
 
+def test_frt_classical_golden(capsys, config):
+    # particle 1 matches pattern 1 (010 111) off its grid, shifted by -4;
+    # particle 2 splits at step 2, so every check from t=2 on is not
+    # applicable
+    code, out, _ = run(capsys, "frt-classical",
+                       config("origin=0\n101010000000110110\n"),
+                       "--radius", "2")
+    assert code == 0
+    assert out == (
+        "particle 1 at 0 blocks 101 010\n"
+        "  ones 2 3 1  times 2 5 6  period 6\n"
+        "  condition held\n"
+        "  t=2 pattern 0: match shift -1\n"
+        "  t=5 pattern 1: match shift -4\n"
+        "  t=6 pattern 2: match shift -3\n"
+        "particle 2 at 12 blocks 110 110\n"
+        "  ones 2 0 2  times 2 2 4  period 4\n"
+        "  condition failed at step 2\n"
+        "  t=2 pattern 0: not applicable\n"
+        "  t=2 pattern 1: not applicable\n"
+        "  t=4 pattern 2: not applicable\n")
+
+
 def test_frt_classical_empty(capsys, config):
     code, out, _ = run(capsys, "frt-classical", config("origin=0\n000\n"),
                        "--radius", "1")

@@ -23,20 +23,22 @@ from qsca.qstate import (
     StateVector,
     apply_circuit,
 )
-from qsca.sca_core import BasicString
-
-
-def word_of(block):
-    value = 0
-    for b in block.bits:
-        value = value * 2 + b
-    return value
 
 
 def blocks_of(words, width):
-    return tuple(
-        BasicString(tuple((x >> (width - 1 - i)) & 1 for i in range(width)))
-        for x in words)
+    """Bit tuples of block words."""
+    return tuple(tuple((x >> (width - 1 - i)) & 1 for i in range(width))
+                 for x in words)
+
+
+def record_words(report, m):
+    """Block words of the register after stage m, None if annihilated."""
+    index, w = report.records[m].index, report.radius + 1
+    if index is None:
+        return None
+    n_blocks = report.L + report.padding
+    return tuple((index >> (n_blocks - 1 - b) * w) & ((1 << w) - 1)
+                 for b in range(n_blocks))
 
 
 def stage_words(words, m, L):
@@ -126,40 +128,35 @@ def test_frt_stage_range_check():
 # -- stage traces -----------------------------------------------------------
 
 def test_three_block_stage_goldens():
-    a1, a2, a3 = blocks_of((0b11, 0b01, 0b10), 2)
-    o = BasicString((0, 0))
-    report = run_frt([a1, a2, a3], 4)
-    assert report.records[1].blocks == (o, a1 ^ a2, a1 ^ a3, a1, o, o, o)
-    assert report.records[2].blocks == (o, o, a2 ^ a3, a2, a1 ^ a2, o, o)
-    assert report.records[3].blocks == (o, o, o, a3, a1 ^ a3, a2 ^ a3, o)
-    assert report.records[4].blocks == (o, o, o, o, a1, a2, a3)
-    assert all(rec.amplitude == 1.0 for rec in report.records)
+    a1, a2, a3 = 0b11, 0b01, 0b10
+    report = run_frt(blocks_of((a1, a2, a3), 2), 4)
+    assert record_words(report, 1) == (0, a1 ^ a2, a1 ^ a3, a1, 0, 0, 0)
+    assert record_words(report, 2) == (0, 0, a2 ^ a3, a2, a1 ^ a2, 0, 0)
+    assert record_words(report, 3) == (0, 0, 0, a3, a1 ^ a3, a2 ^ a3, 0)
+    assert record_words(report, 4) == (0, 0, 0, 0, a1, a2, a3)
+    assert report.records[4].index == 0b110110
     assert report.final_ok
 
 
 def test_input_record():
-    a1, a2 = BasicString((1, 1)), BasicString((0, 1))
-    o = BasicString((0, 0))
-    report = run_frt([a1, a2], 2)
+    report = run_frt([(1, 1), (0, 1)], 2)
     first = report.records[0]
     assert first.stage == 0
-    assert first.blocks == (a1, a2, o, o)
-    assert first.amplitude == 1.0
+    assert first.index == 0b1101_0000
+    assert record_words(report, 0) == (0b11, 0b01, 0, 0)
 
 
 def test_two_block_padding_two_lands_shuffled():
-    a1, a2 = BasicString((1, 1)), BasicString((0, 1))
-    o = BasicString((0, 0))
-    report = run_frt([a1, a2], 2)
-    assert report.final_blocks == (o, o, a2, a1 ^ a2)
+    a1, a2 = 0b11, 0b01
+    report = run_frt(blocks_of((a1, a2), 2), 2)
+    assert record_words(report, 2) == (0, 0, a2, a1 ^ a2)
     assert not report.final_ok
 
 
 def test_two_block_padding_three_returns():
-    a1, a2 = BasicString((1, 1)), BasicString((0, 1))
-    o = BasicString((0, 0))
-    report = run_frt([a1, a2], 3)
-    assert report.final_blocks == (o, o, o, a1, a2)
+    a1, a2 = 0b11, 0b01
+    report = run_frt(blocks_of((a1, a2), 2), 3)
+    assert record_words(report, 3) == (0, 0, 0, a1, a2)
     assert report.final_ok
 
 
@@ -185,8 +182,7 @@ def test_run_matches_word_oracle():
             current = tuple(words) + (0,) * padding
             for m in range(1, padding + 1):
                 current = stage_words(current, m, L)
-                got = tuple(word_of(b) for b in report.records[m].blocks)
-                assert got == current
+                assert record_words(report, m) == current
 
 
 # -- index tracking against the state-vector path ---------------------------
@@ -210,7 +206,7 @@ def test_run_frt_states_match_apply_circuit(L, r, padding, variant):
                 state, Circuit(plan.n_qubits, plan.stage_ops(m, variant)))
             rec = report.records[m]
             assert np.array_equal(rec.state.amplitudes, state.amplitudes)
-            assert (rec.blocks is None) == (not state.amplitudes.any())
+            assert (rec.index is None) == (not state.amplitudes.any())
 
 
 def test_circuit_linear_on_superpositions():
@@ -231,8 +227,8 @@ def test_literal_reset_annihilates_on_null_lead():
     # equal blocks make the stage-2 lead null, which the literal reset kills
     report = run_frt([(1, 1), (1, 1)], 2, reset_variant="literal",
                      keep_states=True)
-    assert report.records[1].blocks is not None
-    assert report.records[2].blocks is None
+    assert report.records[1].index is not None
+    assert report.records[2].index is None
     assert not report.final_ok
     assert np.abs(report.records[2].state.amplitudes).max() == 0.0
 
@@ -243,7 +239,7 @@ def test_variants_agree_when_leads_stay_nonzero():
     lit = run_frt(blocks, 3, reset_variant="literal")
     assert ext.final_ok and lit.final_ok
     for ra, rb in zip(ext.records, lit.records):
-        assert ra.blocks == rb.blocks and ra.amplitude == rb.amplitude
+        assert ra == rb
 
 
 # -- stage identity sweep ---------------------------------------------------
@@ -278,12 +274,12 @@ def test_stage_identity_exhaustive_budget():
 
 
 def test_stage_identity_names_first_mismatch(monkeypatch):
-    right = frt_quantum._predicted_pattern
+    right = frt_quantum.frt_pattern
 
-    def wrong_at_stage_two(words, m):
-        return right(words, m) ^ (m == 2) * (words[:, :1] == 2)
+    def wrong_at_stage_two(word, k, L, w):
+        return right(word, k, L, w) ^ (k == 2) * (word >> (L - 1) * w == 2)
 
-    monkeypatch.setattr(frt_quantum, "_predicted_pattern", wrong_at_stage_two)
+    monkeypatch.setattr(frt_quantum, "frt_pattern", wrong_at_stage_two)
     report = stage_identity_check(2, 1, padding=3, samples=9)
     assert not report.ok
     assert report.n_instances == 9 and report.stages_checked == 3

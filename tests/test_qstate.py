@@ -129,6 +129,15 @@ def test_state_vector_validation():
         state.amplitudes[0] = 5.0
 
 
+def test_state_vector_value_equality():
+    a, b = basis_state((1, 0)), basis_state((1, 0))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != basis_state((0, 1)) and a != basis_state((1, 0, 0))
+    assert a != (a.n_qubits, a.amplitudes)
+    signed = StateVector(2, [-0.0, -0.0, 1.0, complex(0.0, -0.0)])
+    assert signed == a and hash(signed) == hash(a)
+
+
 def test_uniform_superposition_nonnull():
     assert np.array_equal(uniform_superposition_nonnull(1).amplitudes, [0, 1])
     s2 = uniform_superposition_nonnull(2)

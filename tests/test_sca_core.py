@@ -1,4 +1,6 @@
+import itertools
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,17 +12,21 @@ from qsca.sca_core import (
     BasicString,
     Configuration,
     EMPTY,
+    FrtPrediction,
+    FrtReport,
+    FrtTimeCheck,
     Particle,
     Rule,
     Window,
+    as_word,
     ascii_diagram,
     emit_configuration,
     evolve,
     f_window,
     frt_check,
+    frt_pattern,
     frt_predict,
     next_center,
-    null_string,
     parse_configuration,
     parse_particles,
     pbm_diagram,
@@ -81,6 +87,125 @@ def step_outcome(fn, rule, config, scan_limit):
         return fn(rule, config, scan_limit=scan_limit)
     except StepDivergedError as err:
         return ("diverged", err.sites_scanned, err.time_index)
+
+
+# -- tuple oracle for particles and the fast recurrence ----------------------
+# Blocks as tuples of bits, patterns built block by block, the detector
+# reading the row through parse_particles; the word path must agree.
+
+@dataclass(frozen=True)
+class TupleBlock:
+    bits: tuple[int, ...]
+
+    @property
+    def is_null(self):
+        return not any(self.bits)
+
+    @property
+    def weight(self):
+        return sum(self.bits)
+
+    def __xor__(self, other):
+        assert len(self.bits) == len(other.bits)
+        return TupleBlock(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
+
+
+@dataclass(frozen=True)
+class TupleParticle:
+    start_site: int
+    blocks: tuple[TupleBlock, ...]
+
+    @property
+    def flat_bits(self):
+        return tuple(b for blk in self.blocks for b in blk.bits)
+
+
+def tuple_particle(particle):
+    return TupleParticle(particle.start_site, tuple(
+        TupleBlock(b.bits) for b in particle.blocks))
+
+
+def tuple_parse_particles(rule, config):
+    out = []
+    w = rule.block_len
+    pos = config.origin
+    while pos <= config.end:
+        while pos <= config.end and config.site(pos) == 0:
+            pos += 1
+        if pos > config.end:
+            break
+        anchor, blocks = pos, []
+        while True:
+            blk = TupleBlock(tuple(config.site(anchor + len(blocks) * w + j)
+                                   for j in range(w)))
+            if blk.is_null:
+                break
+            blocks.append(blk)
+        out.append(TupleParticle(anchor, tuple(blocks)))
+        pos = anchor + (len(blocks) + 1) * w
+    return out
+
+
+def tuple_frt_predict(particle):
+    A = particle.blocks
+    L = len(A)
+    O = TupleBlock((0,) * len(A[0].bits))
+    diffs = [A[0]] + [A[i] ^ A[i + 1] for i in range(L - 1)] + [A[-1]]
+    l_counts = tuple(d.weight for d in diffs)
+    times = tuple(sum(l_counts[:i + 1]) for i in range(L + 1))
+    patterns = tuple(tuple(A[m] ^ x for x in A[m + 1:] + (O,) + A[:m])
+                     for m in range(L))
+    return FrtPrediction(l_counts, times, patterns, times[-1])
+
+
+def tuple_frt_check(rule, particle, horizon=None):
+    pred = tuple_frt_predict(particle)
+    horizon = pred.period if horizon is None else horizon
+    L = len(particle.blocks)
+    expected = {}
+    for m in range(L):
+        flat = tuple(b for blk in pred.predicted_blocks[m] for b in blk.bits)
+        expected.setdefault(pred.return_times[m], []).append(
+            (m, Configuration(particle.start_site, flat)))
+    expected.setdefault(pred.period, []).append(
+        (L, Configuration(particle.start_site, particle.flat_bits)))
+    config = Configuration(particle.start_site, particle.flat_bits)
+    failed_at = None
+    checks = []
+    for t in range(1, horizon + 1):
+        config = step(rule, config)
+        found = tuple_parse_particles(rule, config)
+        if len(found) != 1 or len(found[0].blocks) != L:
+            failed_at = t
+            break
+        for m, want in expected.get(t, ()):
+            matched = config.bits == want.bits
+            shift = config.origin - want.origin if matched else None
+            checks.append(FrtTimeCheck(t, m, matched, shift))
+    if failed_at is not None:
+        for t, entries in expected.items():
+            if t >= failed_at:
+                checks += [FrtTimeCheck(t, m, None, None) for m, _ in entries]
+    checks.sort(key=lambda c: (c.time, c.pattern_index))
+    return FrtReport(pred, failed_at is None, failed_at, tuple(checks))
+
+
+def assert_reports_equal(report, oracle):
+    pred, want = report.prediction, oracle.prediction
+    assert pred.l_counts == want.l_counts
+    assert pred.return_times == want.return_times
+    assert pred.period == want.period
+    assert pred.predicted_blocks == tuple(
+        as_word(b for blk in pattern for b in blk.bits)
+        for pattern in want.predicted_blocks)
+    assert report.condition_held == oracle.condition_held
+    assert report.failed_at == oracle.failed_at
+    assert report.checks == oracle.checks
+
+
+def particle_of(start, words, w):
+    return Particle(start, tuple(BasicString(format(x, f"0{w}b"))
+                                 for x in words))
 
 
 def random_config(rng, max_width=12):
@@ -250,14 +375,11 @@ def test_evolve_divergence_carries_time_index():
 
 def test_basic_string():
     a = BasicString((1, 0, 1))
-    b = BasicString((1, 1, 0))
-    assert (a ^ b).bits == (0, 1, 1)
-    assert str(a) == "101"
-    assert str(null_string(Rule(2))) == "O"
-    assert null_string(Rule(2)).is_null
-    assert a.weight == 2
-    with pytest.raises(ValueError):
-        a ^ BasicString((1, 0))
+    assert a.word == 0b101 and BasicString("011").word == 0b011
+    assert BasicString("101") == a
+    assert str(a) == "101" and str(BasicString((0, 1, 1))) == "011"
+    assert str(BasicString((0, 0, 0))) == "O"
+    assert BasicString((0, 0, 0)).is_null and not a.is_null
 
 
 def test_particle_invariants():
@@ -271,6 +393,7 @@ def test_particle_invariants():
     assert p.block_count == 2
     assert p.width == 4
     assert p.flat_bits == (1, 0, 0, 1)
+    assert p.word == 0b1001 and p.block_len == 2
 
 
 def test_parse_particles_segments():
@@ -337,7 +460,7 @@ def test_frt_predict_single_block():
     assert pred.l_counts == (2, 2)
     assert pred.return_times == (2, 4)
     assert pred.period == 4
-    assert pred.predicted_blocks == ((BasicString((1, 1, 0)),),)
+    assert pred.predicted_blocks == (0b110,)
 
 
 def test_frt_predict_equal_blocks():
@@ -348,13 +471,22 @@ def test_frt_predict_equal_blocks():
 
 
 def test_frt_predict_pattern_formula():
-    a1, a2, a3 = BasicString((1, 0, 1)), BasicString((0, 1, 1)), \
-        BasicString((1, 1, 0))
-    pred = frt_predict(Rule(2), Particle(0, (a1, a2, a3)))
-    o = BasicString((0, 0, 0))
-    assert pred.predicted_blocks[0] == (a1 ^ a2, a1 ^ a3, a1 ^ o)
-    assert pred.predicted_blocks[1] == (a2 ^ a3, a2 ^ o, a2 ^ a1)
-    assert pred.predicted_blocks[2] == (a3 ^ o, a3 ^ a1, a3 ^ a2)
+    a1, a2, a3 = 0b101, 0b011, 0b110
+    pred = frt_predict(Rule(2), particle_of(0, (a1, a2, a3), 3))
+
+    def word(x, y, z):
+        return x << 6 | y << 3 | z
+
+    assert pred.predicted_blocks == (word(a1 ^ a2, a1 ^ a3, a1),
+                                     word(a2 ^ a3, a2, a2 ^ a1),
+                                     word(a3, a3 ^ a1, a3 ^ a2))
+    assert frt_pattern(word(a1, a2, a3), 4, 3, 3) == word(a1, a2, a3)
+    assert frt_pattern(word(a1, a2, a3), 0, 3, 3) == word(a1, a2, a3)
+
+
+def test_frt_predict_rejects_other_block_width():
+    with pytest.raises(ValueError):
+        frt_predict(Rule(2), Particle(0, (BasicString((1, 0)),)))
 
 
 def test_frt_check_single_block_golden():
@@ -405,6 +537,88 @@ def test_frt_theorem_on_sampled_particles():
                 held += 1
                 assert report.all_matched, blocks
     assert held >= 20
+
+
+@st.composite
+def particle_cases(draw):
+    """(r, start site, block words): r <= 3, L <= 5, interior null
+    blocks allowed."""
+    r = draw(st.integers(1, 3))
+    top = 2 ** (r + 1) - 1
+    L = draw(st.integers(1, 5))
+    inner = draw(st.lists(st.integers(0, top), min_size=max(L - 2, 0),
+                          max_size=max(L - 2, 0)))
+    ends = [draw(st.integers(1, top)) for _ in range(min(L, 2))]
+    return r, draw(st.integers(-20, 20)), tuple(ends[:1] + inner + ends[1:])
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=particle_cases(), extra=st.none() | st.integers(0, 12))
+def test_frt_check_matches_tuple_oracle(case, extra):
+    # horizons reach up to 12 steps past the period
+    r, start, words = case
+    rule = Rule(r)
+    particle = particle_of(start, words, r + 1)
+    horizon = None if extra is None else \
+        frt_predict(rule, particle).period + extra
+    assert_reports_equal(frt_check(rule, particle, horizon),
+                         tuple_frt_check(rule, tuple_particle(particle),
+                                         horizon))
+
+
+def test_frt_check_matches_tuple_oracle_exhaustive():
+    # every particle with r <= 2 and L <= 3; a match on a predicted
+    # pattern that begins with a 0 bit lies off the particle's grid and
+    # must keep its shift
+    off_grid = held = 0
+    for r in (1, 2):
+        rule, w = Rule(r), r + 1
+        ends = range(1, 2 ** w)
+        for L in (1, 2, 3):
+            choices = [ends] + [range(2 ** w)] * (L - 2) + [ends] * (L > 1)
+            for words in itertools.product(*choices):
+                particle = particle_of(0, words, w)
+                report = frt_check(rule, particle)
+                assert_reports_equal(report, tuple_frt_check(
+                    rule, tuple_particle(particle)))
+                held += report.condition_held
+                patterns = report.prediction.predicted_blocks
+                off_grid += sum(
+                    1 for c in report.checks if c.matched and c.pattern_index
+                    < L and patterns[c.pattern_index] >> (L * w - 1) == 0)
+    assert off_grid == 35
+    print(f"exhaustive r <= 2, L <= 3: {held} particles held the "
+          f"condition, {off_grid} off-grid matches")
+
+
+def test_frt_check_off_grid_pattern_golden():
+    # r = 2, blocks 101 010: pattern 1 is 010 111, found shifted by -4
+    report = frt_check(Rule(2), particle_of(0, (0b101, 0b010), 3))
+    assert report.prediction.predicted_blocks == (0b111101, 0b010111)
+    assert [(c.time, c.pattern_index, c.shift) for c in report.checks] == \
+        [(2, 0, -1), (5, 1, -4), (6, 2, -3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.integers(1, 3), origin=st.integers(-30, 30),
+       bits=st.lists(st.integers(0, 1), max_size=60))
+def test_parse_particles_matches_tuple_oracle(r, origin, bits):
+    rule, config = Rule(r), Configuration(origin, tuple(bits))
+    got = parse_particles(rule, config)
+    assert [tuple_particle(p) for p in got] == \
+        tuple_parse_particles(rule, config)
+    if got:
+        assert render_particles(rule, got) == config
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=particle_cases(), k=st.integers(0, 12))
+def test_frt_pattern_on_arrays_matches_ints(case, k):
+    r, _, words = case
+    w, L = r + 1, len(words)
+    word = particle_of(0, words, w).word
+    got = frt_pattern(np.array([word, word], dtype=np.int64), k, L, w)
+    assert got.tolist() == [frt_pattern(word, k, L, w)] * 2
 
 
 # -- text formats -----------------------------------------------------------
@@ -463,6 +677,14 @@ def test_ascii_diagram_empty_rows_are_blank():
     assert all(set(line) <= {"."} for line in
                ascii_diagram(rows).splitlines())
     assert len(ascii_diagram(rows).splitlines()) == 6
+
+
+def test_diagrams_pad_empty_rows_to_the_frame():
+    # the frame lies left of site 0, where an empty row has its origin
+    rows = evolve(Rule(1), Configuration(-9, (1, 1, 1)), 2)
+    assert rows[-1] == EMPTY
+    assert ascii_diagram(rows) == "###\n#..\n...\n"
+    assert pbm_diagram(rows) == "P1\n3 3\n1 1 1\n1 0 0\n0 0 0\n"
 
 
 def test_pbm_diagram_golden():

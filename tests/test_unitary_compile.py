@@ -47,6 +47,29 @@ def test_embedded_rotation_golden():
     assert not swap.u.flags.writeable
 
 
+def test_rotation_and_plan_value_equality():
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    rot = EmbeddedRotation(0, 1, swap)
+    assert rot == EmbeddedRotation(0, 1, swap.copy())
+    assert hash(rot) == hash(EmbeddedRotation(0, 1, swap.copy()))
+    assert rot != EmbeddedRotation(0, 2, swap)
+    assert rot != EmbeddedRotation(0, 1, np.eye(2))
+    assert rot != (0, 1, swap)
+    plan = reck_decompose(swap)
+    same = reck_decompose(swap)
+    assert plan == same and hash(plan) == hash(same)
+    assert len({plan, same, reck_decompose(np.eye(2))}) == 2
+    assert plan.rotations[0] == EmbeddedRotation(*plan.modes[0].tolist(),
+                                                 plan.blocks[0])
+    # signed zeros compare equal, so they hash equal too
+    blocks = plan.blocks.copy()
+    blocks[blocks == 0] = complex(-0.0, -0.0)
+    signed = ReckPlan(plan.dimension, plan.modes, blocks, plan.phases)
+    assert signed.blocks.tobytes() != plan.blocks.tobytes()
+    assert signed == plan and hash(signed) == hash(plan)
+    assert plan != ReckPlan(2, plan.modes, plan.blocks, -plan.phases)
+
+
 def plan_of(n, rotations, phases):
     """A plan from `EmbeddedRotation` objects, in order."""
     return ReckPlan(n,
@@ -405,8 +428,7 @@ def _plan_kinds():
 @given(plan=_plan_kinds())
 def test_text_round_trip_exact(plan):
     back = parse_reck_plan(emit_reck_plan(plan))
-    assert back.dimension == plan.dimension
-    assert np.array_equal(back.modes, plan.modes)
+    assert back == plan and hash(back) == hash(plan)
     # bit-identical, signed zeros included
     assert back.blocks.tobytes() == plan.blocks.tobytes()
     assert back.phases.tobytes() == plan.phases.tobytes()
