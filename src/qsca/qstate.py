@@ -99,6 +99,16 @@ class StateVector(ArrayEq):
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
 
+    @classmethod
+    def _owning(cls, n_qubits: int, amplitudes: np.ndarray) -> "StateVector":
+        """Wrap a complex array of 2^n_qubits amplitudes without a copy:
+        the state takes it over and makes it read-only."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "n_qubits", n_qubits)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        amplitudes.flags.writeable = False
+        return state
+
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -334,7 +344,7 @@ def apply_not(state: StateVector, q: int) -> StateVector:
     _checked(state, op)
     out = np.empty_like(state.amplitudes)
     _not_into(state.amplitudes, out, state.n_qubits, q)
-    return StateVector(state.n_qubits, out)
+    return StateVector._owning(state.n_qubits, out)
 
 
 def apply_cn(state: StateVector, control: int, target: int) -> StateVector:
@@ -342,7 +352,7 @@ def apply_cn(state: StateVector, control: int, target: int) -> StateVector:
     _checked(state, op)
     buf = state.amplitudes.copy()
     _cn_inplace(buf, state.n_qubits, control, target)
-    return StateVector(state.n_qubits, buf)
+    return StateVector._owning(state.n_qubits, buf)
 
 
 def apply_collective_cn(state: StateVector, control_block: int,
@@ -352,7 +362,7 @@ def apply_collective_cn(state: StateVector, control_block: int,
     buf = state.amplitudes.copy()
     for k in range(block_len):
         _cn_inplace(buf, state.n_qubits, control_block + k, target_block + k)
-    return StateVector(state.n_qubits, buf)
+    return StateVector._owning(state.n_qubits, buf)
 
 
 def apply_block_reset(state: StateVector, block: int, block_len: int,
@@ -361,15 +371,20 @@ def apply_block_reset(state: StateVector, block: int, block_len: int,
     _checked(state, op)
     buf = state.amplitudes.copy()
     _reset_inplace(buf, state.n_qubits, block, block_len, variant)
-    return StateVector(state.n_qubits, buf)
+    return StateVector._owning(state.n_qubits, buf)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     if circuit.n_qubits != state.n_qubits:
         raise ValueError(
             f"circuit on {circuit.n_qubits} qubits, state on {state.n_qubits}")
-    buf = _apply_ops(state.n_qubits, state.amplitudes.copy(), circuit.ops)
-    return StateVector(state.n_qubits, buf)
+    # a permutation scatters into a fresh array, so the read-only input
+    # needs a copy only when a reset comes first
+    amp = state.amplitudes
+    if circuit.ops and isinstance(circuit.ops[0], BlockReset):
+        amp = amp.copy()
+    return StateVector._owning(state.n_qubits,
+                               _apply_ops(state.n_qubits, amp, circuit.ops))
 
 
 def circuit_matrix(circuit: Circuit) -> np.ndarray:

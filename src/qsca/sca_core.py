@@ -95,11 +95,21 @@ class Configuration:
         bits = tuple(map(int, self.bits))
         if not {0, 1}.issuperset(bits):
             raise ValueError("bits must be 0 or 1")
+        self._set_trimmed(self.origin, bits)
+
+    @classmethod
+    def _trusted(cls, origin: int, bits: Sequence[int]) -> "Configuration":
+        """A row from bits known to be 0/1 ints: trimmed, not validated."""
+        config = object.__new__(cls)
+        config._set_trimmed(origin, bits)
+        return config
+
+    def _set_trimmed(self, origin: int, bits: Sequence[int]) -> None:
         if 1 in bits:
             lo = bits.index(1)
             hi = len(bits) - bits[::-1].index(1)
-            object.__setattr__(self, "bits", bits[lo:hi])
-            object.__setattr__(self, "origin", self.origin + lo)
+            object.__setattr__(self, "bits", tuple(bits[lo:hi]))
+            object.__setattr__(self, "origin", origin + lo)
         else:
             object.__setattr__(self, "bits", ())
             object.__setattr__(self, "origin", 0)
@@ -120,7 +130,7 @@ class Configuration:
         return 0
 
     def shifted(self, k: int) -> "Configuration":
-        return Configuration(self.origin + k, self.bits)
+        return Configuration._trusted(self.origin + k, self.bits)
 
 
 EMPTY = Configuration(0, ())
@@ -211,7 +221,7 @@ def step(rule: Rule, config: Configuration, scan_limit: int | None = None
         if k < old_len:
             ones += old[k + r + 1] - old[k]
         k += 1
-    return Configuration(config.origin - r, tuple(new[r:]))
+    return Configuration._trusted(config.origin - r, new[r:])
 
 
 def evolve(rule: Rule, config: Configuration, steps: int,

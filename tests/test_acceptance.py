@@ -200,3 +200,12 @@ def test_10_large_instances_within_time_budget():
     start = time.perf_counter()
     assert check_partial_isometry(build_uf_matrix(3)).ok
     assert time.perf_counter() - start < 1.0
+
+
+def test_10_sum_product_gap_within_time_budget():
+    start = time.perf_counter()
+    for r in (1, 2, 3, 4):
+        for variant in ("literal", "verified"):
+            report = sum_product_gap(8, r, variant)
+            assert np.isfinite(report.sum_vs_product)
+    assert time.perf_counter() - start < 1.0

@@ -309,6 +309,31 @@ def test_apply_circuit_matches_gate_by_gate(circuit, seed):
                           gate_by_gate(state, circuit.ops).amplitudes)
 
 
+def test_apply_circuit_leaves_input_and_returns_read_only():
+    rng = np.random.default_rng(17)
+    n = 6
+    state = random_state(rng, n)
+    before = state.amplitudes.copy()
+    cases = {
+        "reset first": (BlockReset(2, 3, "literal"), Not(1), Cn(1, 4),
+                        BlockReset(4, 2, "extended")),
+        "permutation first": (Cn(2, 5), BlockReset(1, 2, "extended"),
+                              CollectiveCn(1, 4, 3), Not(6)),
+        "resets only": (BlockReset(1, 6, "extended"),),
+        "permutations only": (Not(3), CollectiveCn(4, 1, 2)),
+        "empty": (),
+    }
+    for ops in cases.values():
+        out = apply_circuit(state, Circuit(n, ops))
+        assert np.array_equal(out.amplitudes,
+                              gate_by_gate(state, ops).amplitudes)
+        assert not out.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            out.amplitudes[0] = 0
+        assert np.array_equal(state.amplitudes, before)
+        assert not state.amplitudes.flags.writeable
+
+
 @settings(max_examples=30, deadline=None)
 @given(circuits(max_qubits=10))
 def test_circuit_matrix_stacks_basis_images(circuit):

@@ -315,6 +315,25 @@ def test_step_matches_window_oracle(r, origin, bits, scan_limit):
         step_outcome(window_scan_step, rule, config, scan_limit)
 
 
+@settings(max_examples=300, deadline=None)
+@given(r=st.integers(1, 4),
+       origin=st.integers(-20, 20),
+       bits=st.lists(st.integers(0, 1), max_size=40))
+def test_step_rows_equal_validated_rows(r, origin, bits):
+    # step builds its row without re-validating the bits; the row must be
+    # the one the public constructor gives, trimmed, with int bits
+    out = step(Rule(r), Configuration(origin, tuple(bits)))
+    assert out == Configuration(out.origin, out.bits)
+    assert type(out.bits) is tuple
+    assert all(type(b) is int for b in out.bits)
+    if out.bits:
+        assert out.bits[0] == out.bits[-1] == 1
+    else:
+        assert out.origin == 0
+    shifted = out.shifted(3)
+    assert shifted == Configuration(out.origin + 3, out.bits)
+
+
 def test_step_matches_window_oracle_on_long_rows():
     # 200-bit rows under the default limit and under limits close to the
     # scan length, so that some scans stop and some diverge

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qsca.errors import DimensionTooLarge, NotHermitian
+from qsca import spin_chain
+from qsca.errors import DimensionTooLarge, NotHermitian, RadiusError
 from qsca.qstate import circuit_matrix
 from qsca.quantize import total_step
 from qsca.spin_chain import (
@@ -56,6 +57,91 @@ def chain_oracle(n, r, variant):
                     total += (eye - placed(Z, j, n)) @ \
                         (eye - placed(X, i, n)) / 4
     return total
+
+
+def term_oracle_not(i, variant):
+    if variant == "literal":
+        return [PauliTerm(0.5, ((i, "Z"),)), PauliTerm(0.5, ((i, "X"),))]
+    return [PauliTerm(0.5, ()), PauliTerm(-0.5, ((i, "X"),))]
+
+
+def term_oracle_cn(control, target, variant):
+    if variant == "literal":
+        return [
+            PauliTerm(0.5, ((target, "X"),)),
+            PauliTerm(-0.5, ()),
+            PauliTerm(-0.5, ((control, "Z"), (target, "X"))),
+            PauliTerm(0.5, ((control, "Z"),)),
+        ]
+    return [
+        PauliTerm(0.25, ()),
+        PauliTerm(-0.25, ((target, "X"),)),
+        PauliTerm(-0.25, ((control, "Z"),)),
+        PauliTerm(0.25, ((control, "Z"), (target, "X"))),
+    ]
+
+
+def term_oracle_merge(terms):
+    acc = {}
+    for t in terms:
+        acc[t.factors] = acc.get(t.factors, 0.0) + t.coefficient
+    out = [PauliTerm(c, f) for f, c in acc.items() if c != 0.0]
+    out.sort(key=lambda t: (t.support, tuple(op for _, op in t.factors)))
+    return tuple(out)
+
+
+def site_terms_oracle(i, r, n, variant):
+    """The site generator built and merged as PauliTerm tuples."""
+    terms = term_oracle_not(i, variant)
+    for k in range(1, r + 1):
+        for j in (i - k, i + k):
+            if 1 <= j <= n:
+                terms.extend(term_oracle_cn(j, i, variant))
+    return term_oracle_merge(terms)
+
+
+def chain_terms_oracle(n, r, variant):
+    return term_oracle_merge(t for i in range(1, n + 1)
+                             for t in site_terms_oracle(i, r, n, variant))
+
+
+def dense_oracle(h):
+    """One diagonal scatter-add per term, in term order."""
+    n = h.n_sites
+    cols = np.arange(2 ** n)
+    mat = np.zeros((2 ** n, 2 ** n))
+    for term in h.terms:
+        mask_x = mask_z = 0
+        for site, op in term.factors:
+            if op == "X":
+                mask_x |= 1 << (n - site)
+            else:
+                mask_z |= 1 << (n - site)
+        signs = 1.0 - 2.0 * (np.bitwise_count(cols & mask_z) & 1)
+        mat[cols ^ mask_x, cols] += term.coefficient * signs
+    return mat
+
+
+def sequential_site_product(n, r, variant):
+    product = np.eye(2 ** n, dtype=complex)
+    for i in range(1, n + 1):
+        product = apply_site_exponential(
+            build_site_hamiltonian(i, r, n, variant), i, product)
+    return product
+
+
+def sum_product_gap_oracle(n, r, variant):
+    """The gaps from the sequential site product and one dense eigh."""
+    total = matrix_exp_hermitian(
+        to_dense(build_chain_hamiltonian(n, r, variant)), np.pi)
+    product = sequential_site_product(n, r, variant)
+    circuit = circuit_matrix(total_step(r, n, "unitary_circuit"))
+    return (float(np.abs(total - product).max()),
+            float(np.abs(product - circuit).max()))
+
+
+def reversed_words(n):
+    return np.array([int(format(w, f"0{n}b")[::-1], 2) for w in range(2 ** n)])
 
 
 # -- terms ------------------------------------------------------------------
@@ -290,6 +376,122 @@ def test_sum_product_gap():
     assert single.sum_vs_product <= 1e-12
     with pytest.raises(DimensionTooLarge):
         sum_product_gap(9, 1)
+
+
+@pytest.mark.parametrize("variant", ["literal", "verified"])
+def test_sum_product_gap_matches_sequential_oracle(variant):
+    for n in range(1, 9):
+        for r in range(1, 5):
+            report = sum_product_gap(n, r, variant)
+            want = sum_product_gap_oracle(n, r, variant)
+            assert abs(report.sum_vs_product - want[0]) <= 1e-12
+            assert abs(report.product_vs_circuit - want[1]) <= 1e-12
+            doubled = spin_chain._site_product(n, [
+                spin_chain._site_blocks(
+                    n, i, *build_site_hamiltonian(i, r, n, variant).masks)
+                for i in range(1, n + 1)])
+            assert np.array_equal(doubled,
+                                  sequential_site_product(n, r, variant))
+
+
+def test_sum_product_gap_argument_errors():
+    with pytest.raises(ValueError):
+        sum_product_gap(0, 1)
+    with pytest.raises(ValueError):
+        sum_product_gap(3, 1, "printed")
+    for r in (0, 7):
+        with pytest.raises(RadiusError):
+            sum_product_gap(8, r)
+    for r in (5, 6):
+        report = sum_product_gap(8, r)
+        assert report.product_vs_circuit <= 1e-9
+
+
+def test_sum_product_gap_size_checked_before_allocation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+    monkeypatch.setattr(spin_chain, "total_step", refuse)
+    monkeypatch.setattr(spin_chain, "_site_rows", refuse)
+    with pytest.raises(DimensionTooLarge):
+        sum_product_gap(40, 2)
+
+
+def test_sum_product_gap_radius_checked_before_eigh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh ran before the radius check")
+    monkeypatch.setattr(spin_chain.np.linalg, "eigh", refuse)
+    with pytest.raises(RadiusError):
+        sum_product_gap(6, 9)
+
+
+@pytest.mark.parametrize("variant", ["literal", "verified"])
+def test_terms_masks_and_dense_match_oracles(variant):
+    for n in range(1, 13):
+        rev = reversed_words(n)
+        for r in range(1, 5):
+            h = build_chain_hamiltonian(n, r, variant)
+            assert h.terms == chain_terms_oracle(n, r, variant)
+            for i in range(1, n + 1):
+                assert build_site_hamiltonian(i, r, n, variant).terms == \
+                    site_terms_oracle(i, r, n, variant)
+            dense = to_dense(h)
+            assert np.array_equal(dense, dense_oracle(h))
+            # the chain reflection i <-> n + 1 - i is an exact symmetry
+            assert np.array_equal(dense[np.ix_(rev, rev)], dense)
+            del dense
+
+
+def test_masks_read_only_and_cached():
+    h = HamiltonianSum(3, 1, (PauliTerm(0.5, ((1, "X"), (3, "Z"))),
+                              PauliTerm(-0.25, ()),
+                              PauliTerm(2.0, ((2, "Z"),))))
+    x, z, c = h.masks
+    assert x.tolist() == [4, 0, 0]
+    assert z.tolist() == [1, 0, 2]
+    assert c.tolist() == [0.5, -0.25, 2.0]
+    assert h.masks is h.masks
+    for a in h.masks:
+        assert not a.flags.writeable
+    empty = HamiltonianSum(2, 1, ()).masks
+    assert [a.shape for a in empty] == [(0,), (0,), (0,)]
+
+
+def test_to_dense_sums_shared_x_masks_in_term_order():
+    # coefficients that round differently when added in another order
+    terms = (PauliTerm(0.1, ((1, "X"),)), PauliTerm(0.2, ((1, "X"), (2, "Z"))),
+             PauliTerm(0.3, ((1, "X"), (3, "Z"))), PauliTerm(1e-17, ()),
+             PauliTerm(0.7, ((2, "Z"),)))
+    h = HamiltonianSum(3, 1, terms)
+    assert np.array_equal(to_dense(h), dense_oracle(h))
+
+
+def test_reflection_sector_exponential():
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 5):
+        rev = reversed_words(n)
+        raw = rng.standard_normal((2 ** n, 2 ** n))
+        sym = raw + raw.T
+        h = sym + sym[np.ix_(rev, rev)]
+        got = spin_chain._exp_i_pi_by_reflection(h)
+        assert np.abs(got - matrix_exp_hermitian(h, np.pi)).max() <= 1e-10
+        assert np.abs(got - expm(1j * np.pi * h)).max() <= 1e-10
+
+
+def test_reflection_sector_exponential_rejects():
+    h = to_dense(build_chain_hamiltonian(4, 2))
+    skew = h.copy()
+    skew[0, 1] += 1e-3
+    with pytest.raises(NotHermitian):
+        spin_chain._exp_i_pi_by_reflection(skew)
+    for bad in (np.nan, np.inf):
+        broken = h.copy()
+        broken[3, 5] = broken[5, 3] = bad
+        with pytest.raises(ValueError):
+            spin_chain._exp_i_pi_by_reflection(broken)
+    # symmetric, but site 1 is not site 4's mirror image
+    one_sided = to_dense(HamiltonianSum(4, 1, (PauliTerm(1.0, ((1, "X"),)),)))
+    with pytest.raises(ValueError):
+        spin_chain._exp_i_pi_by_reflection(one_sided)
 
 
 # -- text format ------------------------------------------------------------
