@@ -1,6 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer reader
+the text parsers share."""
 
 from __future__ import annotations
+
+import re
+
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 class QscaError(Exception):
@@ -48,6 +53,14 @@ class ParseError(QscaError):
         self.line_no = line_no
         where = "" if line_no is None else f"line {line_no}: "
         super().__init__(where + message)
+
+
+def parse_int(token: str, line_no: int | None = None) -> int:
+    """An ASCII decimal integer, `-?[0-9]+`.  Bare int() would also take
+    `1_0`, a leading `+`, surrounding blanks and non-ASCII digits."""
+    if not _DECIMAL.fullmatch(token):
+        raise ParseError(f"bad integer {token!r}", line_no=line_no)
+    return int(token)
 
 
 class NotHermitian(QscaError):

@@ -39,8 +39,7 @@ from .qstate import (
     StateVector,
     affine_fold,
     affine_image,
-    apply_block_reset,
-    apply_collective_cn,
+    apply_circuit,
 )
 from .sca_core import as_word, format_block, frt_pattern
 
@@ -166,16 +165,13 @@ def make_particle_state(blocks: Sequence, padding: int) -> BlockRegister:
 
 def frt_stage(reg: BlockRegister, m: int, L: int,
               reset_variant: str = "extended") -> BlockRegister:
-    """Apply one propagation stage through the gate kernels."""
+    """Apply one propagation stage to the register's state vector."""
     if m < 1 or m + L > reg.n_blocks:
         raise ValueError(
             f"stage {m} with L={L} exceeds {reg.n_blocks} blocks")
-    w = reg.block_len
-    state = reg.state
-    for k in range(1, L + 1):
-        state = apply_collective_cn(state, reg.block_start(m),
-                                    reg.block_start(m + k), w)
-    state = apply_block_reset(state, reg.block_start(m), w, reset_variant)
+    plan = FrtStagePlan(L, reg.n_blocks - L, reg.block_len)
+    state = apply_circuit(reg.state, Circuit(
+        plan.n_qubits, plan.stage_ops(m, reset_variant)))
     return BlockRegister(reg.radius, reg.n_blocks, state)
 
 

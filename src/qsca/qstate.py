@@ -13,14 +13,15 @@ of StateVector.
 
 NOT, CN and the collective CN are affine maps x -> Ax ^ b of the basis
 index over GF(2) (Aaronson & Gottesman, PRA 70, 052328 (2004)).
-`affine_fold` folds a run of them into one (A, b), so a circuit runs as
-one index permutation per maximal run of such gates plus the reset
-kernel for each reset; `affine_image` maps basis indices through a fold
-without any state vector.  The single-gate kernels behind `apply_not`,
-`apply_cn`, `apply_collective_cn` and `apply_block_reset` stay as the
-gate-by-gate reference.  All kernels treat the state index as axis 0,
-so they run unchanged on whole matrices (states stacked along the second
-axis), which is how circuit_matrix is produced.
+`affine_fold` folds a run of them into one (A, b); `affine_image` maps
+basis indices through a fold without any state vector.  A circuit runs
+as one gather through the inverse map per maximal run of such gates,
+plus the reset kernel for each reset.  Every gate in a run is its own
+inverse (the pairwise CNs of a collective CN act on disjoint qubits and
+commute), so the inverse map is the fold of the run reversed.  Both
+steps index the state along axis 0, so they run unchanged on whole
+matrices (states stacked along the second axis), which is how
+circuit_matrix is produced.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionTooLarge, ParseError
+from .errors import DimensionTooLarge, ParseError, parse_int
 
 __all__ = [
     "ArrayEq",
@@ -43,10 +44,6 @@ __all__ = [
     "GateOp",
     "Circuit",
     "basis_state",
-    "apply_not",
-    "apply_cn",
-    "apply_collective_cn",
-    "apply_block_reset",
     "apply_circuit",
     "circuit_matrix",
     "affine_fold",
@@ -230,36 +227,10 @@ class Circuit:
                     f"op {op!r} out of range for {self.n_qubits} qubits")
 
 
-# -- kernels ----------------------------------------------------------------
-# Each kernel treats its array argument as (2^n)-by-anything flattened,
-# so matrices with the state index along axis 0 work unchanged.  NOT
-# writes out of place into a scratch array (a pure copy pattern streams
-# better than an in-place swap); CN and reset work in place.
-
-def _not_into(src: np.ndarray, dst: np.ndarray, n: int, q: int) -> None:
-    pre = 2 ** (q - 1)
-    vs = src.reshape(pre, 2, -1)
-    vd = dst.reshape(pre, 2, -1)
-    vd[:, 0] = vs[:, 1]
-    vd[:, 1] = vs[:, 0]
-
-
-def _cn_inplace(buf: np.ndarray, n: int, control: int, target: int) -> None:
-    a, b = min(control, target), max(control, target)
-    view = buf.reshape(2 ** (a - 1), 2, 2 ** (b - a - 1), 2, -1)
-    if control < target:
-        lo = view[:, 1, :, 0]
-        hi = view[:, 1, :, 1]
-    else:
-        lo = view[:, 0, :, 1]
-        hi = view[:, 1, :, 1]
-    tmp = lo.copy()
-    lo[...] = hi
-    hi[...] = tmp
-
-
 def _reset_inplace(buf: np.ndarray, n: int, block: int, block_len: int,
                    variant: str) -> None:
+    """Funnel one block onto its all-zero word, in place; buf is read as
+    (2^n)-by-anything, so it may hold a state or stacked states."""
     pre = 2 ** (block - 1)
     view = buf.reshape(pre, 2 ** block_len, -1)
     total = view.sum(axis=1)
@@ -320,66 +291,22 @@ def _destinations(n: int, fold: tuple[tuple[int, ...], int]) -> np.ndarray:
 
 
 def _apply_ops(n: int, buf: np.ndarray, ops: Sequence[GateOp]) -> np.ndarray:
-    """Run ops over buf: one permutation per NOT/CN run, resets in place."""
+    """Run ops over buf: one gather per NOT/CN run, resets in place."""
     for is_reset, run in groupby(ops, lambda op: isinstance(op, BlockReset)):
         if is_reset:
             for op in run:
                 _reset_inplace(buf, n, op.block, op.block_len, op.variant)
         else:
-            out = np.empty_like(buf)
-            out.reshape(2 ** n, -1)[_destinations(n, affine_fold(n, run))] = \
-                buf.reshape(2 ** n, -1)
-            buf = out
+            buf = buf[_destinations(n, affine_fold(n, reversed(tuple(run))))]
     return buf
-
-
-def _checked(state: StateVector, op: GateOp) -> None:
-    qs = _op_qubits(op)
-    if min(qs) < 1 or max(qs) > state.n_qubits:
-        raise ValueError(f"op {op!r} out of range for {state.n_qubits} qubits")
-
-
-def apply_not(state: StateVector, q: int) -> StateVector:
-    op = Not(q)
-    _checked(state, op)
-    out = np.empty_like(state.amplitudes)
-    _not_into(state.amplitudes, out, state.n_qubits, q)
-    return StateVector._owning(state.n_qubits, out)
-
-
-def apply_cn(state: StateVector, control: int, target: int) -> StateVector:
-    op = Cn(control, target)
-    _checked(state, op)
-    buf = state.amplitudes.copy()
-    _cn_inplace(buf, state.n_qubits, control, target)
-    return StateVector._owning(state.n_qubits, buf)
-
-
-def apply_collective_cn(state: StateVector, control_block: int,
-                        target_block: int, block_len: int) -> StateVector:
-    op = CollectiveCn(control_block, target_block, block_len)
-    _checked(state, op)
-    buf = state.amplitudes.copy()
-    for k in range(block_len):
-        _cn_inplace(buf, state.n_qubits, control_block + k, target_block + k)
-    return StateVector._owning(state.n_qubits, buf)
-
-
-def apply_block_reset(state: StateVector, block: int, block_len: int,
-                      variant: str = "extended") -> StateVector:
-    op = BlockReset(block, block_len, variant)
-    _checked(state, op)
-    buf = state.amplitudes.copy()
-    _reset_inplace(buf, state.n_qubits, block, block_len, variant)
-    return StateVector._owning(state.n_qubits, buf)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     if circuit.n_qubits != state.n_qubits:
         raise ValueError(
             f"circuit on {circuit.n_qubits} qubits, state on {state.n_qubits}")
-    # a permutation scatters into a fresh array, so the read-only input
-    # needs a copy only when a reset comes first
+    # a gather writes a fresh array, so the read-only input needs a copy
+    # only when a reset comes first
     amp = state.amplitudes
     if circuit.ops and isinstance(circuit.ops[0], BlockReset):
         amp = amp.copy()
@@ -419,38 +346,33 @@ def parse_gatelist(text: str, n_qubits: int | None = None) -> Circuit:
             if len(args) != k:
                 raise ParseError(
                     f"{name} expects {k} argument(s)", line_no=line_no)
-            try:
-                return [int(a) for a in args[:k]]
-            except ValueError:
-                raise ParseError(
-                    f"bad integer in {name} line", line_no=line_no) from None
+            return [parse_int(a, line_no) for a in args]
 
         try:
             if name == "X":
-                ops.append(Not(*ints(1)))
+                op = Not(*ints(1))
             elif name == "CN":
-                ops.append(Cn(*ints(2)))
+                op = Cn(*ints(2))
             elif name == "CCN":
-                ops.append(CollectiveCn(*ints(3)))
+                op = CollectiveCn(*ints(3))
             elif name == "RESET":
-                if len(args) != 3:
+                if len(args) != 3 or args[2] not in RESET_VARIANTS:
                     raise ParseError(
-                        "RESET expects <start> <len> <variant>",
+                        "RESET expects <start> <len> <literal|extended>",
                         line_no=line_no)
-                try:
-                    start, length = int(args[0]), int(args[1])
-                except ValueError:
-                    raise ParseError(
-                        "bad integer in RESET line", line_no=line_no) from None
-                if args[2] not in RESET_VARIANTS:
-                    raise ParseError(
-                        f"RESET variant must be one of {RESET_VARIANTS}",
-                        line_no=line_no)
-                ops.append(BlockReset(start, length, args[2]))
+                op = BlockReset(parse_int(args[0], line_no),
+                                parse_int(args[1], line_no), args[2])
             else:
                 raise ParseError(f"unknown op {fields[0]!r}", line_no=line_no)
         except ValueError as err:
             raise ParseError(str(err), line_no=line_no) from None
+        qs = _op_qubits(op)
+        if min(qs) < 1 or n_qubits is not None and max(qs) > n_qubits:
+            where = ("qubits start at 1" if n_qubits is None
+                     else f"for {n_qubits} qubits")
+            raise ParseError(f"op {op!r} out of range, {where}",
+                             line_no=line_no)
+        ops.append(op)
     if n_qubits is None:
         n_qubits = max((max(_op_qubits(op)) for op in ops), default=1)
     try:

@@ -31,7 +31,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .errors import NullWordError, ParseError, StepDivergedError
+from .errors import NullWordError, ParseError, StepDivergedError, parse_int
 
 __all__ = [
     "Rule",
@@ -473,10 +473,7 @@ def parse_configuration(text: str) -> Configuration:
         raise ParseError("expected a leading origin=<int> line",
                          line_no=lines[0][0] if lines else 1)
     (line_no, head), *rest = lines
-    try:
-        origin = int(head[len("origin="):])
-    except ValueError:
-        raise ParseError("bad origin integer", line_no=line_no) from None
+    origin = parse_int(head[len("origin="):], line_no)
     if not rest:
         return Configuration(origin, ())
     line_no, row = rest[0]

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotUnitary, ParseError
+from .errors import NotUnitary, ParseError, parse_int
 from .qstate import ArrayEq
 
 __all__ = [
@@ -316,14 +316,14 @@ def parse_reck_plan(text: str) -> ReckPlan:
         fields = line.split()
         try:
             if fields[0] == "R" and len(fields) == 11:
-                i, j = int(fields[1]) - 1, int(fields[2]) - 1
+                i, j = (parse_int(f, line_no) - 1 for f in fields[1:3])
                 vals = [float(x) for x in fields[3:]]
                 block = np.array(
                     [complex(vals[2 * k], vals[2 * k + 1]) for k in range(4)]
                 ).reshape(2, 2)
                 rotations.append(EmbeddedRotation(i, j, block))
             elif fields[0] == "P" and len(fields) == 4:
-                mode = int(fields[1]) - 1
+                mode = parse_int(fields[1], line_no) - 1
                 if mode in phases:
                     raise ParseError(f"second phase line for mode {mode + 1}",
                                      line_no=line_no)

@@ -1,0 +1,91 @@
+"""Gate-by-gate reference for the state-vector executor.
+
+Each gate runs as its own slice-swapping kernel on a copy of the state,
+one gate at a time, with no fold and no index map.  The tests compare
+`apply_circuit` and `circuit_matrix` against `gate_by_gate`.  Each kernel reads its array argument as
+(2^n)-by-anything, so it runs on a state or on stacked states.  NOT
+writes out of place; CN and the reset work in place.
+"""
+
+import numpy as np
+
+from qsca.qstate import (
+    BlockReset,
+    Circuit,
+    CollectiveCn,
+    Cn,
+    Not,
+    StateVector,
+    _reset_inplace,
+)
+
+
+def _not_into(src, dst, q):
+    vs = src.reshape(2 ** (q - 1), 2, -1)
+    vd = dst.reshape(2 ** (q - 1), 2, -1)
+    vd[:, 0] = vs[:, 1]
+    vd[:, 1] = vs[:, 0]
+
+
+def _cn_inplace(buf, control, target):
+    a, b = min(control, target), max(control, target)
+    view = buf.reshape(2 ** (a - 1), 2, 2 ** (b - a - 1), 2, -1)
+    if control < target:
+        lo = view[:, 1, :, 0]
+        hi = view[:, 1, :, 1]
+    else:
+        lo = view[:, 0, :, 1]
+        hi = view[:, 1, :, 1]
+    tmp = lo.copy()
+    lo[...] = hi
+    hi[...] = tmp
+
+
+def _checked(state, op):
+    """Raise ValueError when op reaches outside the state's qubits."""
+    Circuit(state.n_qubits, (op,))
+
+
+def apply_not(state, q):
+    _checked(state, Not(q))
+    out = np.empty_like(state.amplitudes)
+    _not_into(state.amplitudes, out, q)
+    return StateVector(state.n_qubits, out)
+
+
+def apply_cn(state, control, target):
+    _checked(state, Cn(control, target))
+    buf = state.amplitudes.copy()
+    _cn_inplace(buf, control, target)
+    return StateVector(state.n_qubits, buf)
+
+
+def apply_collective_cn(state, control_block, target_block, block_len):
+    _checked(state, CollectiveCn(control_block, target_block, block_len))
+    buf = state.amplitudes.copy()
+    for k in range(block_len):
+        _cn_inplace(buf, control_block + k, target_block + k)
+    return StateVector(state.n_qubits, buf)
+
+
+def apply_block_reset(state, block, block_len, variant="extended"):
+    _checked(state, BlockReset(block, block_len, variant))
+    buf = state.amplitudes.copy()
+    _reset_inplace(buf, state.n_qubits, block, block_len, variant)
+    return StateVector(state.n_qubits, buf)
+
+
+def gate_by_gate(state, ops):
+    """The circuit run one op at a time through the single-gate kernels."""
+    for op in ops:
+        if isinstance(op, Not):
+            state = apply_not(state, op.q)
+        elif isinstance(op, Cn):
+            state = apply_cn(state, op.control, op.target)
+        elif isinstance(op, CollectiveCn):
+            state = apply_collective_cn(state, op.control_block,
+                                        op.target_block, op.block_len)
+        else:
+            state = apply_block_reset(state, op.block, op.block_len,
+                                      op.variant)
+    return state

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from gate_oracle import gate_by_gate
 from qsca.errors import DimensionTooLarge
 from qsca import frt_quantum
 from qsca.frt_quantum import (
@@ -123,6 +124,24 @@ def test_frt_stage_range_check():
     reg = make_particle_state([(1, 1)], 1)
     with pytest.raises(ValueError):
         frt_stage(reg, 2, 1)
+
+
+def test_frt_stage_matches_gate_by_gate():
+    rng = np.random.default_rng(31)
+    w, n_blocks = 2, 5
+    amp = rng.standard_normal(2 ** 10) + 1j * rng.standard_normal(2 ** 10)
+    reg = BlockRegister(w - 1, n_blocks, StateVector(10, amp))
+    for variant in ("literal", "extended"):
+        for L in (1, 2, 3):
+            for m in range(1, n_blocks - L + 1):
+                start = (m - 1) * w + 1
+                ops = [CollectiveCn(start, start + k * w, w)
+                       for k in range(1, L + 1)]
+                ops.append(BlockReset(start, w, variant))
+                got = frt_stage(reg, m, L, variant)
+                assert got.n_blocks == n_blocks and got.radius == w - 1
+                assert np.array_equal(got.state.amplitudes,
+                                      gate_by_gate(reg.state, ops).amplitudes)
 
 
 # -- stage traces -----------------------------------------------------------

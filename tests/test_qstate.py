@@ -1,8 +1,17 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gate_oracle import (
+    apply_block_reset,
+    apply_cn,
+    apply_collective_cn,
+    apply_not,
+    gate_by_gate,
+)
 from qsca.errors import DimensionTooLarge, ParseError
 from qsca.qstate import (
     BlockReset,
@@ -11,11 +20,9 @@ from qsca.qstate import (
     Cn,
     Not,
     StateVector,
-    apply_block_reset,
+    affine_fold,
+    affine_image,
     apply_circuit,
-    apply_cn,
-    apply_collective_cn,
-    apply_not,
     basis_state,
     circuit_matrix,
     emit_gatelist,
@@ -65,22 +72,6 @@ def random_state(rng, n):
     return StateVector(n, amp / np.linalg.norm(amp))
 
 
-def gate_by_gate(state, ops):
-    """The circuit run one op at a time through the single-gate kernels."""
-    for op in ops:
-        if isinstance(op, Not):
-            state = apply_not(state, op.q)
-        elif isinstance(op, Cn):
-            state = apply_cn(state, op.control, op.target)
-        elif isinstance(op, CollectiveCn):
-            state = apply_collective_cn(state, op.control_block,
-                                        op.target_block, op.block_len)
-        else:
-            state = apply_block_reset(state, op.block, op.block_len,
-                                      op.variant)
-    return state
-
-
 @st.composite
 def circuits(draw, max_qubits):
     """Random circuits over all four op kinds, both reset variants."""
@@ -103,6 +94,14 @@ def circuits(draw, max_qubits):
         kinds += [st.tuples(qubit, qubit).filter(lambda p: p[0] != p[1])
                   .map(lambda p: Cn(*p)), block_op(CollectiveCn)]
     return Circuit(n, tuple(draw(st.lists(st.one_of(kinds), max_size=12))))
+
+
+@st.composite
+def permutation_runs(draw, max_qubits):
+    """Qubit count and a run of Not/Cn/CollectiveCn ops, no resets."""
+    circuit = draw(circuits(max_qubits))
+    return circuit.n_qubits, tuple(op for op in circuit.ops
+                                   if not isinstance(op, BlockReset))
 
 
 # -- states -----------------------------------------------------------------
@@ -343,6 +342,43 @@ def test_circuit_matrix_stacks_basis_images(circuit):
     assert np.array_equal(circuit_matrix(circuit), np.array(images).T)
 
 
+@settings(max_examples=100, deadline=None)
+@given(permutation_runs(max_qubits=12))
+def test_reversed_run_folds_to_the_inverse(case):
+    # every op of a run is an involution (a collective CN's pairwise CNs
+    # touch disjoint qubits), so the reversed run undoes the run
+    n, run = case
+    x = np.arange(2 ** n, dtype=np.int64)
+    there = affine_image(n, affine_fold(n, run), x)
+    assert np.array_equal(
+        affine_image(n, affine_fold(n, tuple(reversed(run))), there), x)
+
+
+def test_apply_circuit_20_qubits_within_budget():
+    rng = np.random.default_rng(2011)
+    n = 20
+    ops = []
+    for _ in range(1000):
+        if rng.integers(2):
+            ops.append(Not(int(rng.integers(1, n + 1))))
+        else:
+            c, t = rng.choice(np.arange(1, n + 1), size=2, replace=False)
+            ops.append(Cn(int(c), int(t)))
+    circuit = Circuit(n, tuple(ops))
+    state = random_state(rng, n)
+    best = np.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        out = apply_circuit(state, circuit)
+        best = min(best, time.perf_counter() - start)
+    print(f"apply_circuit, 1000 NOT/CN gates on 20 qubits: {best:.3f} s")
+    assert best < 0.5
+    # amplitude x lands on the forward image of x
+    images = affine_image(n, affine_fold(n, ops),
+                          np.arange(2 ** n, dtype=np.int64))
+    assert np.array_equal(out.amplitudes[images], state.amplitudes)
+
+
 def test_circuit_matrix_dimension_limit():
     big = Circuit(15, (Not(1),))
     with pytest.raises(DimensionTooLarge):
@@ -369,13 +405,22 @@ def test_parse_gatelist_errors():
     with pytest.raises(ParseError) as info:
         parse_gatelist("X 1\nBAD 2\n")
     assert info.value.line_no == 2
-    with pytest.raises(ParseError):
-        parse_gatelist("X 9\n", n_qubits=4)
+    # out-of-range ops and integers other than ASCII -?[0-9]+ name their line
+    for text, n_qubits in (("X 1\nX 9\n", 4), ("X 1\nX 0\n", None),
+                           ("X 1\nX -1\n", None), ("X 1\nCN 1 -2\n", None),
+                           ("X 1\nX 1_0\n", None), ("X 1\nX \u0663\n", None),
+                           ("X 1\nCN +1 2\n", None),
+                           ("X 1\nRESET 1_0 2 literal\n", None),
+                           ("X 1\nRESET 1 \u0662 extended\n", None)):
+        with pytest.raises(ParseError) as info:
+            parse_gatelist(text, n_qubits=n_qubits)
+        assert info.value.line_no == 2, text
 
 
 _GATE_TOKENS = st.sampled_from(
     ["X", "CN", "CCN", "RESET", "x", "cn", "Y", "0", "1", "2", "3", "4", "-1",
-     "99", "1e3", "literal", "maybe", "#", "# 1", ""])
+     "99", "1e3", "1_0", "\u0663", "+1", "literal", "maybe", "#", "# 1",
+     ""])
 
 
 @settings(max_examples=300, deadline=None)

@@ -386,6 +386,21 @@ def test_total_step_isometry_columns_are_units():
     assert np.array_equal(t_op.tocsc().toarray(), t_op.matrix)
 
 
+def test_total_step_chain_step_shares_images():
+    # a documented finding, not a design target: the totalized factors
+    # U + |0><0| are not injective, so neither is their composition
+    for r in (1, 2, 3):
+        want = [1] * (r + 1)  # a(n) for n = -r..0
+        for n in range(1, 15):
+            want.append(want[-1] + want[-r - 1])
+            counts = np.bincount(total_step(r, n, "partial_isometry").image,
+                                 minlength=2 ** n)
+            assert counts.max() == want[-1], (r, n)
+            if (r, n) == (1, 14):
+                assert int((counts == 0).sum()) == 13_226
+        assert want[-1] == {1: 987, 2: 277, 3: 131}[r]
+
+
 def test_total_step_validation():
     with pytest.raises(ValueError):
         total_step(2, 6, "both")

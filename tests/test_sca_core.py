@@ -667,7 +667,10 @@ def test_parse_configuration_errors():
     for text, line_no in (("\n\norigin=x\n1\n", 3), ("\n1011\n", 2),
                           ("origin=0\n\n10x1\n", 3),
                           ("origin=0\n101\n111\n", 3),
-                          ("origin=0\n101\n\norigin=5\n", 4)):
+                          ("origin=0\n101\n\norigin=5\n", 4),
+                          ("\norigin=1_0\n1\n", 2),
+                          ("\norigin=\u0663\n1\n", 2),
+                          ("\norigin=+3\n1\n", 2)):
         with pytest.raises(ParseError) as info:
             parse_configuration(text)
         assert info.value.line_no == line_no, text

@@ -466,11 +466,18 @@ def test_parse_errors():
         # a repeated phase line would silently override the first
         parse_reck_plan("P 1 1 0\nP 1 -1 0\nP 2 1 0\n")
     assert info.value.line_no == 2
+    # mode indices are ASCII -?[0-9]+; int() alone reads these as 2
+    for text in ("P 1 1 0\nP \u0662 1 0\n", "P 1 1 0\nP +2 1 0\n",
+                 "P 1 1 0\nR 1 \u0662 1 0 0 0 0 0 1 0\nP 2 1 0\n",
+                 "P 1 1 0\nR 1 0_2 1 0 0 0 0 0 1 0\nP 2 1 0\n"):
+        with pytest.raises(ParseError) as info:
+            parse_reck_plan(text)
+        assert info.value.line_no == 2, text
 
 
 _PLAN_TOKENS = st.sampled_from(
     ["R", "P", "Q", "0", "1", "2", "3", "-1", "0.5", "nan", "inf", "-inf",
-     "1e400", "x", ""])
+     "1e400", "x", "1_0", "\u0662", ""])
 
 
 @settings(max_examples=300, deadline=None)
