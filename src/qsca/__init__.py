@@ -50,7 +50,6 @@ from .qstate import (
     basis_state,
     circuit_matrix,
     emit_gatelist,
-    emit_state,
     parse_gatelist,
     uniform_superposition_nonnull,
 )
@@ -79,11 +78,8 @@ from .spin_chain import (
     to_dense,
 )
 from .frt_quantum import (
-    BlockRegister,
     FrtRunReport,
     FrtStagePlan,
-    frt_stage,
-    make_particle_state,
     run_frt,
     stage_identity_check,
 )

@@ -1,11 +1,12 @@
-"""Exception types shared across the package, and the integer reader
-the text parsers share."""
+"""Exception types shared across the package, and the integer and
+float readers the text parsers share."""
 
 from __future__ import annotations
 
 import re
 
 _DECIMAL = re.compile(r"-?[0-9]+")
+_FLOAT = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
 
 
 class QscaError(Exception):
@@ -61,6 +62,15 @@ def parse_int(token: str, line_no: int | None = None) -> int:
     if not _DECIMAL.fullmatch(token):
         raise ParseError(f"bad integer {token!r}", line_no=line_no)
     return int(token)
+
+
+def parse_float(token: str, line_no: int | None = None) -> float:
+    """An ASCII decimal with an optional exponent, as `.17g` writes one.
+    Bare float() would also take `1_0`, `nan`, `inf`, surrounding blanks
+    and non-ASCII digits."""
+    if not _FLOAT.fullmatch(token):
+        raise ParseError(f"bad number {token!r}", line_no=line_no)
+    return float(token)
 
 
 class NotHermitian(QscaError):

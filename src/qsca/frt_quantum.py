@@ -12,12 +12,12 @@ A basis input stays a basis state: each stage's CN cascade is one
 affine map of the register index over GF(2) (qstate.affine_fold) and
 the reset clears block m's bits, or, in the literal variant, annihilates
 the state when they are already clear.  So run_frt and
-stage_identity_check track register indices, never state vectors; the
-sweep pushes all its instances through each stage as one int64 array.
-run_frt builds state vectors only when asked to keep them, and its
-records hold the indices themselves; blocks are read from an index by
-shifts only to format a report.  The closed form every stage is checked
-against is `sca_core.frt_pattern`, the function the classical
+stage_identity_check track register indices, never state vectors, and
+take registers up to the 63 qubits of an int64 index; the sweep pushes
+all its instances through each stage as one int64 array.  The records
+of run_frt hold the indices themselves; blocks are read from an index
+by shifts only to format a report.  The closed form every stage is
+checked against is `sca_core.frt_pattern`, the function the classical
 recurrence check uses, applied to the array of particle words.
 """
 
@@ -36,55 +36,22 @@ from .qstate import (
     Circuit,
     CollectiveCn,
     GateOp,
-    StateVector,
     affine_fold,
     affine_image,
-    apply_circuit,
 )
 from .sca_core import as_word, format_block, frt_pattern
 
 __all__ = [
-    "BlockRegister",
     "FrtStagePlan",
     "FrtStageRecord",
     "FrtRunReport",
     "StageIdentityReport",
-    "MAX_REGISTER_QUBITS",
-    "make_particle_state",
-    "frt_stage",
     "run_frt",
     "stage_identity_check",
     "emit_frt_report",
 ]
 
-MAX_REGISTER_QUBITS = 24  # one state vector of 2^24 complex amplitudes = 256 MiB
 _INDEX_QUBITS = 63  # register indices are int64
-
-
-@dataclass(frozen=True)
-class BlockRegister:
-    """A state vector viewed as n_blocks consecutive (r+1)-qubit blocks."""
-
-    radius: int
-    n_blocks: int
-    state: StateVector
-
-    def __post_init__(self):
-        expected = self.n_blocks * self.block_len
-        if self.state.n_qubits != expected:
-            raise ValueError(
-                f"state has {self.state.n_qubits} qubits, register needs "
-                f"{expected}")
-
-    @property
-    def block_len(self) -> int:
-        return self.radius + 1
-
-    def block_start(self, m: int) -> int:
-        """First qubit (1-based) of block m (1-based)."""
-        if not 1 <= m <= self.n_blocks:
-            raise ValueError(f"block {m} out of range")
-        return (m - 1) * self.block_len + 1
 
 
 @dataclass(frozen=True)
@@ -144,35 +111,11 @@ def _coerce_blocks(blocks: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     return as_word(b for blk in blocks for b in blk), len(blocks), widths.pop()
 
 
-def _check_width(n_qubits: int, limit: int) -> None:
-    if n_qubits > limit:
+def _check_width(n_qubits: int) -> None:
+    if n_qubits > _INDEX_QUBITS:
         raise DimensionTooLarge(
-            f"register of {n_qubits} qubits exceeds the limit of {limit}")
-
-
-def make_particle_state(blocks: Sequence, padding: int) -> BlockRegister:
-    """Basis register |A1 ... AL O^padding⟩."""
-    word, L, w = _coerce_blocks(blocks)
-    if padding < 1:
-        raise ValueError("padding must be >= 1")
-    n_blocks = L + padding
-    _check_width(n_blocks * w, MAX_REGISTER_QUBITS)
-    amp = np.zeros(2 ** (n_blocks * w), dtype=complex)
-    amp[word << padding * w] = 1.0
-    return BlockRegister(w - 1, n_blocks,
-                         StateVector(n_blocks * w, amp))
-
-
-def frt_stage(reg: BlockRegister, m: int, L: int,
-              reset_variant: str = "extended") -> BlockRegister:
-    """Apply one propagation stage to the register's state vector."""
-    if m < 1 or m + L > reg.n_blocks:
-        raise ValueError(
-            f"stage {m} with L={L} exceeds {reg.n_blocks} blocks")
-    plan = FrtStagePlan(L, reg.n_blocks - L, reg.block_len)
-    state = apply_circuit(reg.state, Circuit(
-        plan.n_qubits, plan.stage_ops(m, reset_variant)))
-    return BlockRegister(reg.radius, reg.n_blocks, state)
+            f"register of {n_qubits} qubits exceeds the limit of "
+            f"{_INDEX_QUBITS}")
 
 
 def _track(plan: FrtStagePlan, x: np.ndarray, reset_variant: str):
@@ -199,7 +142,6 @@ class FrtStageRecord:
 
     stage: int
     index: int | None
-    state: StateVector | None
 
 
 @dataclass(frozen=True)
@@ -212,33 +154,24 @@ class FrtRunReport:
     final_ok: bool
 
 
-def run_frt(blocks: Sequence, padding: int, reset_variant: str = "extended",
-            keep_states: bool = False) -> FrtRunReport:
+def run_frt(blocks: Sequence, padding: int,
+            reset_variant: str = "extended") -> FrtRunReport:
     """Run the full propagation circuit and record each stage.
 
-    The final check asserts the state is exactly the basis vector of the
-    input particle translated by `padding` blocks.
+    The final check asserts the register is exactly the basis index of
+    the input particle translated by `padding` blocks.
     """
     word, L, w = _coerce_blocks(blocks)
     plan = FrtStagePlan(L, padding, w)
-    n_qubits = plan.n_qubits
-    _check_width(n_qubits, MAX_REGISTER_QUBITS)
+    _check_width(plan.n_qubits)
 
     start = word << (padding * w)
     indices = [start] + [int(x[0]) for x in _track(
         plan, np.array([start], dtype=np.int64), reset_variant)]
-    records = []
-    for m, index in enumerate(indices):
-        state = None
-        if keep_states:
-            amp = np.zeros(2 ** n_qubits, dtype=complex)
-            if index >= 0:
-                amp[index] = 1.0
-            state = StateVector(n_qubits, amp)
-        records.append(FrtStageRecord(m, index if index >= 0 else None,
-                                      state))
+    records = tuple(FrtStageRecord(m, index if index >= 0 else None)
+                    for m, index in enumerate(indices))
     # translated by padding blocks, the particle fills the low L*w bits
-    return FrtRunReport(w - 1, L, padding, reset_variant, tuple(records),
+    return FrtRunReport(w - 1, L, padding, reset_variant, records,
                         records[-1].index == word)
 
 
@@ -266,13 +199,13 @@ def stage_identity_check(L: int, r: int, padding: int | None = None,
 
     Exhausts all block assignments when there are at most `samples`,
     otherwise draws seeded random ones (first and last blocks nonzero).
-    No state vector is built, so the register may be up to 63 qubits.
+    The register may be up to 63 qubits.
     """
     if padding is None:
         padding = L + 1
     w = r + 1
     plan = FrtStagePlan(L, padding, w)
-    _check_width(plan.n_qubits, _INDEX_QUBITS)
+    _check_width(plan.n_qubits)
     n_words = 2 ** w
     ends = [range(1, n_words)] * min(L, 2)
     choices = ends[:1] + [range(n_words)] * max(L - 2, 0) + ends[1:]

@@ -51,7 +51,6 @@ __all__ = [
     "uniform_superposition_nonnull",
     "parse_gatelist",
     "emit_gatelist",
-    "emit_state",
 ]
 
 RESET_VARIANTS = ("literal", "extended")
@@ -142,9 +141,17 @@ def uniform_superposition_nonnull(n_qubits: int) -> StateVector:
 
 # -- gate descriptions ------------------------------------------------------
 
+def _check_first_qubit(op, *qubits: int) -> None:
+    if min(qubits) < 1:
+        raise ValueError(f"op {op!r} out of range, qubits start at 1")
+
+
 @dataclass(frozen=True)
 class Not:
     q: int
+
+    def __post_init__(self):
+        _check_first_qubit(self, self.q)
 
 
 @dataclass(frozen=True)
@@ -153,6 +160,7 @@ class Cn:
     target: int
 
     def __post_init__(self):
+        _check_first_qubit(self, self.control, self.target)
         if self.control == self.target:
             raise ValueError("control and target must differ")
 
@@ -166,6 +174,7 @@ class CollectiveCn:
     block_len: int
 
     def __post_init__(self):
+        _check_first_qubit(self, self.control_block, self.target_block)
         if self.block_len < 1:
             raise ValueError("block_len must be >= 1")
         c, t, w = self.control_block, self.target_block, self.block_len
@@ -187,6 +196,7 @@ class BlockReset:
     variant: str = "extended"
 
     def __post_init__(self):
+        _check_first_qubit(self, self.block)
         if self.block_len < 1:
             raise ValueError("block_len must be >= 1")
         if self.variant not in RESET_VARIANTS:
@@ -221,8 +231,7 @@ class Circuit:
         if self.n_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
         for op in self.ops:
-            qs = _op_qubits(op)
-            if min(qs) < 1 or max(qs) > self.n_qubits:
+            if max(_op_qubits(op)) > self.n_qubits:
                 raise ValueError(
                     f"op {op!r} out of range for {self.n_qubits} qubits")
 
@@ -246,21 +255,26 @@ def affine_fold(n: int, ops: Iterable[GateOp]) -> tuple[tuple[int, ...], int]:
     Returns (cols, b) on basis indices: cols[j - 1] is the image under A
     of the index bit of qubit j, and b the image of index 0.  The fold
     keeps one integer row mask per output qubit, so it costs O(1) per
-    two-qubit gate and O(n^2) to turn the rows into columns.
+    two-qubit gate and O(n^2) to turn the rows into columns.  An op that
+    reaches past qubit n raises ValueError.
     """
     rows = [1 << (n - q) for q in range(1, n + 1)]
     b = 0
     for op in ops:
         if isinstance(op, Not):
-            b ^= 1 << (n - op.q)
-            continue
-        if isinstance(op, Cn):
-            pairs = ((op.control, op.target),)
+            top, pairs = op.q, ()
+        elif isinstance(op, Cn):
+            top, pairs = max(op.control, op.target), ((op.control, op.target),)
         elif isinstance(op, CollectiveCn):
+            top = max(op.control_block, op.target_block) + op.block_len - 1
             pairs = ((op.control_block + k, op.target_block + k)
                      for k in range(op.block_len))
         else:
             raise TypeError(f"not a NOT/CN op: {op!r}")
+        if top > n:
+            raise ValueError(f"op {op!r} out of range for {n} qubits")
+        if isinstance(op, Not):
+            b ^= 1 << (n - op.q)
         for c, t in pairs:
             rows[t - 1] ^= rows[c - 1]
             b ^= ((b >> (n - c)) & 1) << (n - t)
@@ -366,11 +380,8 @@ def parse_gatelist(text: str, n_qubits: int | None = None) -> Circuit:
                 raise ParseError(f"unknown op {fields[0]!r}", line_no=line_no)
         except ValueError as err:
             raise ParseError(str(err), line_no=line_no) from None
-        qs = _op_qubits(op)
-        if min(qs) < 1 or n_qubits is not None and max(qs) > n_qubits:
-            where = ("qubits start at 1" if n_qubits is None
-                     else f"for {n_qubits} qubits")
-            raise ParseError(f"op {op!r} out of range, {where}",
+        if n_qubits is not None and max(_op_qubits(op)) > n_qubits:
+            raise ParseError(f"op {op!r} out of range for {n_qubits} qubits",
                              line_no=line_no)
         ops.append(op)
     if n_qubits is None:
@@ -395,13 +406,4 @@ def emit_gatelist(circuit: Circuit) -> str:
             lines.append(f"RESET {op.block} {op.block_len} {op.variant}")
         else:
             raise TypeError(f"not a gate op: {op!r}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def emit_state(state: StateVector) -> str:
-    """Nonzero amplitudes as `index re im` lines, indices ascending, 0-based."""
-    lines = []
-    for idx in np.flatnonzero(state.amplitudes):
-        a = state.amplitudes[idx]
-        lines.append(f"{idx} {a.real:.17g} {a.imag:.17g}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotUnitary, ParseError, parse_int
+from .errors import NotUnitary, ParseError, parse_float, parse_int
 from .qstate import ArrayEq
 
 __all__ = [
@@ -317,7 +317,7 @@ def parse_reck_plan(text: str) -> ReckPlan:
         try:
             if fields[0] == "R" and len(fields) == 11:
                 i, j = (parse_int(f, line_no) - 1 for f in fields[1:3])
-                vals = [float(x) for x in fields[3:]]
+                vals = [parse_float(x, line_no) for x in fields[3:]]
                 block = np.array(
                     [complex(vals[2 * k], vals[2 * k + 1]) for k in range(4)]
                 ).reshape(2, 2)
@@ -327,7 +327,8 @@ def parse_reck_plan(text: str) -> ReckPlan:
                 if mode in phases:
                     raise ParseError(f"second phase line for mode {mode + 1}",
                                      line_no=line_no)
-                phases[mode] = complex(float(fields[2]), float(fields[3]))
+                phases[mode] = complex(parse_float(fields[2], line_no),
+                                       parse_float(fields[3], line_no))
             else:
                 raise ParseError(f"unrecognized plan line {line!r}",
                                  line_no=line_no)

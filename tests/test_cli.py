@@ -231,6 +231,17 @@ def test_frt_quantum_bad_block(capsys, config):
     assert code == 1 and "error:" in err
 
 
+def test_frt_quantum_thirty_qubits(capsys, config):
+    # 15 blocks of 2 qubits: tracked as an index, no state vector
+    code, out, _ = run(capsys, "frt-quantum",
+                       "--blocks", config("11\n"),
+                       "--radius", "1", "--padding", "14")
+    assert code == 0
+    assert out.startswith("stage 0: 11" + " O" * 14 + "\n")
+    assert out.endswith("stage 14:" + " O" * 14 + " 11\n"
+                        "final translated by 14 blocks: ok\n")
+
+
 def test_frt_quantum_register_too_large(capsys, config):
     code, out, err = run(capsys, "frt-quantum",
                          "--blocks", config("11\n"),

@@ -8,15 +8,12 @@ from gate_oracle import gate_by_gate
 from qsca.errors import DimensionTooLarge
 from qsca import frt_quantum
 from qsca.frt_quantum import (
-    MAX_REGISTER_QUBITS,
-    BlockRegister,
     FrtStagePlan,
     emit_frt_report,
-    frt_stage,
-    make_particle_state,
     run_frt,
     stage_identity_check,
 )
+from qsca.sca_core import frt_pattern
 from qsca.qstate import (
     BlockReset,
     Circuit,
@@ -42,6 +39,23 @@ def record_words(report, m):
                  for b in range(n_blocks))
 
 
+def basis_vector(n_qubits, index):
+    """The basis state |index>, or the zero vector when index is None."""
+    amp = np.zeros(2 ** n_qubits, dtype=complex)
+    if index is not None:
+        amp[index] = 1.0
+    return StateVector(n_qubits, amp)
+
+
+def stage_states(plan, start, variant):
+    """States after each stage, through apply_circuit on the stage circuits."""
+    state = basis_vector(plan.n_qubits, start)
+    for m in range(1, plan.padding + 1):
+        state = apply_circuit(
+            state, Circuit(plan.n_qubits, plan.stage_ops(m, variant)))
+        yield m, state
+
+
 def stage_words(words, m, L):
     """One stage on the word tuple: XOR the lead into the next L, clear it."""
     out = list(words)
@@ -54,22 +68,6 @@ def stage_words(words, m, L):
 
 # -- construction -----------------------------------------------------------
 
-def test_make_particle_state_golden():
-    reg = make_particle_state([(1, 1)], 1)
-    assert reg.radius == 1 and reg.n_blocks == 2 and reg.block_len == 2
-    amp = reg.state.amplitudes
-    assert np.count_nonzero(amp) == 1
-    assert amp[0b1100] == 1.0
-    assert reg.block_start(1) == 1 and reg.block_start(2) == 3
-    with pytest.raises(ValueError):
-        reg.block_start(3)
-
-
-def test_block_register_width_check():
-    with pytest.raises(ValueError):
-        BlockRegister(1, 2, StateVector(3, np.zeros(8, dtype=complex)))
-
-
 def test_input_validation():
     with pytest.raises(ValueError):
         run_frt([], 1)
@@ -81,19 +79,29 @@ def test_input_validation():
         run_frt([(1, 1), (0, 0)], 1)
     with pytest.raises(ValueError):
         run_frt([(1, 1)], 0)
-    with pytest.raises(ValueError):
-        make_particle_state([(1,)], 0)
 
 
 def test_register_size_guard():
-    # r=1: 2-qubit blocks, so one block past the limit
-    with pytest.raises(DimensionTooLarge):
-        make_particle_state([(1, 1)], MAX_REGISTER_QUBITS // 2)
+    # both track int64 register indices: the limit is 63 qubits
     with pytest.raises(DimensionTooLarge):
         run_frt([(1, 1)], 40)
-    # the sweep builds no state vector: its limit is the int64 index width
     with pytest.raises(DimensionTooLarge):
         stage_identity_check(1, 31, padding=1)
+
+
+def test_run_frt_sixty_qubits_matches_pattern():
+    # r=3: 4-qubit blocks, 3 + 12 blocks = 60 qubits, far past any
+    # state vector
+    blocks = [(1, 0, 0, 1), (0, 0, 0, 0), (1, 1, 1, 1)]
+    word, L, w, padding = 0b1001_0000_1111, 3, 4, 12
+    start = time.perf_counter()
+    report = run_frt(blocks, padding)
+    assert time.perf_counter() - start < 1.0
+    assert report.records[0].index == word << padding * w
+    for m in range(1, padding + 1):
+        want = frt_pattern(word, m, L, w) << (padding - m) * w
+        assert report.records[m].index == want, m
+    assert report.final_ok
 
 
 def test_stage_plan_validation():
@@ -120,28 +128,24 @@ def test_stage_plan_ops_golden():
     assert circuit.ops == plan.stage_ops(1) + plan.stage_ops(2)
 
 
-def test_frt_stage_range_check():
-    reg = make_particle_state([(1, 1)], 1)
-    with pytest.raises(ValueError):
-        frt_stage(reg, 2, 1)
-
-
 def test_frt_stage_matches_gate_by_gate():
     rng = np.random.default_rng(31)
     w, n_blocks = 2, 5
     amp = rng.standard_normal(2 ** 10) + 1j * rng.standard_normal(2 ** 10)
-    reg = BlockRegister(w - 1, n_blocks, StateVector(10, amp))
+    state = StateVector(10, amp)
     for variant in ("literal", "extended"):
         for L in (1, 2, 3):
+            plan = FrtStagePlan(L, n_blocks - L, w)
             for m in range(1, n_blocks - L + 1):
                 start = (m - 1) * w + 1
                 ops = [CollectiveCn(start, start + k * w, w)
                        for k in range(1, L + 1)]
                 ops.append(BlockReset(start, w, variant))
-                got = frt_stage(reg, m, L, variant)
-                assert got.n_blocks == n_blocks and got.radius == w - 1
-                assert np.array_equal(got.state.amplitudes,
-                                      gate_by_gate(reg.state, ops).amplitudes)
+                assert plan.stage_ops(m, variant) == tuple(ops)
+                got = apply_circuit(
+                    state, Circuit(10, plan.stage_ops(m, variant)))
+                assert np.array_equal(got.amplitudes,
+                                      gate_by_gate(state, ops).amplitudes)
 
 
 # -- stage traces -----------------------------------------------------------
@@ -204,7 +208,7 @@ def test_run_matches_word_oracle():
                 assert record_words(report, m) == current
 
 
-# -- index tracking against the state-vector path ---------------------------
+# -- index tracking against the state-vector executor -----------------------
 
 @pytest.mark.parametrize("L, r, padding",
                          [(1, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)])
@@ -215,24 +219,20 @@ def test_run_frt_states_match_apply_circuit(L, r, padding, variant):
     ends = [range(1, 2 ** w)] * min(L, 2)
     choices = ends[:1] + [range(2 ** w)] * (L - 2) + ends[1:]
     for words in itertools.product(*choices):
-        report = run_frt(blocks_of(words, w), padding, reset_variant=variant,
-                         keep_states=True)
-        state = make_particle_state(blocks_of(words, w), padding).state
-        assert np.array_equal(report.records[0].state.amplitudes,
-                              state.amplitudes)
-        for m in range(1, padding + 1):
-            state = apply_circuit(
-                state, Circuit(plan.n_qubits, plan.stage_ops(m, variant)))
-            rec = report.records[m]
-            assert np.array_equal(rec.state.amplitudes, state.amplitudes)
-            assert (rec.index is None) == (not state.amplitudes.any())
+        report = run_frt(blocks_of(words, w), padding, reset_variant=variant)
+        word = int("".join(format(x, f"0{w}b") for x in words), 2)
+        start = word << padding * w
+        assert report.records[0].index == start
+        for m, state in stage_states(plan, start, variant):
+            want = basis_vector(plan.n_qubits, report.records[m].index)
+            assert np.array_equal(state.amplitudes, want.amplitudes)
 
 
 def test_circuit_linear_on_superpositions():
     plan = FrtStagePlan(1, 2, 2)
     circuit = plan.as_circuit()
-    a = make_particle_state([(1, 0)], 2).state
-    b = make_particle_state([(1, 1)], 2).state
+    a = basis_vector(6, 0b10_00_00)
+    b = basis_vector(6, 0b11_00_00)
     mixed = StateVector(6, (a.amplitudes + b.amplitudes) / np.sqrt(2))
     out = apply_circuit(mixed, circuit)
     want = (apply_circuit(a, circuit).amplitudes
@@ -244,12 +244,13 @@ def test_circuit_linear_on_superpositions():
 
 def test_literal_reset_annihilates_on_null_lead():
     # equal blocks make the stage-2 lead null, which the literal reset kills
-    report = run_frt([(1, 1), (1, 1)], 2, reset_variant="literal",
-                     keep_states=True)
+    report = run_frt([(1, 1), (1, 1)], 2, reset_variant="literal")
     assert report.records[1].index is not None
     assert report.records[2].index is None
     assert not report.final_ok
-    assert np.abs(report.records[2].state.amplitudes).max() == 0.0
+    states = dict(stage_states(FrtStagePlan(2, 2, 2), 0b1111_0000, "literal"))
+    assert np.abs(states[1].amplitudes).max() == 1.0
+    assert np.abs(states[2].amplitudes).max() == 0.0
 
 
 def test_variants_agree_when_leads_stay_nonzero():
@@ -287,7 +288,7 @@ def test_stage_identity_exhaustive_budget():
     report = stage_identity_check(3, 2, padding=4, samples=392)
     assert time.perf_counter() - start < 2.0
     assert report.ok and report.n_instances == 392
-    # 28 qubits: past the state-vector limit, still exhaustive
+    # 28 qubits, still exhaustive
     wide = stage_identity_check(3, 3, padding=4, samples=3600)
     assert wide.ok and wide.n_instances == 3600
 

@@ -26,7 +26,6 @@ from qsca.qstate import (
     basis_state,
     circuit_matrix,
     emit_gatelist,
-    emit_state,
     parse_gatelist,
     uniform_superposition_nonnull,
 )
@@ -354,6 +353,26 @@ def test_reversed_run_folds_to_the_inverse(case):
         affine_image(n, affine_fold(n, tuple(reversed(run))), there), x)
 
 
+def test_ops_reject_qubits_below_one():
+    for make in (lambda: Not(0), lambda: Cn(0, 1), lambda: Cn(1, -1),
+                 lambda: CollectiveCn(0, 3, 2), lambda: CollectiveCn(3, 0, 2),
+                 lambda: BlockReset(0, 2), lambda: BlockReset(-1, 1)):
+        with pytest.raises(ValueError, match="qubits start at 1"):
+            make()
+
+
+def test_affine_fold_rejects_qubits_above_n():
+    # each op reaches qubit 4 of a 3-qubit register
+    for op in (Not(4), Cn(4, 1), Cn(1, 4), CollectiveCn(1, 3, 2),
+               CollectiveCn(3, 1, 2)):
+        with pytest.raises(ValueError, match="out of range for 3 qubits") \
+                as info:
+            affine_fold(3, [Not(1), op])
+        assert repr(op) in str(info.value)
+    # ... and the top qubit itself is in range
+    assert affine_fold(3, [Not(3), Cn(1, 3)]) == ((5, 2, 1), 1)
+
+
 def test_apply_circuit_20_qubits_within_budget():
     rng = np.random.default_rng(2011)
     n = 20
@@ -451,9 +470,3 @@ def test_gatelist_round_trip():
 @given(circuits(max_qubits=10))
 def test_gatelist_round_trip_property(circuit):
     assert parse_gatelist(emit_gatelist(circuit), circuit.n_qubits) == circuit
-
-
-def test_emit_state():
-    state = StateVector(2, np.array([0, 0.5, 0, -0.25j]))
-    assert emit_state(state) == "1 0.5 0\n3 -0 -0.25\n"
-    assert emit_state(StateVector(1, np.zeros(2, dtype=complex))) == ""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsca.errors import NotUnitary, ParseError
+from qsca.errors import NotUnitary, ParseError, parse_float
 from qsca.qstate import circuit_matrix
 from qsca.quantize import build_uf_circuit, build_uf_matrix
 from qsca.unitary_compile import (
@@ -469,10 +469,34 @@ def test_parse_errors():
     # mode indices are ASCII -?[0-9]+; int() alone reads these as 2
     for text in ("P 1 1 0\nP \u0662 1 0\n", "P 1 1 0\nP +2 1 0\n",
                  "P 1 1 0\nR 1 \u0662 1 0 0 0 0 0 1 0\nP 2 1 0\n",
-                 "P 1 1 0\nR 1 0_2 1 0 0 0 0 0 1 0\nP 2 1 0\n"):
+                 "P 1 1 0\nR 1 0_2 1 0 0 0 0 0 1 0\nP 2 1 0\n",
+                 # entries are ASCII decimals; float() alone reads these
+                 # as 1, 1 and 0
+                 "P 1 1 0\nP 2 \u0661 0\n", "P 1 1 0\nP 2 1_0e-1 0\n",
+                 "P 1 1 0\nP 2 1 \u0660\n",
+                 "P 1 1 0\nR 1 2 \u0661 0 0 0 0 0 1 0\nP 2 1 0\n",
+                 "P 1 1 0\nR 1 2 1 0 0 0 0 0 1 0_0\nP 2 1 0\n",
+                 "P 1 1 0\nP 2 +1 0\n", "P 1 1 0\nP 2 1 0j\n"):
         with pytest.raises(ParseError) as info:
             parse_reck_plan(text)
         assert info.value.line_no == 2, text
+
+
+    with pytest.raises(ParseError) as info:
+        parse_reck_plan("P 1 \u0661 0\nP 2 1_0e-1 0\n")
+    assert info.value.line_no == 1
+
+
+def test_parse_float_reads_every_17g_output():
+    values = [0.0, -0.0, 1.0, -0.5, 0.1, 1 / 3, 1e-5, 123456789.0,
+              5e-324, -2.5e-310, 1.7976931348623157e308, 1e16, 1e17]
+    for v in values:
+        back = parse_float(f"{v:.17g}")
+        assert np.array([back]).tobytes() == np.array([v]).tobytes(), v
+    for bad in ("", "-", ".", "e5", "1e", "+1", " 1", "1 ", "nan", "inf",
+                "-inf", "1_0", "\u0661", "0x10", "1j"):
+        with pytest.raises(ParseError):
+            parse_float(bad)
 
 
 _PLAN_TOKENS = st.sampled_from(
