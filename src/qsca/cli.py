@@ -60,8 +60,7 @@ def _read(path: str) -> str:
 def cmd_evolve(args) -> int:
     rule = sca_core.Rule(args.radius)
     config = sca_core.parse_configuration(_read(args.config))
-    rows = sca_core.evolve(rule, config, args.steps,
-                           scan_limit=args.scan_limit)
+    rows = sca_core.evolve(rule, config, args.steps)
     if args.format == "pbm":
         _write(args.out, sca_core.pbm_diagram(rows))
     else:
@@ -350,7 +349,6 @@ def build_parser() -> _Parser:
     p.add_argument("--radius", type=_radius, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--format", choices=("ascii", "pbm"), default="ascii")
-    p.add_argument("--scan-limit", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evolve)
 

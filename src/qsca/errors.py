@@ -18,7 +18,12 @@ class NullWordError(QscaError):
 
 
 class StepDivergedError(QscaError):
-    """A time step scanned past its safety bound without settling.
+    """A time step scanned past a safety bound without settling.
+
+    Nothing raises it any more: a finite row always maps to a finite row
+    (see `sca_core.step`), so the scan has no bound to pass.  The name
+    stays, also as `sca_core.StepDivergedError`, for callers that still
+    catch it.
 
     Attributes:
         sites_scanned: number of sites visited before giving up.

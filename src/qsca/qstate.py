@@ -110,6 +110,13 @@ class StateVector(ArrayEq):
         return float(np.linalg.norm(self.amplitudes))
 
 
+def _check_state_width(n: int) -> None:
+    """A state vector gets the dense matrix's 4 GiB: 2 * DENSE_LIMIT qubits."""
+    if n > 2 * DENSE_LIMIT:
+        raise DimensionTooLarge(
+            f"{n} qubits exceeds the state limit of {2 * DENSE_LIMIT}")
+
+
 def basis_state(bits: Sequence[int]) -> StateVector:
     """Computational basis vector labeled by the given bits."""
     bits = tuple(int(b) for b in bits)
@@ -117,12 +124,13 @@ def basis_state(bits: Sequence[int]) -> StateVector:
         raise ValueError("empty bit sequence")
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bits must be 0 or 1")
+    _check_state_width(len(bits))
     index = 0
     for b in bits:
         index = (index << 1) | b
     amp = np.zeros(2 ** len(bits), dtype=complex)
     amp[index] = 1.0
-    return StateVector(len(bits), amp)
+    return StateVector._owning(len(bits), amp)
 
 
 def uniform_superposition_nonnull(n_qubits: int) -> StateVector:
@@ -133,10 +141,11 @@ def uniform_superposition_nonnull(n_qubits: int) -> StateVector:
     """
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
+    _check_state_width(n_qubits)
     dim = 2 ** n_qubits
     amp = np.full(dim, 1.0 / np.sqrt(dim - 1), dtype=complex)
     amp[0] = 0.0
-    return StateVector(n_qubits, amp)
+    return StateVector._owning(n_qubits, amp)
 
 
 # -- gate descriptions ------------------------------------------------------
@@ -206,16 +215,16 @@ class BlockReset:
 GateOp = Union[Not, Cn, CollectiveCn, BlockReset]
 
 
-def _op_qubits(op: GateOp) -> tuple[int, ...]:
+def _top_qubit(op: GateOp) -> int:
+    """The highest qubit an op touches."""
     if isinstance(op, Not):
-        return (op.q,)
+        return op.q
     if isinstance(op, Cn):
-        return (op.control, op.target)
+        return max(op.control, op.target)
     if isinstance(op, CollectiveCn):
-        return tuple(range(op.control_block, op.control_block + op.block_len)) \
-            + tuple(range(op.target_block, op.target_block + op.block_len))
+        return max(op.control_block, op.target_block) + op.block_len - 1
     if isinstance(op, BlockReset):
-        return tuple(range(op.block, op.block + op.block_len))
+        return op.block + op.block_len - 1
     raise TypeError(f"not a gate op: {op!r}")
 
 
@@ -231,7 +240,7 @@ class Circuit:
         if self.n_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
         for op in self.ops:
-            if max(_op_qubits(op)) > self.n_qubits:
+            if _top_qubit(op) > self.n_qubits:
                 raise ValueError(
                     f"op {op!r} out of range for {self.n_qubits} qubits")
 
@@ -261,20 +270,18 @@ def affine_fold(n: int, ops: Iterable[GateOp]) -> tuple[tuple[int, ...], int]:
     rows = [1 << (n - q) for q in range(1, n + 1)]
     b = 0
     for op in ops:
-        if isinstance(op, Not):
-            top, pairs = op.q, ()
-        elif isinstance(op, Cn):
-            top, pairs = max(op.control, op.target), ((op.control, op.target),)
-        elif isinstance(op, CollectiveCn):
-            top = max(op.control_block, op.target_block) + op.block_len - 1
-            pairs = ((op.control_block + k, op.target_block + k)
-                     for k in range(op.block_len))
-        else:
+        if isinstance(op, BlockReset):
             raise TypeError(f"not a NOT/CN op: {op!r}")
-        if top > n:
+        if _top_qubit(op) > n:
             raise ValueError(f"op {op!r} out of range for {n} qubits")
         if isinstance(op, Not):
             b ^= 1 << (n - op.q)
+            pairs = ()
+        elif isinstance(op, Cn):
+            pairs = ((op.control, op.target),)
+        else:
+            pairs = ((op.control_block + k, op.target_block + k)
+                     for k in range(op.block_len))
         for c, t in pairs:
             rows[t - 1] ^= rows[c - 1]
             b ^= ((b >> (n - c)) & 1) << (n - t)
@@ -380,12 +387,12 @@ def parse_gatelist(text: str, n_qubits: int | None = None) -> Circuit:
                 raise ParseError(f"unknown op {fields[0]!r}", line_no=line_no)
         except ValueError as err:
             raise ParseError(str(err), line_no=line_no) from None
-        if n_qubits is not None and max(_op_qubits(op)) > n_qubits:
+        if n_qubits is not None and _top_qubit(op) > n_qubits:
             raise ParseError(f"op {op!r} out of range for {n_qubits} qubits",
                              line_no=line_no)
         ops.append(op)
     if n_qubits is None:
-        n_qubits = max((max(_op_qubits(op)) for op in ops), default=1)
+        n_qubits = max(map(_top_qubit, ops), default=1)
     try:
         return Circuit(n_qubits, tuple(ops))
     except ValueError as err:

@@ -13,7 +13,9 @@ positive even number of ones.  That is the parity filter rule of Park,
 Steiglitz and Thurston (Physica D 19, 423 (1986)); `step` slides the
 window along the row keeping only its count of ones, so a site costs
 O(1) whatever the radius, and `next_center` stays as the per-window
-reference.
+reference.  A step is the old row shifted r sites left, xor greedy
+marks at least r + 1 sites apart, so the new row lies within origin - r
+.. the old row's last site and `step` scans just those (proof there).
 
 Particles are runs of (r+1)-cell blocks (basic strings) held as int
 words: a block is an int of r+1 bits, a particle of L blocks an int of
@@ -182,17 +184,20 @@ def f_window(rule: Rule, word: Sequence[int]) -> tuple[int, ...]:
     return word[:r] + (next_center(rule, w),) + word[r + 1:]
 
 
-def step(rule: Rule, config: Configuration, scan_limit: int | None = None
-         ) -> Configuration:
+def step(rule: Rule, config: Configuration) -> Configuration:
     """One full time step of the automaton.
 
-    Scans left to right starting r sites left of the support, updating
-    each site from its mixed-time window, and stops once the scan has
-    passed the old support and the r most recent new bits are all zero
-    (every later window is then all-zero).  scan_limit bounds the number
-    of scanned sites; the default allows the old support width plus
-    64*(r+1) extra sites, after which StepDivergedError signals a
-    configuration outside the finite-support regime.
+    Scans left to right over the len(bits) + r sites from r left of the
+    support to its last site, updating each site from its mixed-time
+    window; no site outside that range can turn on.  Write a for the old
+    row, b for the new one and e[m] = b[m] ^ a[m + r].  If e[n-r..n-1]
+    are all 0, the window count at n is 2(a[n] + ... + a[n+r-1]) +
+    a[n+r], so e[n] = 1 exactly when a[n..n+r] is nonzero.  If one of
+    them is 1, the count is odd when a[n+r] = 0 and positive and even
+    when a[n+r] = 1, so e[n] = 0.  Hence b is a shifted r sites left,
+    xor greedy marks at least r + 1 apart, and past the old support a
+    window holds at most one 1 and never a positive even count: the new
+    row lies within origin - r .. the old row's last site.
 
     The scan keeps only the sliding window's count of ones, so each site
     costs O(1) int operations whatever r is.
@@ -201,40 +206,27 @@ def step(rule: Rule, config: Configuration, scan_limit: int | None = None
         return config
     r = rule.radius
     bits = config.bits
-    if scan_limit is None:
-        scan_limit = len(bits) + 64 * (r + 1)
-    # old[k] is the old bit of site origin - r + k, all zero from
-    # k = len(bits) + r on; new[r + k] is its new bit, after r zeros
-    # for the sites left of the scan
+    # old[k] is the old bit of site origin - r + k; new[r + k] is its new
+    # bit, after r zeros for the sites left of the scan
     old = (0,) * r + bits + (0,) * (r + 1)
-    old_len = len(bits) + r
     new = [0] * r
     ones = sum(old[:r + 1])
-    k = 0
-    while k < old_len or ones:
-        if k >= scan_limit:
-            raise StepDivergedError(k)
+    for k in range(len(bits) + r):
         bit = 1 if ones and not ones & 1 else 0
         new.append(bit)
         # slide: new bit in, new bit k - r out; old bit k out, k + r + 1 in
-        ones += bit - new[k]
-        if k < old_len:
-            ones += old[k + r + 1] - old[k]
-        k += 1
+        ones += bit - new[k] + old[k + r + 1] - old[k]
     return Configuration._trusted(config.origin - r, new[r:])
 
 
-def evolve(rule: Rule, config: Configuration, steps: int,
-           scan_limit: int | None = None) -> list[Configuration]:
+def evolve(rule: Rule, config: Configuration, steps: int
+           ) -> list[Configuration]:
     """Iterate step; returns steps+1 configurations starting with the input."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     rows = [config]
-    for t in range(1, steps + 1):
-        try:
-            rows.append(step(rule, rows[-1], scan_limit=scan_limit))
-        except StepDivergedError as err:
-            raise StepDivergedError(err.sites_scanned, time_index=t) from None
+    for _ in range(steps):
+        rows.append(step(rule, rows[-1]))
     return rows
 
 

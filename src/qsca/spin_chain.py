@@ -74,10 +74,6 @@ __all__ = [
 
 GENERATOR_VARIANTS = ("literal", "verified")
 
-_ID = np.eye(2)
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
-
 # A Pauli term as (x_mask, z_mask, coefficient), site s at bit n - s.
 Row = tuple[int, int, float]
 
@@ -176,26 +172,6 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"variant must be one of {GENERATOR_VARIANTS}")
 
 
-def generator_not(variant: str) -> np.ndarray:
-    """2x2 generator of the NOT gate."""
-    _check_variant(variant)
-    if variant == "literal":
-        return (_SZ + _SX) / 2
-    return (_ID - _SX) / 2
-
-
-def generator_cn(variant: str) -> np.ndarray:
-    """4x4 generator of the CN gate, control on the first slot."""
-    _check_variant(variant)
-    if variant == "literal":
-        ctrl, tgt = _ID - _SZ, _SX - _ID
-        coeff = 0.5
-    else:
-        ctrl, tgt = _ID - _SZ, _ID - _SX
-        coeff = 0.25
-    return coeff * np.kron(ctrl, tgt)
-
-
 def _not_terms(i: int, n: int, variant: str) -> list[Row]:
     b = 1 << (n - i)
     if variant == "literal":
@@ -209,6 +185,19 @@ def _cn_terms(control: int, target: int, n: int, variant: str) -> list[Row]:
     if variant == "literal":
         return [(t, 0, 0.5), (0, 0, -0.5), (t, c, -0.5), (0, c, 0.5)]
     return [(0, 0, 0.25), (t, 0, -0.25), (0, c, -0.25), (t, c, 0.25)]
+
+
+def generator_not(variant: str) -> np.ndarray:
+    """2x2 generator of the NOT gate: the dense `_not_terms` on one site."""
+    _check_variant(variant)
+    return _dense(1, *_mask_arrays(_not_terms(1, 1, variant)))
+
+
+def generator_cn(variant: str) -> np.ndarray:
+    """4x4 generator of the CN gate, control on the first slot: the dense
+    `_cn_terms` on two sites."""
+    _check_variant(variant)
+    return _dense(2, *_mask_arrays(_cn_terms(1, 2, 2, variant)))
 
 
 def _site_rows(i: int, r: int, n: int, variant: str) -> list[Row]:

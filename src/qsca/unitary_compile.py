@@ -307,7 +307,7 @@ def emit_reck_plan(plan: ReckPlan) -> str:
 
 
 def parse_reck_plan(text: str) -> ReckPlan:
-    rotations: list[EmbeddedRotation] = []
+    rotations: list[tuple[int, EmbeddedRotation]] = []
     phases: dict[int, complex] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -321,7 +321,7 @@ def parse_reck_plan(text: str) -> ReckPlan:
                 block = np.array(
                     [complex(vals[2 * k], vals[2 * k + 1]) for k in range(4)]
                 ).reshape(2, 2)
-                rotations.append(EmbeddedRotation(i, j, block))
+                rotations.append((line_no, EmbeddedRotation(i, j, block)))
             elif fields[0] == "P" and len(fields) == 4:
                 mode = parse_int(fields[1], line_no) - 1
                 if mode in phases:
@@ -337,11 +337,15 @@ def parse_reck_plan(text: str) -> ReckPlan:
     if not phases or sorted(phases) != list(range(len(phases))):
         raise ParseError("phase lines must cover modes 1..N")
     dim = len(phases)
+    for line_no, r in rotations:
+        if r.j >= dim:
+            raise ParseError(f"rotation mode {r.j + 1} out of range for "
+                             f"{dim} modes", line_no=line_no)
     try:
         return ReckPlan(dim,
-                        np.array([(r.i, r.j) for r in rotations],
+                        np.array([(r.i, r.j) for _, r in rotations],
                                  dtype=np.int64).reshape(-1, 2),
-                        np.array([r.u for r in rotations],
+                        np.array([r.u for _, r in rotations],
                                  dtype=complex).reshape(-1, 2, 2),
                         [phases[k] for k in range(dim)])
     except ValueError as err:

@@ -65,10 +65,13 @@ def test_evolve_bad_radius(capsys, config):
     assert code == 1 and "radius" in err
 
 
-def test_evolve_scan_limit_divergence(capsys, config):
-    code, _, err = run(capsys, "evolve", config("origin=0\n111\n"),
-                       "--radius", "1", "--steps", "1", "--scan-limit", "1")
-    assert code == 2 and "error:" in err
+def test_evolve_scan_limit_is_usage_error(capsys, config):
+    # a step scans a fixed range, so there is no scan bound to set
+    code, out, err = run(capsys, "evolve", config("origin=0\n111\n"),
+                         "--radius", "1", "--steps", "1", "--scan-limit", "1")
+    assert code == 1 and out == ""
+    assert "error:" in err and "--scan-limit" in err
+    assert "Traceback" not in err
 
 
 def test_bad_config_text(capsys, config):

@@ -404,6 +404,15 @@ def test_circuit_matrix_dimension_limit():
         circuit_matrix(big)
 
 
+def test_state_width_limit():
+    # a 29-qubit state is 8 GiB: refused before it is allocated
+    for n in (29, 50):
+        with pytest.raises(DimensionTooLarge):
+            basis_state((0,) * n)
+        with pytest.raises(DimensionTooLarge):
+            uniform_superposition_nonnull(n)
+
+
 # -- text formats -----------------------------------------------------------
 
 def test_parse_gatelist():
@@ -414,6 +423,21 @@ def test_parse_gatelist():
     assert both.ops == (CollectiveCn(1, 4, 3), BlockReset(4, 3, "literal"))
     fixed = parse_gatelist("X 2\n", n_qubits=6)
     assert fixed.n_qubits == 6
+
+
+def test_parse_gatelist_wide_blocks():
+    # a block's top qubit is start + length - 1, never a list of qubits
+    huge = 999999999999999999992
+    for text in (f"RESET 1 {huge} literal\n", f"X {huge}\n",
+                 f"CCN 1 {huge} 1\n"):
+        assert parse_gatelist(text).n_qubits == huge
+    assert parse_gatelist("RESET 1 2000000 literal\n").n_qubits == 2000000
+    assert parse_gatelist("CCN 5 1 3\n").n_qubits == 7
+    with pytest.raises(ParseError) as info:
+        parse_gatelist(f"RESET 1 {huge} literal\n", n_qubits=4)
+    assert info.value.line_no == 1
+    with pytest.raises(ValueError):
+        Circuit(4, (CollectiveCn(1, 4, 2),))
 
 
 def test_parse_gatelist_errors():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsca.errors import NullWordError, ParseError, StepDivergedError
+from qsca.errors import NullWordError, ParseError
 from qsca.sca_core import (
     BasicString,
     Configuration,
@@ -58,21 +58,20 @@ def reference_step(rule, config, extra=200):
     return Configuration(lo, tuple(new[n] for n in range(lo, hi + 1)))
 
 
-def window_scan_step(rule, config, scan_limit=None):
-    """Per-site oracle: one `Window` and one `next_center` call per site,
-    with the stop rule and scan limit of `step`."""
+def window_scan_step(rule, config):
+    """Per-site oracle: one `Window` and one `next_center` call per site.
+    It scans on past the old support until the r latest new bits are
+    zero, and fails past the support width plus 64(r+1) sites."""
     if config.is_empty:
         return config
     r = rule.radius
-    if scan_limit is None:
-        scan_limit = len(config.bits) + 64 * (r + 1)
+    bound = len(config.bits) + 64 * (r + 1)
     start = config.origin - r
     recent = deque([0] * r, maxlen=r)
     out = []
     n = start
     while not (n > config.end and not any(recent)):
-        if n - start >= scan_limit:
-            raise StepDivergedError(n - start)
+        assert n - start < bound, "the window scan diverged"
         window = Window(tuple(recent), config.site(n),
                         tuple(config.site(n + j) for j in range(1, r + 1)))
         bit = next_center(rule, window)
@@ -82,11 +81,19 @@ def window_scan_step(rule, config, scan_limit=None):
     return Configuration(start, tuple(out))
 
 
-def step_outcome(fn, rule, config, scan_limit):
-    try:
-        return fn(rule, config, scan_limit=scan_limit)
-    except StepDivergedError as err:
-        return ("diverged", err.sites_scanned, err.time_index)
+def marks_step(rule, config):
+    """A step as the old row shifted r sites left, xor greedy marks: a
+    mark at each site n whose old window a[n..n+r] is nonzero and with
+    no mark at n-r..n-1.  Marks lie within origin - r .. the old end."""
+    r = rule.radius
+    lo = config.origin - r
+    row, last = [], lo - r - 1
+    for n in range(lo, config.end + 1):
+        mark = n - last > r and any(config.site(n + j) for j in range(r + 1))
+        if mark:
+            last = n
+        row.append(config.site(n + r) ^ mark)
+    return Configuration(lo, tuple(row))
 
 
 # -- tuple oracle for particles and the fast recurrence ----------------------
@@ -304,15 +311,39 @@ def test_step_matches_reference_scan():
 @settings(max_examples=300, deadline=None)
 @given(r=st.integers(1, 4),
        origin=st.integers(-20, 20),
-       bits=st.lists(st.integers(0, 1), max_size=40),
-       scan_limit=st.one_of(st.none(), st.integers(-2, 120)))
-def test_step_matches_window_oracle(r, origin, bits, scan_limit):
-    # the sliding count against one next_center call per site, divergence
-    # and the number of sites scanned included
+       bits=st.lists(st.integers(0, 1), max_size=40))
+def test_step_matches_window_oracle(r, origin, bits):
+    # the fixed sliding-count scan against one next_center call per site
+    # and the oracle's own stop rule; neither may raise
     rule = Rule(r)
     config = Configuration(origin, tuple(bits))
-    assert step_outcome(step, rule, config, scan_limit) == \
-        step_outcome(window_scan_step, rule, config, scan_limit)
+    assert step(rule, config) == window_scan_step(rule, config)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.integers(1, 6),
+       origin=st.integers(-20, 20),
+       bits=st.lists(st.integers(0, 1), max_size=60))
+def test_step_is_shift_xor_greedy_marks(r, origin, bits):
+    rule = Rule(r)
+    config = Configuration(origin, tuple(bits))
+    assert step(rule, config) == marks_step(rule, config)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.integers(1, 6),
+       origin=st.integers(-20, 20),
+       bits=st.lists(st.integers(0, 1), max_size=60))
+def test_step_row_within_old_end(r, origin, bits):
+    # the padded reference scans 200 sites past the old row and asserts
+    # its last r bits are zero; its row starts no earlier than origin - r
+    # and ends no later than the old row
+    rule = Rule(r)
+    config = Configuration(origin, tuple(bits))
+    ref = reference_step(rule, config)
+    assert step(rule, config) == ref
+    if ref.bits:
+        assert config.origin - r <= ref.origin and ref.end <= config.end
 
 
 @settings(max_examples=300, deadline=None)
@@ -335,21 +366,13 @@ def test_step_rows_equal_validated_rows(r, origin, bits):
 
 
 def test_step_matches_window_oracle_on_long_rows():
-    # 200-bit rows under the default limit and under limits close to the
-    # scan length, so that some scans stop and some diverge
+    # rows of up to 200 bits; neither side may raise
     rng = np.random.default_rng(11)
-    outcomes = set()
     for r in (1, 2, 3, 4):
         rule = Rule(r)
         for _ in range(30):
             config = random_config(rng, max_width=200)
-            width = len(config.bits)
-            for limit in (None, int(rng.integers(width, width + 4 * r))):
-                got = step_outcome(step, rule, config, limit)
-                assert got == step_outcome(window_scan_step, rule, config,
-                                           limit)
-                outcomes.add(isinstance(got, tuple))
-    assert outcomes == {False, True}
+            assert step(rule, config) == window_scan_step(rule, config)
 
 
 def test_step_translation_covariance():
@@ -359,13 +382,6 @@ def test_step_translation_covariance():
         config = random_config(rng)
         k = int(rng.integers(-9, 10))
         assert step(rule, config.shifted(k)) == step(rule, config).shifted(k)
-
-
-def test_step_scan_limit():
-    with pytest.raises(StepDivergedError) as info:
-        step(Rule(2), Configuration(0, (1, 0, 1, 1, 0, 1, 1)), scan_limit=3)
-    assert info.value.sites_scanned == 3
-    assert info.value.time_index is None
 
 
 def test_evolve():
@@ -382,12 +398,6 @@ def test_evolve():
     first = evolve(Rule(2), config, 2)
     rest = evolve(Rule(2), first[-1], 3)
     assert whole == first + rest[1:]
-
-
-def test_evolve_divergence_carries_time_index():
-    with pytest.raises(StepDivergedError) as info:
-        evolve(Rule(2), Configuration(0, (1, 1, 1, 1)), 4, scan_limit=2)
-    assert info.value.time_index == 1
 
 
 # -- basic strings and particles --------------------------------------------

@@ -163,6 +163,17 @@ def test_hamiltonian_sum_range_check():
 
 # -- gate generators --------------------------------------------------------
 
+def test_generators_match_kron_formulas():
+    # the Pauli rows the chain is built from against the textbook forms
+    i2 = np.eye(2)
+    assert np.array_equal(generator_not("literal"), (Z + X) / 2)
+    assert np.array_equal(generator_not("verified"), (i2 - X) / 2)
+    assert np.array_equal(generator_cn("literal"),
+                          0.5 * np.kron(i2 - Z, X - i2))
+    assert np.array_equal(generator_cn("verified"),
+                          0.25 * np.kron(i2 - Z, i2 - X))
+
+
 def test_generators_hermitian():
     for variant in ("literal", "verified"):
         g = generator_not(variant)

@@ -487,6 +487,15 @@ def test_parse_errors():
     assert info.value.line_no == 1
 
 
+def test_parse_rotation_mode_out_of_range():
+    # a mode past the phase lines, even one past int64, names its line
+    for mode in ("3", "999999999999999999992"):
+        with pytest.raises(ParseError) as info:
+            parse_reck_plan(f"P 1 1 0\nR 1 {mode} 0 0 1 0 1 0 0 0\n"
+                            "P 2 1 0\n")
+        assert info.value.line_no == 2
+
+
 def test_parse_float_reads_every_17g_output():
     values = [0.0, -0.0, 1.0, -0.5, 0.1, 1 / 3, 1e-5, 123456789.0,
               5e-324, -2.5e-310, 1.7976931348623157e308, 1e16, 1e17]
