@@ -6,90 +6,115 @@ particle segmentation, fast-recurrence prediction), a quantum layer
 its circuit factorization, spin-chain generators, the block propagation
 circuit), and a compilation layer (triangular mesh decomposition of
 unitaries).
+
+The namespace is lazy (PEP 562): `import qsca` loads no submodule, and
+a public name or a submodule name loads its submodule on first access.
+So the classical layer, `sca_core`, runs without importing numpy.
 """
 
-from .errors import (
-    DimensionTooLarge,
-    NotHermitian,
-    NotUnitary,
-    NullWordError,
-    ParseError,
-    QscaError,
-    RadiusError,
-    StepDivergedError,
-)
-from .sca_core import (
-    BasicString,
-    Configuration,
-    FrtPrediction,
-    FrtReport,
-    Particle,
-    Rule,
-    Window,
-    ascii_diagram,
-    emit_configuration,
-    evolve,
-    f_window,
-    frt_check,
-    frt_predict,
-    next_center,
-    parse_configuration,
-    parse_particles,
-    pbm_diagram,
-    render_particles,
-    step,
-)
-from .qstate import (
-    BlockReset,
-    Circuit,
-    CollectiveCn,
-    Cn,
-    Not,
-    StateVector,
-    apply_circuit,
-    basis_state,
-    circuit_matrix,
-    emit_gatelist,
-    parse_gatelist,
-    uniform_superposition_nonnull,
-)
-from .quantize import (
-    BasisPartition,
-    TransitionOperator,
-    WordMap,
-    build_uf_circuit,
-    build_uf_matrix,
-    check_partial_isometry,
-    parallelism_demo,
-    partition_basis,
-    represent_blocked,
-    total_step,
-)
-from .spin_chain import (
-    HamiltonianSum,
-    PauliTerm,
-    apply_site_exponential,
-    build_chain_hamiltonian,
-    build_site_hamiltonian,
-    generator_cn,
-    generator_not,
-    matrix_exp_hermitian,
-    sum_product_gap,
-    to_dense,
-)
-from .frt_quantum import (
-    FrtRunReport,
-    FrtStagePlan,
-    run_frt,
-    stage_identity_check,
-)
-from .unitary_compile import (
-    EmbeddedRotation,
-    ReckPlan,
-    emit_reck_plan,
-    parse_reck_plan,
-    reck_decompose,
-    reck_reconstruct,
-)
+from importlib import import_module
 
+# Each public name, listed under the submodule that defines it.
+_EXPORTS = {
+    "errors": (
+        "DimensionTooLarge",
+        "NotHermitian",
+        "NotUnitary",
+        "NullWordError",
+        "ParseError",
+        "QscaError",
+        "RadiusError",
+        "StepDivergedError",
+    ),
+    "sca_core": (
+        "BasicString",
+        "Configuration",
+        "FrtPrediction",
+        "FrtReport",
+        "Particle",
+        "Rule",
+        "Window",
+        "ascii_diagram",
+        "emit_configuration",
+        "evolve",
+        "f_window",
+        "frt_check",
+        "frt_predict",
+        "next_center",
+        "parse_configuration",
+        "parse_particles",
+        "pbm_diagram",
+        "render_particles",
+        "step",
+    ),
+    "qstate": (
+        "BlockReset",
+        "Circuit",
+        "CollectiveCn",
+        "Cn",
+        "Not",
+        "StateVector",
+        "apply_circuit",
+        "basis_state",
+        "circuit_matrix",
+        "emit_gatelist",
+        "parse_gatelist",
+        "uniform_superposition_nonnull",
+    ),
+    "quantize": (
+        "BasisPartition",
+        "TransitionOperator",
+        "WordMap",
+        "build_uf_circuit",
+        "build_uf_matrix",
+        "check_partial_isometry",
+        "parallelism_demo",
+        "partition_basis",
+        "represent_blocked",
+        "total_step",
+    ),
+    "spin_chain": (
+        "HamiltonianSum",
+        "PauliTerm",
+        "apply_site_exponential",
+        "build_chain_hamiltonian",
+        "build_site_hamiltonian",
+        "generator_cn",
+        "generator_not",
+        "matrix_exp_hermitian",
+        "sum_product_gap",
+        "to_dense",
+    ),
+    "frt_quantum": (
+        "FrtRunReport",
+        "FrtStagePlan",
+        "run_frt",
+        "stage_identity_check",
+    ),
+    "unitary_compile": (
+        "EmbeddedRotation",
+        "ReckPlan",
+        "emit_reck_plan",
+        "parse_reck_plan",
+        "reck_decompose",
+        "reck_reconstruct",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -9,6 +9,9 @@ Exit codes: 0 all requested checks passed, 1 usage or input errors,
 2 domain errors and failed verifications.  All randomized checks draw
 from one generator seeded by --seed, so identical invocations produce
 byte-identical output.
+
+Each command imports only the modules it runs, so `evolve` and
+`frt-classical` never load numpy.
 """
 
 from __future__ import annotations
@@ -17,10 +20,16 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import frt_quantum, qstate, quantize, sca_core, spin_chain, unitary_compile
-from .errors import ParseError, QscaError
+from .errors import (
+    GENERATOR_VARIANTS,
+    MAX_DENSE_DIMENSION,
+    MAX_RADIUS,
+    RESET_VARIANTS,
+    DimensionTooLarge,
+    ParseError,
+    QscaError,
+    parse_int,
+)
 
 __all__ = ["main"]
 
@@ -36,11 +45,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int(value: str) -> int:
+    try:
+        return parse_int(value)
+    except ParseError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 def _radius(value: str) -> int:
-    r = int(value)
-    if not 1 <= r <= quantize.MAX_RADIUS:
-        raise argparse.ArgumentTypeError(
-            f"radius must be in 1..{quantize.MAX_RADIUS}")
+    r = _int(value)
+    if not 1 <= r <= MAX_RADIUS:
+        raise argparse.ArgumentTypeError(f"radius must be in 1..{MAX_RADIUS}")
     return r
 
 
@@ -58,6 +73,7 @@ def _read(path: str) -> str:
 # -- subcommands ------------------------------------------------------------
 
 def cmd_evolve(args) -> int:
+    from . import sca_core
     rule = sca_core.Rule(args.radius)
     config = sca_core.parse_configuration(_read(args.config))
     rows = sca_core.evolve(rule, config, args.steps)
@@ -69,6 +85,9 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_uf(args) -> int:
+    import numpy as np
+
+    from . import quantize
     t_op = quantize.build_uf_matrix(args.radius)
     if args.action == "export":
         _write(args.out, quantize.emit_matrix_triplets(t_op))
@@ -96,6 +115,7 @@ def cmd_uf(args) -> int:
 
 
 def cmd_circuit(args) -> int:
+    from . import qstate, quantize
     if args.total is not None:
         circuit = quantize.total_step(args.radius, args.total,
                                       "unitary_circuit")
@@ -109,6 +129,7 @@ def cmd_circuit(args) -> int:
 
 
 def cmd_hamiltonian(args) -> int:
+    from . import spin_chain
     h = spin_chain.build_chain_hamiltonian(args.n_sites, args.radius,
                                            args.variant)
     _write(args.out, spin_chain.emit_hamiltonian_terms(h))
@@ -116,6 +137,7 @@ def cmd_hamiltonian(args) -> int:
 
 
 def cmd_frt_classical(args) -> int:
+    from . import sca_core
     rule = sca_core.Rule(args.radius)
     config = sca_core.parse_configuration(_read(args.config))
     particles = sca_core.parse_particles(rule, config)
@@ -167,6 +189,7 @@ def _parse_blocks(text: str, width: int) -> list[tuple[int, ...]]:
 
 
 def cmd_frt_quantum(args) -> int:
+    from . import frt_quantum
     blocks = _parse_blocks(_read(args.blocks), args.radius + 1)
     report = frt_quantum.run_frt(blocks, args.padding,
                                  reset_variant=args.variant)
@@ -175,6 +198,7 @@ def cmd_frt_quantum(args) -> int:
 
 
 def cmd_parallelism(args) -> int:
+    from . import quantize
     report = quantize.parallelism_demo(args.radius)
     _write(args.out,
            "applications {}\nimage words {}\namplitude {:.17g}\n"
@@ -186,14 +210,22 @@ def cmd_parallelism(args) -> int:
 
 
 def cmd_reck(args) -> int:
+    import numpy as np
+
+    from . import unitary_compile
     if args.dimension is not None:
         if args.dimension < 1:
             raise _UsageError("--dimension must be at least 1")
+        if args.dimension > MAX_DENSE_DIMENSION:
+            raise DimensionTooLarge(
+                f"{args.dimension} modes exceeds the mesh limit of "
+                f"{MAX_DENSE_DIMENSION}")
         rng = np.random.default_rng(args.seed)
         raw = rng.standard_normal((args.dimension, args.dimension)) \
             + 1j * rng.standard_normal((args.dimension, args.dimension))
         target, _ = np.linalg.qr(raw)
     else:
+        from . import qstate, quantize
         circuit = quantize.build_uf_circuit(
             args.radius, args.radius + 1, 2 * args.radius + 1)
         target = qstate.circuit_matrix(circuit)
@@ -204,6 +236,10 @@ def cmd_reck(args) -> int:
 
 
 def cmd_check(args) -> int:
+    import numpy as np
+
+    from . import (frt_quantum, qstate, quantize, sca_core, spin_chain,
+                   unitary_compile)
     rng = np.random.default_rng(args.seed)
     lines = []
     failures = 0
@@ -347,7 +383,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evolve", help="evolve a configuration, write diagram")
     p.add_argument("config", help="configuration file (origin= line, then bits)")
     p.add_argument("--radius", type=_radius, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_int, required=True)
     p.add_argument("--format", choices=("ascii", "pbm"), default="ascii")
     p.add_argument("--out")
     p.set_defaults(func=cmd_evolve)
@@ -355,23 +391,23 @@ def build_parser() -> _Parser:
     p = sub.add_parser("uf", help="transition matrix exports and checks")
     p.add_argument("action", choices=("export", "check", "blockform"))
     p.add_argument("--radius", type=_radius, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_uf)
 
     p = sub.add_parser("circuit", help="emit gate lists")
     p.add_argument("--radius", type=_radius, required=True)
-    p.add_argument("--site", type=int)
-    p.add_argument("--n-qubits", type=int)
-    p.add_argument("--total", type=int, metavar="N_SITES",
+    p.add_argument("--site", type=_int)
+    p.add_argument("--n-qubits", type=_int)
+    p.add_argument("--total", type=_int, metavar="N_SITES",
                    help="whole-chain step over N_SITES cells")
     p.add_argument("--out")
     p.set_defaults(func=cmd_circuit)
 
     p = sub.add_parser("hamiltonian", help="emit chain Hamiltonian terms")
-    p.add_argument("--n-sites", type=int, required=True)
+    p.add_argument("--n-sites", type=_int, required=True)
     p.add_argument("--radius", type=_radius, required=True)
-    p.add_argument("--variant", choices=spin_chain.GENERATOR_VARIANTS,
+    p.add_argument("--variant", choices=GENERATOR_VARIANTS,
                    default="verified")
     p.add_argument("--out")
     p.set_defaults(func=cmd_hamiltonian)
@@ -380,7 +416,7 @@ def build_parser() -> _Parser:
                        help="recurrence prediction and simulation check")
     p.add_argument("config")
     p.add_argument("--radius", type=_radius, required=True)
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--horizon", type=_int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_frt_classical)
 
@@ -388,8 +424,8 @@ def build_parser() -> _Parser:
     p.add_argument("--blocks", required=True,
                    help="file of whitespace-separated blocks (O for null)")
     p.add_argument("--radius", type=_radius, required=True)
-    p.add_argument("--padding", type=int, required=True)
-    p.add_argument("--variant", choices=qstate.RESET_VARIANTS,
+    p.add_argument("--padding", type=_int, required=True)
+    p.add_argument("--variant", choices=RESET_VARIANTS,
                    default="extended")
     p.add_argument("--out")
     p.set_defaults(func=cmd_frt_quantum)
@@ -402,14 +438,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reck", help="decompose a unitary into a mesh plan")
     p.add_argument("--radius", type=_radius,
                    help="decompose the window-update circuit at this radius")
-    p.add_argument("--dimension", type=int,
+    p.add_argument("--dimension", type=_int,
                    help="decompose a seeded random unitary instead")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_reck)
 
     p = sub.add_parser("check", help="run the verification suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 

@@ -1,9 +1,17 @@
-"""Exception types shared across the package, and the integer and
-float readers the text parsers share."""
+"""Exception types shared across the package, the integer and float
+readers the text parsers share, and the limits and variant names the
+command line checks before it loads a library module.  It imports only
+`re`, so the parser is built without numpy."""
 
 from __future__ import annotations
 
 import re
+
+MAX_RADIUS = 6  # dimension of U: 2^(2r+1) = 8192
+GENERATOR_VARIANTS = ("literal", "verified")
+RESET_VARIANTS = ("literal", "extended")
+# the largest dense matrix a command builds or writes: 256 MiB of complex128
+MAX_DENSE_DIMENSION = 4096
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 _FLOAT = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")

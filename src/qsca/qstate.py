@@ -32,7 +32,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionTooLarge, ParseError, parse_int
+from .errors import RESET_VARIANTS, DimensionTooLarge, ParseError, parse_int
 
 __all__ = [
     "ArrayEq",
@@ -53,7 +53,6 @@ __all__ = [
     "emit_gatelist",
 ]
 
-RESET_VARIANTS = ("literal", "extended")
 DENSE_LIMIT = 14  # qubits (or sites) of a dense matrix: 4 GiB complex
 
 

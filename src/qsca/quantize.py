@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooLarge, RadiusError
+from .errors import MAX_DENSE_DIMENSION as CSV_MAX_DIMENSION
+from .errors import MAX_RADIUS, DimensionTooLarge, RadiusError
 from .qstate import ArrayEq, Circuit, Cn, Not, uniform_superposition_nonnull
 
 __all__ = [
@@ -52,9 +53,6 @@ __all__ = [
     "check_csv_dimension",
     "emit_matrix_csv",
 ]
-
-MAX_RADIUS = 6  # dimension 2^13 = 8192
-CSV_MAX_DIMENSION = 4096
 
 
 def _check_radius(r: int) -> None:

@@ -52,7 +52,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionTooLarge, NotHermitian
+from .errors import GENERATOR_VARIANTS, DimensionTooLarge, NotHermitian
 from .qstate import DENSE_LIMIT, affine_fold, affine_image
 from .quantize import total_step
 
@@ -71,8 +71,6 @@ __all__ = [
     "sum_product_gap",
     "emit_hamiltonian_terms",
 ]
-
-GENERATOR_VARIANTS = ("literal", "verified")
 
 # A Pauli term as (x_mask, z_mask, coefficient), site s at bit n - s.
 Row = tuple[int, int, float]

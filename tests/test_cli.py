@@ -1,7 +1,4 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
+import json
 
 import numpy as np
 import pytest
@@ -9,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsca import quantize
-from qsca.cli import _parse_blocks, main
+from qsca.cli import _parse_blocks, build_parser, main
 from qsca.errors import ParseError
 from qsca.unitary_compile import parse_reck_plan
 
@@ -274,6 +271,26 @@ def test_reck_circuit(capsys):
     assert parse_reck_plan(out).dimension == 8
 
 
+@pytest.mark.parametrize("dimension, drawn", [
+    (4096, True), (4097, False), (1000000, False)])
+def test_reck_dimension_limit(capsys, monkeypatch, dimension, drawn):
+    # the rng is replaced, so no matrix of either size is drawn
+    class Drawn(Exception):
+        pass
+
+    def no_draw(seed):
+        raise Drawn
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    if drawn:
+        with pytest.raises(Drawn):
+            main(["reck", "--dimension", str(dimension)])
+        return
+    code, out, err = run(capsys, "reck", "--dimension", str(dimension))
+    assert code == 2 and out == ""
+    assert err == (f"error: {dimension} modes exceeds the mesh limit "
+                   "of 4096\n")
+
+
 def test_reck_needs_target(capsys):
     code, _, err = run(capsys, "reck")
     assert code == 1 and "reck" in err
@@ -351,20 +368,83 @@ def test_unknown_command(capsys):
     assert code == 1 and "error:" in err
 
 
-def test_cli_import_leaves_scipy_unloaded():
+# A fresh interpreter runs one command and prints its exit code and the
+# modules it loaded: numpy, scipy and qsca's submodules.
+PROBE = ("import contextlib, io, json, sys, qsca.cli\n"
+         "with contextlib.redirect_stdout(io.StringIO()):\n"
+         "    code = qsca.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+         "print(json.dumps([code, sorted(\n"
+         "    m for m in sys.modules\n"
+         "    if m in ('numpy', 'scipy') or m.startswith('qsca.'))]))\n")
+
+
+def probe(fresh_python, *argv):
+    res = fresh_python(PROBE, *argv)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+def test_cli_import_leaves_scipy_unloaded(fresh_python):
     # the import alone, and the two commands that once built a sparse
     # chain step (check) or a dense U (uf export)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = ("import contextlib, io, sys, qsca.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = qsca.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-            "print(code, 'scipy' in sys.modules)\n")
     for argv in ([], ["check", "--seed", "1"],
                  ["uf", "export", "--radius", "6"]):
-        res = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                             capture_output=True, text=True, timeout=60)
-        assert res.returncode == 0, res.stderr
-        assert res.stdout == "0 False\n", argv
+        code, modules = probe(fresh_python, *argv)
+        assert code == 0 and "scipy" not in modules, argv
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ((), ""),
+    (("evolve", "{row}", "--radius", "2", "--steps", "120",
+      "--format", "pbm"), "sca_core"),
+    (("frt-classical", "{row}", "--radius", "2"), "sca_core"),
+    (("check", "--seed", "1"), "numpy frt_quantum qstate quantize sca_core "
+     "spin_chain unitary_compile"),
+    (("uf", "check", "--radius", "4"), "numpy qstate quantize"),
+    (("frt-quantum", "--blocks", "{blocks}", "--radius", "2",
+      "--padding", "4"), "numpy frt_quantum qstate sca_core"),
+    (("reck", "--dimension", "64"), "numpy qstate unitary_compile"),
+])
+def test_commands_load_only_their_modules(fresh_python, config, argv,
+                                          loaded):
+    # the five benchmarked cold commands, and the two classical ones,
+    # which run without numpy
+    files = {"row": config("origin=0\n" + "10110" * 24 + "\n"),
+             "blocks": config("101 011 110\n", "particle.blocks")}
+    code, modules = probe(fresh_python, *(a.format(**files) for a in argv))
+    want = ["qsca.cli", "qsca.errors"] + [
+        m if m == "numpy" else f"qsca.{m}" for m in loaded.split()]
+    assert code == 0 and modules == sorted(want)
+
+
+# -- integer options --------------------------------------------------------
+
+# one valid command line per subcommand; every option here takes an integer
+# (file arguments are never read: parsing fails first)
+INT_ARGV = {
+    "evolve": ["row", "--radius", "1", "--steps", "1"],
+    "uf": ["check", "--radius", "1", "--seed", "0"],
+    "circuit": ["--radius", "1", "--site", "2", "--n-qubits", "3",
+                "--total", "3"],
+    "hamiltonian": ["--n-sites", "2", "--radius", "1"],
+    "frt-classical": ["row", "--radius", "1", "--horizon", "3"],
+    "frt-quantum": ["--blocks", "b", "--radius", "1", "--padding", "1"],
+    "parallelism": ["--radius", "1"],
+    "reck": ["--radius", "1", "--dimension", "2", "--seed", "0"],
+    "check": ["--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("token", ["1_0", "+1", " 5", "5 ", "\u0662",
+                                   "\u0661_0", "\uff15", "0x1", ""])
+def test_integer_options_read_ascii_decimals(capsys, token):
+    for command, argv in INT_ARGV.items():
+        build_parser().parse_args([command, *argv])
+        for at, option in enumerate(argv):
+            if not option.startswith("--") or option == "--blocks":
+                continue
+            bad = argv[:at + 1] + [token] + argv[at + 2:]
+            code, out, err = run(capsys, command, *bad)
+            assert code == 1 and out == "", (command, option)
+            assert err == (f"error: argument {option}: "
+                           f"bad integer {token!r}\n")

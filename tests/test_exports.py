@@ -18,3 +18,57 @@ def test_all_names_exist(name):
     exported = getattr(module, "__all__", ())
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_package_names_resolve_to_their_module():
+    # the table names the module that defines each public name
+    assert len(set(qsca.__all__)) == len(qsca.__all__)
+    for module, names in qsca._EXPORTS.items():
+        home = importlib.import_module(f"qsca.{module}")
+        for name in names:
+            obj = getattr(qsca, name)
+            assert obj is getattr(home, name)
+            assert obj.__module__ == home.__name__
+    assert sorted(qsca.__all__) == sorted(
+        n for names in qsca._EXPORTS.values() for n in names)
+
+
+def test_dir_lists_names_and_submodules():
+    listed = dir(qsca)
+    assert set(qsca.__all__) <= set(listed)
+    assert set(qsca._EXPORTS) <= set(listed)
+    assert qsca.quantize is importlib.import_module("qsca.quantize")
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qsca.no_such_name
+    assert not hasattr(qsca, "cli_main")
+
+
+def test_star_import_binds_every_name(fresh_python):
+    res = fresh_python(
+        "from qsca import *\n"
+        "import qsca\n"
+        "print([n for n in qsca.__all__ if n not in globals()])\n")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
+def test_package_import_loads_no_submodule(fresh_python):
+    res = fresh_python(
+        "import sys, qsca\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith('qsca.') or m == 'numpy'))\n")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
+def test_parser_constants_have_one_home():
+    # the command line reads them from errors, without numpy
+    from qsca import errors, qstate, quantize, spin_chain
+    assert quantize.MAX_RADIUS is errors.MAX_RADIUS
+    assert spin_chain.GENERATOR_VARIANTS is errors.GENERATOR_VARIANTS
+    assert qstate.RESET_VARIANTS is errors.RESET_VARIANTS
+    # one dense budget for the CSV export and `reck --dimension`
+    assert quantize.CSV_MAX_DIMENSION is errors.MAX_DENSE_DIMENSION
