@@ -213,13 +213,15 @@ def cmd_reck(args) -> int:
     import numpy as np
 
     from . import unitary_compile
+    if args.dimension is not None and args.dimension < 1:
+        raise _UsageError("--dimension must be at least 1")
+    # the window circuit of radius r acts on 2r + 1 qubits
+    modes = args.dimension if args.dimension is not None \
+        else 2 ** (2 * args.radius + 1)
+    if modes > MAX_DENSE_DIMENSION:
+        raise DimensionTooLarge(
+            f"{modes} modes exceeds the mesh limit of {MAX_DENSE_DIMENSION}")
     if args.dimension is not None:
-        if args.dimension < 1:
-            raise _UsageError("--dimension must be at least 1")
-        if args.dimension > MAX_DENSE_DIMENSION:
-            raise DimensionTooLarge(
-                f"{args.dimension} modes exceeds the mesh limit of "
-                f"{MAX_DENSE_DIMENSION}")
         rng = np.random.default_rng(args.seed)
         raw = rng.standard_normal((args.dimension, args.dimension)) \
             + 1j * rng.standard_normal((args.dimension, args.dimension))

@@ -56,6 +56,19 @@ __all__ = [
 DENSE_LIMIT = 14  # qubits (or sites) of a dense matrix: 4 GiB complex
 
 
+def square_zeros(dim: int, dtype=float) -> np.ndarray:
+    """A zero dim x dim matrix whose rows are one 64-byte cache line apart
+    more than they need to be: the [:, :dim] view of a wider buffer.
+
+    At dim = 2^k a contiguous row stride is a power of two, so every
+    entry of a column falls into the same few cache sets and a transposed
+    read (`m == m.T`, `m - m.T`) misses on each entry; the pad spreads a
+    column over all sets (Lam, Rothberg & Wolf, ASPLOS-IV (1991)).
+    """
+    itemsize = np.dtype(dtype).itemsize
+    return np.zeros((dim, dim + 64 // itemsize), dtype=dtype)[:, :dim]
+
+
 class ArrayEq:
     """Value equality for frozen dataclasses with array fields, declared
     with eq=False: equal when the types match and every field is

@@ -15,8 +15,9 @@ on the window, the whole-chain step in its unitary-circuit and
 partial-isometry readings, and the one-shot superposition update.
 
 MAX_RADIUS stays at 6 (dimension 2^13 = 8192).  The word map would go
-further; the dense consumers bound it: the block-form CSV stops at 4096
-rows, and `reck --radius` goes through `circuit_matrix`.
+further; the dense consumers bound it: the block-form CSV and
+`reck --radius` both stop at MAX_DENSE_DIMENSION = 4096 rows, that is
+at r = 5.
 
 U and the partial-isometry chain step are both a `WordMap`.  Only its
 `tocsc` imports scipy, and nothing in the package calls it.
@@ -30,7 +31,8 @@ import numpy as np
 
 from .errors import MAX_DENSE_DIMENSION as CSV_MAX_DIMENSION
 from .errors import MAX_RADIUS, DimensionTooLarge, RadiusError
-from .qstate import ArrayEq, Circuit, Cn, Not, uniform_superposition_nonnull
+from .qstate import (ArrayEq, Circuit, Cn, Not, square_zeros,
+                     uniform_superposition_nonnull)
 
 __all__ = [
     "MAX_RADIUS",
@@ -102,7 +104,7 @@ class WordMap(ArrayEq):
     def matrix(self) -> np.ndarray:
         """Dense int8 matrix, derived on demand."""
         src, dest = self.mapped()
-        mat = np.zeros((self.dimension, self.dimension), dtype=np.int8)
+        mat = square_zeros(self.dimension, np.int8)
         mat[dest, src] = 1
         return mat
 
@@ -232,7 +234,7 @@ def represent_blocked(t_op: TransitionOperator,
     pos = np.empty_like(order)
     pos[order] = np.arange(order.size)
     src, dest = t_op.mapped()
-    blocked = np.zeros((t_op.dimension, t_op.dimension), dtype=np.int8)
+    blocked = square_zeros(t_op.dimension, np.int8)
     blocked[pos[dest], pos[src]] = 1
     return blocked
 

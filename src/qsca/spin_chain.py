@@ -24,7 +24,9 @@ coefficient) rows with site s at bit n - s; the `PauliTerm` tuples of a
 gives them back as arrays.  A term with masks (x, z) maps column word w
 to row w ^ x with sign (-1)^popcount(w & z), so `to_dense` writes one
 diagonal per distinct X mask and the matrix is real symmetric by
-construction.
+construction.  Its rows are padded by one cache line (`square_zeros`),
+so the transposed reads of a symmetry check do not all land in one
+cache set of the 2^n-wide matrix.
 
 Because the per-site generators at different sites do not commute, the
 exponential of the summed Hamiltonian is not the product of the per-site
@@ -53,7 +55,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import GENERATOR_VARIANTS, DimensionTooLarge, NotHermitian
-from .qstate import DENSE_LIMIT, affine_fold, affine_image
+from .qstate import DENSE_LIMIT, affine_fold, affine_image, square_zeros
 from .quantize import total_step
 
 __all__ = [
@@ -240,7 +242,7 @@ def _dense(n: int, x: np.ndarray, z: np.ndarray,
     term order, to one diagonal of values scattered at (w ^ x, w)."""
     dim = 2 ** n
     cols = np.arange(dim)
-    mat = np.zeros((dim, dim))
+    mat = square_zeros(dim)
     for mask in set(x.tolist()):
         same = x == mask
         vals = np.zeros(dim)
@@ -255,7 +257,9 @@ def to_dense(h: HamiltonianSum) -> np.ndarray:
 
     X factors form a column-index xor mask and Z factors a sign mask, so
     the terms with one X mask fill one diagonal; no Kronecker products
-    are materialized.
+    are materialized.  The result is a row-padded view: with a 2^n-element
+    row stride a column would map to a few cache sets, and `h == h.T`
+    would miss on every entry.
     """
     n = h.n_sites
     if n > DENSE_LIMIT:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsca import quantize
+from qsca import qstate, quantize
 from qsca.cli import _parse_blocks, build_parser, main
 from qsca.errors import ParseError
 from qsca.unitary_compile import parse_reck_plan
@@ -289,6 +289,24 @@ def test_reck_dimension_limit(capsys, monkeypatch, dimension, drawn):
     assert code == 2 and out == ""
     assert err == (f"error: {dimension} modes exceeds the mesh limit "
                    "of 4096\n")
+
+
+@pytest.mark.parametrize("radius, built", [(5, True), (6, False)])
+def test_reck_radius_limit(capsys, monkeypatch, radius, built):
+    # circuit_matrix is replaced, so no matrix of either size is built
+    class Built(Exception):
+        pass
+
+    def no_build(circuit):
+        raise Built
+    monkeypatch.setattr(qstate, "circuit_matrix", no_build)
+    if built:
+        with pytest.raises(Built):
+            main(["reck", "--radius", str(radius)])
+        return
+    code, out, err = run(capsys, "reck", "--radius", str(radius))
+    assert code == 2 and out == ""
+    assert err == "error: 8192 modes exceeds the mesh limit of 4096\n"
 
 
 def test_reck_needs_target(capsys):

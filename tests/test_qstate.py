@@ -27,6 +27,7 @@ from qsca.qstate import (
     circuit_matrix,
     emit_gatelist,
     parse_gatelist,
+    square_zeros,
     uniform_superposition_nonnull,
 )
 
@@ -263,6 +264,20 @@ def test_circuit_matrix_golden():
                      [0, 0, 0, 1],
                      [0, 0, 1, 0]], dtype=complex)
     assert np.array_equal(mat, want)
+    # its readers are BLAS products and row gathers: no row padding
+    assert mat.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int8, complex])
+def test_square_zeros_pads_each_row_by_a_cache_line(dtype):
+    for dim in (1, 8, 4096):
+        mat = square_zeros(dim, dtype)
+        itemsize = np.dtype(dtype).itemsize
+        assert mat.shape == (dim, dim) and mat.dtype == dtype
+        assert mat.strides == ((dim + 64 // itemsize) * itemsize, itemsize)
+        assert not mat.any()
+        mat[-1, -1] = 1  # writeable, and the pad stays out of the view
+        assert mat.sum() == 1 and mat[-1, -1] == 1
 
 
 def test_circuit_matrix_composition_order():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qsca.errors import DimensionTooLarge, RadiusError
-from qsca.qstate import Circuit, Cn, Not, basis_state, circuit_matrix
+from qsca.qstate import (Circuit, Cn, Not, basis_state, circuit_matrix,
+                         square_zeros)
 from qsca.quantize import (
     TransitionOperator,
     WordMap,
@@ -94,7 +95,11 @@ def test_transition_operator_value_equality():
 
 def test_build_uf_matrix_matches_dyad_sum():
     for r in (1, 2):
-        assert np.array_equal(build_uf_matrix(r).matrix, dyad_sum(r))
+        mat = build_uf_matrix(r).matrix
+        assert np.array_equal(mat, dyad_sum(r))
+        # rows padded as by square_zeros, and the result is writeable
+        assert mat.strides == square_zeros(mat.shape[0], np.int8).strides
+        assert mat.dtype == np.int8 and mat.flags.writeable
 
 
 def test_build_uf_matrix_radius_bounds():
@@ -273,6 +278,8 @@ def test_blocked_form_matches_dense_permutation():
         order = np.concatenate((part.invariant_words, part.flipped_words))
         blocked = represent_blocked(t_op, part)
         assert np.array_equal(blocked, t_op.matrix[np.ix_(order, order)])
+        assert blocked.strides == square_zeros(order.size, np.int8).strides
+        assert blocked.dtype == np.int8 and blocked.flags.writeable
         assert block_form_ok(blocked, 2 ** (2 * r))
         assert not block_form_ok(t_op.matrix, 2 ** (2 * r))
 

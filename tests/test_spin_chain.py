@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from qsca import spin_chain
 from qsca.errors import DimensionTooLarge, NotHermitian, RadiusError
-from qsca.qstate import circuit_matrix
+from qsca.qstate import circuit_matrix, square_zeros
 from qsca.quantize import total_step
 from qsca.spin_chain import (
     HamiltonianSum,
@@ -172,6 +172,9 @@ def test_generators_match_kron_formulas():
                           0.5 * np.kron(i2 - Z, X - i2))
     assert np.array_equal(generator_cn("verified"),
                           0.25 * np.kron(i2 - Z, i2 - X))
+    for variant in ("literal", "verified"):
+        assert generator_not(variant).strides == square_zeros(2).strides
+        assert generator_cn(variant).strides == square_zeros(4).strides
 
 
 def test_generators_hermitian():
@@ -252,6 +255,9 @@ def test_chain_hamiltonian_matches_kron_oracle():
         for (n, r) in ((4, 1), (5, 2), (4, 3)):
             dense = to_dense(build_chain_hamiltonian(n, r, variant))
             assert np.abs(dense - chain_oracle(n, r, variant)).max() <= 1e-12
+            # rows padded as by square_zeros, and the result is writeable
+            assert dense.strides == square_zeros(2 ** n).strides
+            assert dense.flags.writeable
 
 
 def test_chain_single_site_literal():
