@@ -10,12 +10,18 @@ to its right.  The window rule is the parity rule
 totalized so that an all-zero window stays zero (the quiescent background
 is a fixed point).  Equivalently: the new bit is 1 iff the window holds a
 positive even number of ones.  That is the parity filter rule of Park,
-Steiglitz and Thurston (Physica D 19, 423 (1986)); `step` slides the
-window along the row keeping only its count of ones, so a site costs
-O(1) whatever the radius, and `next_center` stays as the per-window
-reference.  A step is the old row shifted r sites left, xor greedy
-marks at least r + 1 sites apart, so the new row lies within origin - r
-.. the old row's last site and `step` scans just those (proof there).
+Steiglitz and Thurston (Physica D 19, 423 (1986)); `next_center` is the
+per-window reference.
+
+A step is the old row shifted r sites left, xor greedy marks at least
+r + 1 sites apart (proof at `step`), and that is how it runs: on the row
+as one Python int, site `origin` most significant (`Configuration.word`).
+The mark candidates are the row or'ed with r shifted copies of itself,
+the marks are picked a byte at a time from a 256-entry table per radius,
+and the shifted row is xor'ed with them, so a step costs O(len + r):
+O(len / 8) Python iterations and O(log r) whole-row int operations.
+`evolve` chains the words and builds each row's bits tuple once, and
+the diagrams format each row from its word.  The module loads no numpy.
 
 Particles are runs of (r+1)-cell blocks (basic strings) held as int
 words: a block is an int of r+1 bits, a particle of L blocks an int of
@@ -24,12 +30,13 @@ Ablowitz & Saridakis, Stud. Appl. Math. 79, 173 (1988)) takes the return
 times from the 1-counts of consecutive block differences; `frt_pattern`
 gives the pattern after k returns with bit operators alone, for
 `frt_check` here and for the propagation circuit check in `frt_quantum`.
+`frt_check` runs the particle as one word too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -82,39 +89,71 @@ class Rule:
         return self.radius + 1
 
 
+_BIT_VALUES = frozenset((0, 1, "0", "1"))
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _digits(bits: Iterable) -> str:
+    """The 0/1 digits of a str of digits or of an iterable of 0/1 values.
+
+    Every bit is checked before any is converted, so 1.7 or 2 raises
+    ValueError instead of turning into a 1 or a bad word.
+    """
+    if isinstance(bits, str):
+        if not {"0", "1"}.issuperset(bits):
+            raise ValueError("bits must be 0 or 1")
+        return bits
+    bits = tuple(bits)
+    if not _BIT_VALUES.issuperset(bits):
+        raise ValueError("bits must be 0 or 1")
+    return bytes(map(int, bits)).translate(_TO_DIGITS).decode()
+
+
+def _bit_tuple(digits: str) -> tuple[int, ...]:
+    """The bits of a str of 0/1 digits: its bytes translated to 0 and 1."""
+    return tuple(digits.encode().translate(_FROM_DIGITS))
+
+
+def _trim(origin: int, word: int, width: int) -> tuple[int, int]:
+    """(origin, word) of a width-bit row word with its zero ends dropped;
+    (0, 0) for the empty row."""
+    if not word:
+        return 0, 0
+    zeros = (word & -word).bit_length() - 1
+    return origin + width - word.bit_length(), word >> zeros
+
+
 @dataclass(frozen=True)
 class Configuration:
     """Finite-support row of bits; sites outside the stored range are 0.
 
     The stored range is canonical: leading and trailing zeros are trimmed
     on construction, so structural equality is configuration equality.
+    `word` is the same row as an int, site `origin` most significant; it
+    is 0 for the empty row and otherwise has len(bits) bits and ends in 1.
     """
 
     origin: int
     bits: tuple[int, ...]
+    word: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bits = tuple(map(int, self.bits))
-        if not {0, 1}.issuperset(bits):
-            raise ValueError("bits must be 0 or 1")
-        self._set_trimmed(self.origin, bits)
+        digits = _digits(self.bits)
+        self._set(*_trim(self.origin, int(digits or "0", 2), len(digits)))
 
     @classmethod
-    def _trusted(cls, origin: int, bits: Sequence[int]) -> "Configuration":
-        """A row from bits known to be 0/1 ints: trimmed, not validated."""
+    def _of_word(cls, origin: int, word: int) -> "Configuration":
+        """The row of a trimmed word (odd, or 0 with origin 0)."""
         config = object.__new__(cls)
-        config._set_trimmed(origin, bits)
+        config._set(origin, word)
         return config
 
-    def _set_trimmed(self, origin: int, bits: Sequence[int]) -> None:
-        if 1 in bits:
-            lo = bits.index(1)
-            hi = len(bits) - bits[::-1].index(1)
-            object.__setattr__(self, "bits", tuple(bits[lo:hi]))
-            object.__setattr__(self, "origin", origin + lo)
-        else:
-            object.__setattr__(self, "bits", ())
-            object.__setattr__(self, "origin", 0)
+    def _set(self, origin: int, word: int) -> None:
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "bits",
+                           _bit_tuple(format(word, "b")) if word else ())
+        object.__setattr__(self, "word", word)
 
     @property
     def is_empty(self) -> bool:
@@ -132,7 +171,8 @@ class Configuration:
         return 0
 
     def shifted(self, k: int) -> "Configuration":
-        return Configuration._trusted(self.origin + k, self.bits)
+        return Configuration._of_word(self.origin + k if self.word else 0,
+                                      self.word)
 
 
 EMPTY = Configuration(0, ())
@@ -184,59 +224,111 @@ def f_window(rule: Rule, word: Sequence[int]) -> tuple[int, ...]:
     return word[:r] + (next_center(rule, w),) + word[r + 1:]
 
 
+@lru_cache(maxsize=None)
+def _mark_table(r: int) -> tuple[int, ...]:
+    """Greedy marks r + 1 apart within one byte of candidates.
+
+    Entry c holds the marks the greedy pick sets in the candidate byte c,
+    read from its top bit, and above bit 8 how many sites past the byte
+    its last mark still blocks.  The byte's top candidate is always
+    marked; the rest is the entry of the candidates more than r below it.
+    """
+    table = [0] * 256
+    for byte in range(1, 256):
+        top = byte.bit_length() - 1
+        rest = byte & (1 << max(top - r, 0)) - 1
+        table[byte] = (1 << top | table[rest] if rest
+                       else 1 << top | max(r - top, 0) << 8)
+    return tuple(table)
+
+
+def _marks(r: int, cands: int, width: int) -> int:
+    """The greedy marks r + 1 apart over a width-bit candidate word.
+
+    Reads the word a byte at a time from its top; the state carried
+    between bytes is the number of sites the last mark still blocks, so
+    the cost is O(width) whatever the number of marks.
+    """
+    table = _mark_table(r)
+    pad = -width % 8
+    data = (cands << pad).to_bytes((width + pad) // 8, "big")
+    out = bytearray(len(data))
+    blocked = 0
+    for i, byte in enumerate(data):
+        if blocked >= 8:
+            blocked -= 8
+        elif entry := table[byte & 255 >> blocked]:
+            out[i] = entry & 255
+            blocked = entry >> 8
+        else:
+            blocked = 0
+    return int.from_bytes(out, "big") >> pad
+
+
+def _step_word(r: int, origin: int, word: int) -> tuple[int, int]:
+    """`step` on a trimmed row word: the new trimmed (origin, word)."""
+    if not word:
+        return 0, 0
+    # cands has a 1 at each site n whose old window a[n..n+r] is nonzero:
+    # the word or'ed with itself shifted 1..r, built by doubling
+    cands, span = word, 1
+    while span <= r:
+        k = min(span, r + 1 - span)
+        cands |= cands << k
+        span += k
+    width = word.bit_length() + r
+    return _trim(origin - r, word << r ^ _marks(r, cands, width), width)
+
+
 def step(rule: Rule, config: Configuration) -> Configuration:
     """One full time step of the automaton.
 
-    Scans left to right over the len(bits) + r sites from r left of the
-    support to its last site, updating each site from its mixed-time
-    window; no site outside that range can turn on.  Write a for the old
-    row, b for the new one and e[m] = b[m] ^ a[m + r].  If e[n-r..n-1]
-    are all 0, the window count at n is 2(a[n] + ... + a[n+r-1]) +
-    a[n+r], so e[n] = 1 exactly when a[n..n+r] is nonzero.  If one of
-    them is 1, the count is odd when a[n+r] = 0 and positive and even
-    when a[n+r] = 1, so e[n] = 0.  Hence b is a shifted r sites left,
-    xor greedy marks at least r + 1 apart, and past the old support a
-    window holds at most one 1 and never a positive even count: the new
+    Write a for the old row, b for the new one and e[m] = b[m] ^ a[m + r].
+    If e[n-r..n-1] are all 0, the window count at n is 2(a[n] + ... +
+    a[n+r-1]) + a[n+r], so e[n] = 1 exactly when a[n..n+r] is nonzero.
+    If one of them is 1, the count is odd when a[n+r] = 0 and positive
+    and even when a[n+r] = 1, so e[n] = 0.  Hence b is a shifted r sites
+    left, xor greedy marks at least r + 1 apart, and past the old support
+    a window holds at most one 1 and never a positive even count: the new
     row lies within origin - r .. the old row's last site.
 
-    The scan keeps only the sliding window's count of ones, so each site
-    costs O(1) int operations whatever r is.
+    That is how the step runs, on the row word of len + r bits from r
+    sites left of the support: the candidates are the word or'ed with r
+    shifted copies of itself, the marks are picked a byte at a time from
+    a 256-entry table per radius, and the word shifted left by r is
+    xor'ed with them.  A step costs O(len + r): O(len / 8) Python
+    iterations and O(log r) whole-row int operations.
     """
-    if config.is_empty:
-        return config
-    r = rule.radius
-    bits = config.bits
-    # old[k] is the old bit of site origin - r + k; new[r + k] is its new
-    # bit, after r zeros for the sites left of the scan
-    old = (0,) * r + bits + (0,) * (r + 1)
-    new = [0] * r
-    ones = sum(old[:r + 1])
-    for k in range(len(bits) + r):
-        bit = 1 if ones and not ones & 1 else 0
-        new.append(bit)
-        # slide: new bit in, new bit k - r out; old bit k out, k + r + 1 in
-        ones += bit - new[k] + old[k + r + 1] - old[k]
-    return Configuration._trusted(config.origin - r, new[r:])
+    return Configuration._of_word(
+        *_step_word(rule.radius, config.origin, config.word))
 
 
 def evolve(rule: Rule, config: Configuration, steps: int
            ) -> list[Configuration]:
-    """Iterate step; returns steps+1 configurations starting with the input."""
+    """Iterate step; returns steps+1 configurations starting with the input.
+
+    The rows are chained as words; each row's bits tuple is built once.
+    """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    r = rule.radius
+    origin, word = config.origin, config.word
     rows = [config]
     for _ in range(steps):
-        rows.append(step(rule, rows[-1]))
+        origin, word = _step_word(r, origin, word)
+        rows.append(Configuration._of_word(origin, word))
     return rows
 
 
 def as_word(bits: Iterable[int]) -> int:
     """The bits read as a binary number, the first bit most significant."""
-    return int("".join(map(str, bits)) or "0", 2)
+    return int(_digits(bits) or "0", 2)
 
 
 def format_block(word: int, width: int) -> str:
     """A block word as its width binary digits, `O` for the null block."""
+    if not 0 <= word < 1 << width:
+        raise ValueError(f"block word {word} does not fit in {width} bits")
     return format(word, f"0{width}b") if word else "O"
 
 
@@ -247,7 +339,7 @@ class BasicString:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+        object.__setattr__(self, "bits", _bit_tuple(_digits(self.bits)))
 
     @property
     def word(self) -> int:
@@ -310,7 +402,7 @@ def parse_particles(rule: Rule, config: Configuration) -> list[Particle]:
     # the row then two null blocks, so every block read below lies in the
     # word; pos counts sites from the origin
     n = len(config.bits) + 2 * w
-    row = as_word(config.bits) << 2 * w
+    row = config.word << 2 * w
     out: list[Particle] = []
     pos = 0
     while rest := row & ((1 << (n - pos)) - 1):
@@ -333,7 +425,7 @@ def render_particles(rule: Rule, particles: Iterable[Particle]) -> Configuration
             raise ValueError("particles overlap")
     lo, hi = placed[0].start_site, placed[-1].start_site + placed[-1].width
     row = sum(p.word << (hi - p.start_site - p.width) for p in placed)
-    return Configuration(lo, format(row, f"0{hi - lo}b"))
+    return Configuration._of_word(*_trim(lo, row, hi - lo))
 
 
 def frt_pattern(word, k: int, L: int, w: int):
@@ -373,10 +465,11 @@ def frt_predict(rule: Rule, particle: Particle) -> FrtPrediction:
         raise ValueError(f"particle blocks must have {w} bits")
     # the blocks of (A1..AL O) ^ (O A1..AL) are the difference strings
     diffs = (word << w) ^ word
-    l_counts = tuple((diffs >> (j * w) & ((1 << w) - 1)).bit_count()
-                     for j in range(L, -1, -1))
+    mask = (1 << w) - 1
+    l_counts = tuple([(diffs >> j * w & mask).bit_count()
+                      for j in range(L, -1, -1)])
     times = tuple(accumulate(l_counts))
-    patterns = tuple(frt_pattern(word, k, L, w) for k in range(1, L + 1))
+    patterns = tuple([frt_pattern(word, k, L, w) for k in range(1, L + 1)])
     return FrtPrediction(l_counts, times, patterns, times[-1])
 
 
@@ -406,6 +499,12 @@ class FrtReport:
         return self.condition_held and all(c.matched for c in self.checks)
 
 
+@lru_cache(maxsize=1024)
+def _not_applicable(time: int, pattern_index: int) -> FrtTimeCheck:
+    """The check of a time past a detector failure; frozen, so shared."""
+    return FrtTimeCheck(time, pattern_index, None, None)
+
+
 def frt_check(rule: Rule, particle: Particle, horizon: int | None = None
               ) -> FrtReport:
     """Evolve a particle in isolation and compare against its prediction.
@@ -414,39 +513,45 @@ def frt_check(rule: Rule, particle: Particle, horizon: int | None = None
     (the non-splitting side condition); a failure is recorded, not
     raised, and later checks are marked not-applicable.  The row after
     return k = 1..L+1 must equal `frt_pattern` up to translation.
+
+    The row runs as one trimmed word from start to end.  It passes the
+    detector when it fits in L blocks and, placed at the top of them, its
+    bits or'ed down w - 1 places hit the foot of every block; a return is
+    compared with the trimmed pattern word, and the shift is the
+    difference of the two origins.
     """
     pred = frt_predict(rule, particle)
     horizon = pred.period if horizon is None else horizon
     if horizon < pred.period:
         raise ValueError("horizon must cover the period")
-    L, w, word = particle.block_count, rule.block_len, particle.word
-
-    def placed(k: int) -> Configuration:  # the row after k returns
-        return Configuration(particle.start_site,
-                             format(frt_pattern(word, k, L, w), f"0{L * w}b"))
-
-    config = placed(0)
-    seen: dict[int, Configuration] = {}
+    r, L, w, word = rule.radius, particle.block_count, rule.block_len, \
+        particle.word
+    n = L * w
+    feet = ((1 << n) - 1) // ((1 << w) - 1)  # a 1 at the foot of each block
+    start = particle.start_site
+    origin, row = _trim(start, word, n)
+    rows = [(origin, row)]  # rows[t] is the trimmed row after t steps
     failed_at = None
     for t in range(1, horizon + 1):
-        config = step(rule, config)
-        # one particle: it fits in L blocks from its first 1, none null
-        spare = L * w - len(config.bits)
-        row = as_word(config.bits) << max(spare, 0)
-        if spare < 0 or not all(row >> j * w & (1 << w) - 1
-                                for j in range(L)):
+        origin, row = _step_word(r, origin, row)
+        spare = n - row.bit_length()
+        top = row << max(spare, 0)
+        for _ in range(1, w):
+            top |= top >> 1
+        if spare < 0 or top & feet != feet:
             failed_at = t
             break
-        seen[t] = config
+        rows.append((origin, row))
     checks = []
-    for k, t in enumerate(pred.return_times, start=1):
-        got = seen.get(t)
-        if got is None:
-            checks.append(FrtTimeCheck(t, k - 1, None, None))
+    for k, (t, pattern) in enumerate(
+            zip(pred.return_times, pred.predicted_blocks + (word,))):
+        if t >= len(rows):
+            checks.append(_not_applicable(t, k))
             continue
-        want = placed(k)
-        matched = got.bits == want.bits
-        checks.append(FrtTimeCheck(t, k - 1, matched, got.origin - want.origin
+        want_origin, want = _trim(start, pattern, n)
+        got_origin, got = rows[t]
+        matched = got == want
+        checks.append(FrtTimeCheck(t, k, matched, got_origin - want_origin
                                    if matched else None))
     return FrtReport(pred, failed_at is None, failed_at, tuple(checks))
 
@@ -475,12 +580,12 @@ def parse_configuration(text: str) -> Configuration:
     if len(rest) > 1:
         raise ParseError("unexpected line after the configuration row",
                          line_no=rest[1][0])
-    return Configuration(origin, tuple(int(c) for c in row))
+    return Configuration(origin, row)
 
 
 def emit_configuration(config: Configuration) -> str:
     return "origin={}\n{}\n".format(
-        config.origin, "".join(str(b) for b in config.bits))
+        config.origin, format(config.word, "b") if config.word else "")
 
 
 def _frame(configs: Sequence[Configuration]) -> tuple[int, int]:
@@ -491,23 +596,29 @@ def _frame(configs: Sequence[Configuration]) -> tuple[int, int]:
     return min(c.origin for c in nonempty), max(c.end for c in nonempty) + 1
 
 
-def _row_digits(config: Configuration, lo: int, hi: int) -> str:
-    """The 0/1 digits of sites lo..hi-1, which cover the configuration."""
-    left = "0" * (config.origin - lo) if config.bits else ""
-    return (left + "".join(map(str, config.bits))).ljust(hi - lo, "0")
+def _row_digits(configs: Sequence[Configuration], lo: int, hi: int
+                ) -> list[str]:
+    """The 0/1 digits of sites lo..hi-1 of each row, which they cover: the
+    row word shifted to site hi - 1 and formatted at width hi - lo."""
+    spec = f"0{hi - lo}b"
+    return [format(c.word << hi - 1 - c.end if c.word else 0, spec)
+            for c in configs]
 
 
 def ascii_diagram(configs: Sequence[Configuration]) -> str:
     """Space-time diagram, one text row per configuration: `.`=0, `#`=1."""
-    lo, hi = _frame(configs)
     table = str.maketrans("01", ".#")
-    return "".join(_row_digits(c, lo, hi).translate(table) + "\n"
-                   for c in configs)
+    return "".join(row.translate(table) + "\n"
+                   for row in _row_digits(configs, *_frame(configs)))
 
 
 def pbm_diagram(configs: Sequence[Configuration]) -> str:
     """Portable bitmap (P1) with one image row per configuration."""
     lo, hi = _frame(configs)
-    lines = ["P1", f"{hi - lo} {len(configs)}"]
-    lines += [" ".join(_row_digits(c, lo, hi)) for c in configs]
-    return "\n".join(lines) + "\n"
+    width = hi - lo
+    digits = "".join(_row_digits(configs, lo, hi)).encode()
+    # each digit is followed by a space, or by a newline at a row's end
+    body = bytearray(b" ") * (2 * len(digits))
+    body[::2] = digits
+    body[2 * width - 1::2 * width] = b"\n" * len(configs)
+    return f"P1\n{width} {len(configs)}\n" + body.decode()

@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -23,6 +25,7 @@ from qsca.sca_core import (
     emit_configuration,
     evolve,
     f_window,
+    format_block,
     frt_check,
     frt_pattern,
     frt_predict,
@@ -94,6 +97,36 @@ def marks_step(rule, config):
             last = n
         row.append(config.site(n + r) ^ mark)
     return Configuration(lo, tuple(row))
+
+
+# -- per-bit diagram oracle ---------------------------------------------------
+# One str per bit, the rendering the word diagrams replaced.
+
+def per_bit_frame(configs):
+    nonempty = [c for c in configs if not c.is_empty]
+    if not nonempty:
+        return 0, 1
+    return min(c.origin for c in nonempty), max(c.end for c in nonempty) + 1
+
+
+def per_bit_row_digits(config, lo, hi):
+    """The 0/1 digits of sites lo..hi-1, which cover the configuration."""
+    left = "0" * (config.origin - lo) if config.bits else ""
+    return (left + "".join(map(str, config.bits))).ljust(hi - lo, "0")
+
+
+def per_bit_ascii(configs):
+    lo, hi = per_bit_frame(configs)
+    table = str.maketrans("01", ".#")
+    return "".join(per_bit_row_digits(c, lo, hi).translate(table) + "\n"
+                   for c in configs)
+
+
+def per_bit_pbm(configs):
+    lo, hi = per_bit_frame(configs)
+    lines = ["P1", f"{hi - lo} {len(configs)}"]
+    lines += [" ".join(per_bit_row_digits(c, lo, hi)) for c in configs]
+    return "\n".join(lines) + "\n"
 
 
 # -- tuple oracle for particles and the fast recurrence ----------------------
@@ -271,6 +304,43 @@ def test_f_window_bijective():
 
 # -- configurations and stepping --------------------------------------------
 
+def test_configuration_rejects_fractional_bits():
+    # each bit is checked before it becomes an int, so 0.5 is not read
+    # as 0 and 1.7 not as 1
+    with pytest.raises(ValueError):
+        Configuration(0, (0.5, 1.7, 1))
+    with pytest.raises(ValueError):
+        Configuration(0, "0121")
+    assert Configuration(0, (True, 0.0, 1.0)) == Configuration(0, (1, 0, 1))
+
+
+def test_basic_string_rejects_non_bits():
+    with pytest.raises(ValueError):
+        BasicString((2, 0))
+    with pytest.raises(ValueError):
+        BasicString("012")
+    with pytest.raises(ValueError):
+        as_word((1, 2))
+
+
+def test_format_block_rejects_words_wider_than_the_block():
+    with pytest.raises(ValueError):
+        format_block(5, 2)
+    with pytest.raises(ValueError):
+        format_block(-1, 2)
+    assert format_block(3, 2) == "11" and format_block(0, 2) == "O"
+
+
+def test_configuration_word():
+    c = Configuration(3, (0, 0, 1, 0, 1, 1, 0))
+    assert c.word == 0b1011 and c.origin == 5
+    assert EMPTY.word == 0
+    assert Configuration(3, "0010110") == c
+    assert hash(Configuration(3, "0010110")) == hash(c)
+    assert c.shifted(-4) == Configuration(1, (1, 0, 1, 1))
+    assert c.shifted(-4).word == c.word
+
+
 def test_configuration_trim():
     c = Configuration(3, (0, 0, 1, 1, 0))
     assert c.origin == 5
@@ -313,7 +383,7 @@ def test_step_matches_reference_scan():
        origin=st.integers(-20, 20),
        bits=st.lists(st.integers(0, 1), max_size=40))
 def test_step_matches_window_oracle(r, origin, bits):
-    # the fixed sliding-count scan against one next_center call per site
+    # the word step against one next_center call per site
     # and the oracle's own stop rule; neither may raise
     rule = Rule(r)
     config = Configuration(origin, tuple(bits))
@@ -373,6 +443,49 @@ def test_step_matches_window_oracle_on_long_rows():
         for _ in range(30):
             config = random_config(rng, max_width=200)
             assert step(rule, config) == window_scan_step(rule, config)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.integers(1, 6),
+       origin=st.integers(-20, 20),
+       bits=st.lists(st.integers(0, 1), max_size=200))
+def test_word_step_matches_both_oracles(r, origin, bits):
+    rule = Rule(r)
+    config = Configuration(origin, tuple(bits))
+    got = step(rule, config)
+    assert got == marks_step(rule, config)
+    assert got == window_scan_step(rule, config)
+    assert got.word == as_word(got.bits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=st.integers(7, 24),
+       origin=st.integers(-20, 20),
+       bits=st.lists(st.integers(0, 1), max_size=200))
+def test_word_step_at_wide_radii(r, origin, bits):
+    # past r = 7 a mark blocks the whole next byte and more
+    rule = Rule(r)
+    config = Configuration(origin, tuple(bits))
+    assert step(rule, config) == marks_step(rule, config)
+
+
+def test_step_is_linear_in_the_row_length():
+    # a mark may block sites in the next byte or several bytes on; a
+    # whole-row int operation per mark would make a step O(len^2 / r)
+    rng = random.Random(2024)
+    config = Configuration(-7, tuple(rng.getrandbits(1)
+                                     for _ in range(200_000)))
+    rule = Rule(2)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        got = step(rule, config)
+        times.append(time.perf_counter() - start)
+    start = time.perf_counter()
+    want = marks_step(rule, config)
+    oracle_time = time.perf_counter() - start
+    assert got == want
+    assert oracle_time >= 10 * min(times), (oracle_time, min(times))
 
 
 def test_step_translation_covariance():
@@ -595,6 +708,32 @@ def test_frt_check_matches_tuple_oracle(case, extra):
                                          horizon))
 
 
+@st.composite
+def wide_particle_cases(draw):
+    """(r, start site, block words): r <= 5, L <= 6."""
+    r = draw(st.integers(1, 5))
+    top = 2 ** (r + 1) - 1
+    L = draw(st.integers(1, 6))
+    inner = draw(st.lists(st.integers(0, top), min_size=max(L - 2, 0),
+                          max_size=max(L - 2, 0)))
+    ends = [draw(st.integers(1, top)) for _ in range(min(L, 2))]
+    return r, draw(st.integers(-20, 20)), tuple(ends[:1] + inner + ends[1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=wide_particle_cases(), extra=st.none() | st.integers(0, 60))
+def test_frt_check_matches_tuple_oracle_past_the_period(case, extra):
+    # `frt-classical --horizon` runs the detector past the period
+    r, start, words = case
+    rule = Rule(r)
+    particle = particle_of(start, words, r + 1)
+    horizon = None if extra is None else \
+        frt_predict(rule, particle).period + extra
+    assert_reports_equal(frt_check(rule, particle, horizon),
+                         tuple_frt_check(rule, tuple_particle(particle),
+                                         horizon))
+
+
 def test_frt_check_matches_tuple_oracle_exhaustive():
     # every particle with r <= 2 and L <= 3; a match on a predicted
     # pattern that begins with a 0 bit lies off the particle's grid and
@@ -717,6 +856,28 @@ def test_diagrams_pad_empty_rows_to_the_frame():
     assert rows[-1] == EMPTY
     assert ascii_diagram(rows) == "###\n#..\n...\n"
     assert pbm_diagram(rows) == "P1\n3 3\n1 1 1\n1 0 0\n0 0 0\n"
+
+
+_ROWS = st.lists(st.builds(Configuration, st.integers(-20, 20),
+                           st.lists(st.integers(0, 1), max_size=60)),
+                 min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs=_ROWS)
+def test_diagrams_match_per_bit_rendering(configs):
+    assert ascii_diagram(configs) == per_bit_ascii(configs)
+    assert pbm_diagram(configs) == per_bit_pbm(configs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=st.integers(1, 4), origin=st.integers(-20, 20),
+       bits=st.lists(st.integers(0, 1), max_size=80),
+       steps=st.integers(0, 30))
+def test_evolved_diagrams_match_per_bit_rendering(r, origin, bits, steps):
+    rows = evolve(Rule(r), Configuration(origin, tuple(bits)), steps)
+    assert ascii_diagram(rows) == per_bit_ascii(rows)
+    assert pbm_diagram(rows) == per_bit_pbm(rows)
 
 
 def test_pbm_diagram_golden():
