@@ -393,11 +393,15 @@ def test_step_matches_window_oracle(r, origin, bits):
 @settings(max_examples=300, deadline=None)
 @given(r=st.integers(1, 6),
        origin=st.integers(-20, 20),
-       bits=st.lists(st.integers(0, 1), max_size=60))
+       bits=st.lists(st.integers(0, 1), max_size=200))
 def test_step_is_shift_xor_greedy_marks(r, origin, bits):
+    # the word step against both oracles: the marks as a per-site loop,
+    # and one next_center call per site
     rule = Rule(r)
     config = Configuration(origin, tuple(bits))
-    assert step(rule, config) == marks_step(rule, config)
+    got = step(rule, config)
+    assert got == marks_step(rule, config)
+    assert got == window_scan_step(rule, config)
 
 
 @settings(max_examples=200, deadline=None)
@@ -431,6 +435,7 @@ def test_step_rows_equal_validated_rows(r, origin, bits):
         assert out.bits[0] == out.bits[-1] == 1
     else:
         assert out.origin == 0
+    assert out.word == as_word(out.bits)
     shifted = out.shifted(3)
     assert shifted == Configuration(out.origin + 3, out.bits)
 
@@ -443,19 +448,6 @@ def test_step_matches_window_oracle_on_long_rows():
         for _ in range(30):
             config = random_config(rng, max_width=200)
             assert step(rule, config) == window_scan_step(rule, config)
-
-
-@settings(max_examples=200, deadline=None)
-@given(r=st.integers(1, 6),
-       origin=st.integers(-20, 20),
-       bits=st.lists(st.integers(0, 1), max_size=200))
-def test_word_step_matches_both_oracles(r, origin, bits):
-    rule = Rule(r)
-    config = Configuration(origin, tuple(bits))
-    got = step(rule, config)
-    assert got == marks_step(rule, config)
-    assert got == window_scan_step(rule, config)
-    assert got.word == as_word(got.bits)
 
 
 @settings(max_examples=100, deadline=None)
@@ -682,12 +674,12 @@ def test_frt_theorem_on_sampled_particles():
 
 
 @st.composite
-def particle_cases(draw):
-    """(r, start site, block words): r <= 3, L <= 5, interior null
-    blocks allowed."""
-    r = draw(st.integers(1, 3))
+def particle_cases(draw, max_r=3, max_L=5):
+    """(r, start site, block words): r <= max_r, L <= max_L, interior
+    null blocks allowed."""
+    r = draw(st.integers(1, max_r))
     top = 2 ** (r + 1) - 1
-    L = draw(st.integers(1, 5))
+    L = draw(st.integers(1, max_L))
     inner = draw(st.lists(st.integers(0, top), min_size=max(L - 2, 0),
                           max_size=max(L - 2, 0)))
     ends = [draw(st.integers(1, top)) for _ in range(min(L, 2))]
@@ -695,35 +687,11 @@ def particle_cases(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(case=particle_cases(), extra=st.none() | st.integers(0, 12))
+@given(case=particle_cases(max_r=5, max_L=6),
+       extra=st.none() | st.integers(0, 60))
 def test_frt_check_matches_tuple_oracle(case, extra):
-    # horizons reach up to 12 steps past the period
-    r, start, words = case
-    rule = Rule(r)
-    particle = particle_of(start, words, r + 1)
-    horizon = None if extra is None else \
-        frt_predict(rule, particle).period + extra
-    assert_reports_equal(frt_check(rule, particle, horizon),
-                         tuple_frt_check(rule, tuple_particle(particle),
-                                         horizon))
-
-
-@st.composite
-def wide_particle_cases(draw):
-    """(r, start site, block words): r <= 5, L <= 6."""
-    r = draw(st.integers(1, 5))
-    top = 2 ** (r + 1) - 1
-    L = draw(st.integers(1, 6))
-    inner = draw(st.lists(st.integers(0, top), min_size=max(L - 2, 0),
-                          max_size=max(L - 2, 0)))
-    ends = [draw(st.integers(1, top)) for _ in range(min(L, 2))]
-    return r, draw(st.integers(-20, 20)), tuple(ends[:1] + inner + ends[1:])
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=wide_particle_cases(), extra=st.none() | st.integers(0, 60))
-def test_frt_check_matches_tuple_oracle_past_the_period(case, extra):
-    # `frt-classical --horizon` runs the detector past the period
+    # horizons reach up to 60 steps past the period, as
+    # `frt-classical --horizon` may ask
     r, start, words = case
     rule = Rule(r)
     particle = particle_of(start, words, r + 1)
