@@ -12,7 +12,8 @@ A basis input stays a basis state: each stage's CN cascade is one
 affine map of the register index over GF(2) (qstate.affine_fold) and
 the reset clears block m's bits, or, in the literal variant, annihilates
 the state when they are already clear.  So run_frt and
-stage_identity_check track register indices, never state vectors, and
+stage_identity_check push register indices through each stage with the
+word-image step that circuit_matrix uses, never state vectors, and
 take registers up to the 63 qubits of an int64 index; the sweep pushes
 all its instances through each stage as one int64 array.  The records
 of run_frt hold the indices themselves; blocks are read from an index
@@ -36,8 +37,7 @@ from .qstate import (
     Circuit,
     CollectiveCn,
     GateOp,
-    affine_fold,
-    affine_image,
+    _word_image,
 )
 from .sca_core import as_word, format_block, frt_pattern
 
@@ -120,15 +120,8 @@ def _check_width(n_qubits: int) -> None:
 
 def _track(plan: FrtStagePlan, x: np.ndarray, reset_variant: str):
     """Register indices x after each stage of plan; -1 marks annihilation."""
-    n, w = plan.n_qubits, plan.block_len
     for m in range(1, plan.padding + 1):
-        lead = (2 ** w - 1) << (n - m * w)
-        dead = x < 0
-        run = plan.stage_ops(m, reset_variant)[:-1]
-        x = affine_image(n, affine_fold(n, run), x)
-        if reset_variant == "literal":
-            dead |= (x & lead) == 0
-        x = np.where(dead, -1, x & ~lead)
+        x = _word_image(plan.n_qubits, plan.stage_ops(m, reset_variant), x)
         yield x
 
 

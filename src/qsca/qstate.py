@@ -15,13 +15,22 @@ NOT, CN and the collective CN are affine maps x -> Ax ^ b of the basis
 index over GF(2) (Aaronson & Gottesman, PRA 70, 052328 (2004)).
 `affine_fold` folds a run of them into one (A, b); `affine_image` maps
 basis indices through a fold without any state vector.  A circuit runs
-as one gather through the inverse map per maximal run of such gates,
-plus the reset kernel for each reset.  Every gate in a run is its own
-inverse (the pairwise CNs of a collective CN act on disjoint qubits and
-commute), so the inverse map is the fold of the run reversed.  Both
-steps index the state along axis 0, so they run unchanged on whole
-matrices (states stacked along the second axis), which is how
-circuit_matrix is produced.
+on a state as one gather through the inverse map per maximal run of
+such gates, plus the reset kernel for each reset.  Every gate in a run
+is its own inverse (the pairwise CNs of a collective CN act on disjoint
+qubits and commute), so the inverse map is the fold of the run reversed.
+The gather writes 2^12 outputs at a time: the inverse image of index
+(h << 12) | l is high[h] ^ low[l], where low folds the 12 least
+significant qubits (carrying b) and high the rest, so no 2^n index
+array is built.  apply_circuit's peak memory is its output state for a
+single run, and at most two new states (a gather's input and output)
+for any other circuit.
+
+Every op sends a basis word to one word or to nothing (a literal reset
+of an already-zero block), so circuit_matrix never runs states: it
+pushes the words 0..2^n-1 through the ops as one int64 array and
+scatters ones into a zeroed matrix, which is its whole peak memory
+apart from a few 2^n-entry word arrays.
 """
 
 from __future__ import annotations
@@ -53,7 +62,10 @@ __all__ = [
     "emit_gatelist",
 ]
 
-DENSE_LIMIT = 14  # qubits (or sites) of a dense matrix: 4 GiB complex
+# qubits (or sites) of a dense matrix: 4 GiB complex, which is also
+# circuit_matrix's peak there (plus 2^14-entry word arrays)
+DENSE_LIMIT = 14
+_CHUNK_QUBITS = 12  # a gather writes 2^12 outputs per np.take
 
 
 def square_zeros(dim: int, dtype=float) -> np.ndarray:
@@ -313,48 +325,97 @@ def affine_image(n: int, fold: tuple[tuple[int, ...], int],
     return y
 
 
-def _destinations(n: int, fold: tuple[tuple[int, ...], int]) -> np.ndarray:
-    """Image of every basis index, built by doubling from qubit n up."""
+def _span(cols: Sequence[int], b: int) -> np.ndarray:
+    """b xor'ed with every subset of cols: entry i takes cols[k] for each
+    set bit k of i.  Built by doubling."""
+    out = np.empty(2 ** len(cols), dtype=np.int64)
+    out[0] = b
+    for k, col in enumerate(cols):
+        np.bitwise_xor(out[:2 ** k], col, out=out[2 ** k:2 ** (k + 1)])
+    return out
+
+
+def _gather(n: int, src: np.ndarray,
+            fold: tuple[tuple[int, ...], int]) -> np.ndarray:
+    """A new array out with out[y] = src[image of y under fold], filled
+    2^_CHUNK_QUBITS entries at a time, so the index scratch is two arrays
+    of at most that many entries."""
     cols, b = fold
-    dest = np.empty(2 ** n, dtype=np.int64)
-    dest[0] = b
-    for k, col in enumerate(reversed(cols)):
-        np.bitwise_xor(dest[:2 ** k], col, out=dest[2 ** k:2 ** (k + 1)])
-    return dest
+    lsb_first = cols[::-1]
+    k = min(n, _CHUNK_QUBITS)
+    low, high = _span(lsb_first[:k], b), _span(lsb_first[k:], 0)
+    idx = np.empty_like(low)
+    out = np.empty_like(src)
+    rows = out.reshape(len(high), len(low))
+    for h, base in enumerate(high):
+        np.bitwise_xor(low, base, out=idx)
+        # every index is in range, and "clip" writes to out unbuffered
+        np.take(src, idx, out=rows[h], mode="clip")
+    return out
 
 
-def _apply_ops(n: int, buf: np.ndarray, ops: Sequence[GateOp]) -> np.ndarray:
-    """Run ops over buf: one gather per NOT/CN run, resets in place."""
-    for is_reset, run in groupby(ops, lambda op: isinstance(op, BlockReset)):
-        if is_reset:
-            for op in run:
-                _reset_inplace(buf, n, op.block, op.block_len, op.variant)
-        else:
-            buf = buf[_destinations(n, affine_fold(n, reversed(tuple(run))))]
+def _is_reset(op: GateOp) -> bool:
+    return isinstance(op, BlockReset)
+
+
+def _word_image(n: int, ops: Iterable[GateOp], x: np.ndarray) -> np.ndarray:
+    """Images of the int64 basis words x under ops, -1 where a literal
+    reset meets an already-zero block; a -1 in x stays -1."""
+    dead = x < 0
+    for is_reset, run in groupby(ops, _is_reset):
+        if not is_reset:
+            x = affine_image(n, affine_fold(n, run), x)
+            continue
+        for op in run:
+            mask = (2 ** op.block_len - 1) << (n + 1 - op.block - op.block_len)
+            if op.variant == "literal":
+                dead |= (x & mask) == 0
+            x = x & ~mask
+    return np.where(dead, -1, x)
+
+
+def _apply_ops(n: int, amp: np.ndarray, ops: Sequence[GateOp]) -> np.ndarray:
+    """Run ops over the state amp without writing to it: one chunked
+    gather per NOT/CN run, resets in place on a state of our own."""
+    buf = amp
+    for is_reset, run in groupby(ops, _is_reset):
+        if not is_reset:
+            buf = _gather(n, buf, affine_fold(n, reversed(tuple(run))))
+            continue
+        if buf is amp:
+            buf = amp.copy()
+        for op in run:
+            _reset_inplace(buf, n, op.block, op.block_len, op.variant)
     return buf
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
+    """The state after the circuit, bit-identical to running its ops one
+    at a time.  Peak memory: the output state and O(2^12) indices for one
+    NOT/CN run; a circuit with more ops holds up to two new states at
+    once (one gather's input and output)."""
     if circuit.n_qubits != state.n_qubits:
         raise ValueError(
             f"circuit on {circuit.n_qubits} qubits, state on {state.n_qubits}")
-    # a gather writes a fresh array, so the read-only input needs a copy
-    # only when a reset comes first
-    amp = state.amplitudes
-    if circuit.ops and isinstance(circuit.ops[0], BlockReset):
-        amp = amp.copy()
-    return StateVector._owning(state.n_qubits,
-                               _apply_ops(state.n_qubits, amp, circuit.ops))
+    return StateVector._owning(
+        state.n_qubits, _apply_ops(state.n_qubits, state.amplitudes,
+                                   circuit.ops))
 
 
 def circuit_matrix(circuit: Circuit) -> np.ndarray:
-    """Dense matrix of a circuit, built by running it on every basis state."""
+    """Dense complex matrix of a circuit: column x is the image of basis
+    word x, a single 1 or all zero.  Peak memory is the C-contiguous
+    matrix plus a few 2^n-entry int64 word arrays."""
     n = circuit.n_qubits
     if n > DENSE_LIMIT:
         raise DimensionTooLarge(
             f"{n} qubits exceeds the dense limit of {DENSE_LIMIT}")
-    mat = np.eye(2 ** n, dtype=complex)
-    return _apply_ops(n, mat, circuit.ops).reshape(2 ** n, 2 ** n)
+    dim = 2 ** n
+    image = _word_image(n, circuit.ops, np.arange(dim, dtype=np.int64))
+    cols = np.flatnonzero(image >= 0)
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[image[cols], cols] = 1
+    return mat
 
 
 # -- text formats -----------------------------------------------------------

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,4 +20,20 @@ def fresh_python():
     def run(code, *argv):
         return subprocess.run([sys.executable, "-c", code, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
+    return run
+
+
+@pytest.fixture
+def traced_peak():
+    """Call fn(*args) under tracemalloc and return (result, peak), where
+    peak is the most bytes that the call's own allocations held at once,
+    the result included."""
+    def run(fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak
     return run

@@ -413,6 +413,75 @@ def test_apply_circuit_20_qubits_within_budget():
     assert np.array_equal(out.amplitudes[images], state.amplitudes)
 
 
+def random_ops(rng, n, count, first):
+    """Seeded NOT, CN, CollectiveCn and reset ops of both variants.
+    first is "reset" or "gate" for the kind of the first op, or
+    "no reset" for a single NOT/CN run."""
+    ops = []
+    while len(ops) < count:
+        kind = int(rng.integers(3 if first == "no reset" else 4))
+        if not ops and first == "reset":
+            kind = 3
+        elif not ops and first == "gate":
+            kind = min(kind, 2)
+        if kind == 0:
+            ops.append(Not(int(rng.integers(1, n + 1))))
+        elif kind == 1:
+            c, t = rng.choice(np.arange(1, n + 1), size=2, replace=False)
+            ops.append(Cn(int(c), int(t)))
+        elif kind == 2:
+            w = int(rng.integers(1, n // 2 + 1))
+            c, t = rng.integers(1, n - w + 2, size=2)
+            if abs(int(c) - int(t)) >= w:
+                ops.append(CollectiveCn(int(c), int(t), w))
+        else:
+            w = int(rng.integers(1, 5))
+            ops.append(BlockReset(int(rng.integers(1, n - w + 2)), w,
+                                  ("literal", "extended")[rng.integers(2)]))
+    return tuple(ops)
+
+
+@pytest.mark.parametrize("first", ["reset", "gate", "no reset"])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [13, 14])
+def test_apply_circuit_across_gather_chunks(n, seed, first):
+    # a gather writes 2^12 outputs at a time, so 13 and 14 qubits split
+    # every NOT/CN run over 2 and 4 chunks
+    rng = np.random.default_rng([n, seed])
+    ops = random_ops(rng, n, 30, first)
+    state = random_state(rng, n)
+    assert np.array_equal(apply_circuit(state, Circuit(n, ops)).amplitudes,
+                          gate_by_gate(state, ops).amplitudes)
+
+
+def test_apply_circuit_peak_memory(traced_peak):
+    rng = np.random.default_rng(2012)
+    n = 20
+    state = random_state(rng, n)
+    one_run = Circuit(n, random_ops(rng, n, 200, "no reset"))
+    out, peak = traced_peak(apply_circuit, state, one_run)
+    # the output state and O(2^12) indices, no 2^n index array
+    assert peak <= state.amplitudes.nbytes + 2 ** 20
+    images = affine_image(n, affine_fold(n, one_run.ops),
+                          np.arange(2 ** n, dtype=np.int64))
+    assert np.array_equal(out.amplitudes[images], state.amplitudes)
+    # one gather's input and output are the most states alive at once
+    mixed = Circuit(n, random_ops(rng, n, 40, "reset"))
+    assert sum(isinstance(op, BlockReset) for op in mixed.ops) >= 3
+    _, peak = traced_peak(apply_circuit, state, mixed)
+    assert peak <= 2 * state.amplitudes.nbytes + 2 ** 20
+
+
+def test_circuit_matrix_peak_is_the_matrix(traced_peak):
+    n = 10
+    circuit = Circuit(n, (Not(1), Cn(2, 5), BlockReset(3, 2, "literal"),
+                          CollectiveCn(1, 6, 3), Not(10)))
+    mat, peak = traced_peak(circuit_matrix, circuit)
+    assert peak <= mat.nbytes + 2 ** 20
+    # one 1 per column, except the columns the literal reset annihilates
+    assert np.count_nonzero(mat) == 2 ** n - 2 ** (n - 2)
+
+
 def test_circuit_matrix_dimension_limit():
     big = Circuit(15, (Not(1),))
     with pytest.raises(DimensionTooLarge):
