@@ -20,7 +20,6 @@ _EXPORTS = {
         "DimensionTooLarge",
         "NotHermitian",
         "NotUnitary",
-        "NullWordError",
         "ParseError",
         "QscaError",
         "RadiusError",
@@ -33,18 +32,13 @@ _EXPORTS = {
         "FrtReport",
         "Particle",
         "Rule",
-        "Window",
         "ascii_diagram",
-        "emit_configuration",
         "evolve",
-        "f_window",
         "frt_check",
         "frt_predict",
-        "next_center",
         "parse_configuration",
         "parse_particles",
         "pbm_diagram",
-        "render_particles",
         "step",
     ),
     "qstate": (
@@ -55,10 +49,8 @@ _EXPORTS = {
         "Not",
         "StateVector",
         "apply_circuit",
-        "basis_state",
         "circuit_matrix",
         "emit_gatelist",
-        "parse_gatelist",
         "uniform_superposition_nonnull",
     ),
     "quantize": (
@@ -95,7 +87,6 @@ _EXPORTS = {
         "EmbeddedRotation",
         "ReckPlan",
         "emit_reck_plan",
-        "parse_reck_plan",
         "reck_decompose",
         "reck_reconstruct",
     ),

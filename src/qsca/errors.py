@@ -1,7 +1,7 @@
-"""Exception types shared across the package, the integer and float
-readers the text parsers share, and the limits and variant names the
-command line checks before it loads a library module.  It imports only
-`re`, so the parser is built without numpy."""
+"""Exception types shared across the package, the integer reader the
+text parsers share, and the limits and variant names the command line
+checks before it loads a library module.  It imports only `re`, so the
+parser is built without numpy."""
 
 from __future__ import annotations
 
@@ -14,15 +14,10 @@ RESET_VARIANTS = ("literal", "extended")
 MAX_DENSE_DIMENSION = 4096
 
 _DECIMAL = re.compile(r"-?[0-9]+")
-_FLOAT = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
 
 
 class QscaError(Exception):
     """Base class for all package-specific errors."""
-
-
-class NullWordError(QscaError):
-    """The all-zero window word was passed where a nonzero word is required."""
 
 
 class StepDivergedError(QscaError):
@@ -75,15 +70,6 @@ def parse_int(token: str, line_no: int | None = None) -> int:
     if not _DECIMAL.fullmatch(token):
         raise ParseError(f"bad integer {token!r}", line_no=line_no)
     return int(token)
-
-
-def parse_float(token: str, line_no: int | None = None) -> float:
-    """An ASCII decimal with an optional exponent, as `.17g` writes one.
-    Bare float() would also take `1_0`, `nan`, `inf`, surrounding blanks
-    and non-ASCII digits."""
-    if not _FLOAT.fullmatch(token):
-        raise ParseError(f"bad number {token!r}", line_no=line_no)
-    return float(token)
 
 
 class NotHermitian(QscaError):

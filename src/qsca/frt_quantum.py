@@ -32,14 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionTooLarge
-from .qstate import (
-    BlockReset,
-    Circuit,
-    CollectiveCn,
-    GateOp,
-    _word_image,
-)
-from .sca_core import as_word, format_block, frt_pattern
+from .qstate import BlockReset, CollectiveCn, GateOp, _word_image
+from .sca_core import BasicString, Particle, format_block, frt_pattern
 
 __all__ = [
     "FrtStagePlan",
@@ -90,26 +84,6 @@ class FrtStagePlan:
         ops.append(BlockReset(start(m), w, reset_variant))
         return tuple(ops)
 
-    def as_circuit(self, reset_variant: str = "extended") -> Circuit:
-        """All stages concatenated into one gate list."""
-        ops: list[GateOp] = []
-        for m in range(1, self.padding + 1):
-            ops.extend(self.stage_ops(m, reset_variant))
-        return Circuit(self.n_qubits, tuple(ops))
-
-
-def _coerce_blocks(blocks: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """Particle word, block count and block width of a list of bit blocks."""
-    blocks = [tuple(b) for b in blocks]
-    if not blocks:
-        raise ValueError("need at least one block")
-    widths = {len(b) for b in blocks}
-    if len(widths) != 1:
-        raise ValueError("blocks must share one length")
-    if not any(blocks[0]) or not any(blocks[-1]):
-        raise ValueError("first and last blocks must be nonzero")
-    return as_word(b for blk in blocks for b in blk), len(blocks), widths.pop()
-
 
 def _check_width(n_qubits: int) -> None:
     if n_qubits > _INDEX_QUBITS:
@@ -151,10 +125,12 @@ def run_frt(blocks: Sequence, padding: int,
             reset_variant: str = "extended") -> FrtRunReport:
     """Run the full propagation circuit and record each stage.
 
-    The final check asserts the register is exactly the basis index of
-    the input particle translated by `padding` blocks.
+    The blocks are validated as a `Particle`.  The final check asserts
+    the register is exactly the basis index of the input particle
+    translated by `padding` blocks.
     """
-    word, L, w = _coerce_blocks(blocks)
+    particle = Particle(0, tuple(map(BasicString, blocks)))
+    word, L, w = particle.word, particle.block_count, particle.block_len
     plan = FrtStagePlan(L, padding, w)
     _check_width(plan.n_qubits)
 

@@ -41,7 +41,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import RESET_VARIANTS, DimensionTooLarge, ParseError, parse_int
+from .errors import RESET_VARIANTS, DimensionTooLarge
 
 __all__ = [
     "ArrayEq",
@@ -52,13 +52,11 @@ __all__ = [
     "BlockReset",
     "GateOp",
     "Circuit",
-    "basis_state",
     "apply_circuit",
     "circuit_matrix",
     "affine_fold",
     "affine_image",
     "uniform_superposition_nonnull",
-    "parse_gatelist",
     "emit_gatelist",
 ]
 
@@ -139,22 +137,6 @@ def _check_state_width(n: int) -> None:
     if n > 2 * DENSE_LIMIT:
         raise DimensionTooLarge(
             f"{n} qubits exceeds the state limit of {2 * DENSE_LIMIT}")
-
-
-def basis_state(bits: Sequence[int]) -> StateVector:
-    """Computational basis vector labeled by the given bits."""
-    bits = tuple(int(b) for b in bits)
-    if not bits:
-        raise ValueError("empty bit sequence")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be 0 or 1")
-    _check_state_width(len(bits))
-    index = 0
-    for b in bits:
-        index = (index << 1) | b
-    amp = np.zeros(2 ** len(bits), dtype=complex)
-    amp[index] = 1.0
-    return StateVector._owning(len(bits), amp)
 
 
 def uniform_superposition_nonnull(n_qubits: int) -> StateVector:
@@ -424,53 +406,6 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
 #   CN <control> <target>
 #   CCN <control_block_start> <target_block_start> <len>
 #   RESET <block_start> <len> <literal|extended>
-# `#` starts a comment.
-
-def parse_gatelist(text: str, n_qubits: int | None = None) -> Circuit:
-    """Parse the gate-list format; infers the qubit count when not given."""
-    ops: list[GateOp] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        name, args = fields[0].upper(), fields[1:]
-
-        def ints(k):
-            if len(args) != k:
-                raise ParseError(
-                    f"{name} expects {k} argument(s)", line_no=line_no)
-            return [parse_int(a, line_no) for a in args]
-
-        try:
-            if name == "X":
-                op = Not(*ints(1))
-            elif name == "CN":
-                op = Cn(*ints(2))
-            elif name == "CCN":
-                op = CollectiveCn(*ints(3))
-            elif name == "RESET":
-                if len(args) != 3 or args[2] not in RESET_VARIANTS:
-                    raise ParseError(
-                        "RESET expects <start> <len> <literal|extended>",
-                        line_no=line_no)
-                op = BlockReset(parse_int(args[0], line_no),
-                                parse_int(args[1], line_no), args[2])
-            else:
-                raise ParseError(f"unknown op {fields[0]!r}", line_no=line_no)
-        except ValueError as err:
-            raise ParseError(str(err), line_no=line_no) from None
-        if n_qubits is not None and _top_qubit(op) > n_qubits:
-            raise ParseError(f"op {op!r} out of range for {n_qubits} qubits",
-                             line_no=line_no)
-        ops.append(op)
-    if n_qubits is None:
-        n_qubits = max(map(_top_qubit, ops), default=1)
-    try:
-        return Circuit(n_qubits, tuple(ops))
-    except ValueError as err:
-        raise ParseError(str(err)) from None
-
 
 def emit_gatelist(circuit: Circuit) -> str:
     lines = []

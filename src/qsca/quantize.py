@@ -29,14 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_DENSE_DIMENSION as CSV_MAX_DIMENSION
-from .errors import MAX_RADIUS, DimensionTooLarge, RadiusError
+from .errors import (MAX_DENSE_DIMENSION, MAX_RADIUS, DimensionTooLarge,
+                     RadiusError)
 from .qstate import (ArrayEq, Circuit, Cn, Not, square_zeros,
                      uniform_superposition_nonnull)
 
 __all__ = [
     "MAX_RADIUS",
-    "CSV_MAX_DIMENSION",
     "WordMap",
     "TransitionOperator",
     "BasisPartition",
@@ -63,8 +62,8 @@ def _check_radius(r: int) -> None:
 
 
 def window_centers(windows: np.ndarray) -> np.ndarray:
-    """Vectorized `sca_core.next_center` over int64 window words: 1 xor
-    the parity, 0 for the all-zero window (words hold only window bits)."""
+    """The window rule's new center over int64 window words: 1 xor the
+    parity, 0 for the all-zero window (words hold only window bits)."""
     w = np.asarray(windows, dtype=np.int64)
     return ((w != 0) & (np.bitwise_count(w) % 2 == 0)).astype(np.int64)
 
@@ -121,14 +120,6 @@ class TransitionOperator(WordMap):
     """U as the word map of one window of 2r+1 cells."""
 
     null_index = 0
-
-    @property
-    def null_word(self) -> tuple[int, ...]:
-        return (0,) * (2 * self.radius + 1)
-
-    @property
-    def preimage_word(self) -> tuple[int, ...]:
-        return (0,) * self.radius + (1,) + (0,) * self.radius
 
     @property
     def preimage_index(self) -> int:
@@ -368,9 +359,9 @@ def emit_matrix_triplets(word_map: WordMap) -> str:
 
 def check_csv_dimension(dimension: int) -> None:
     """Refuse, before anything is built, a CSV of more than 4096 rows."""
-    if dimension > CSV_MAX_DIMENSION:
+    if dimension > MAX_DENSE_DIMENSION:
         raise DimensionTooLarge(
-            f"CSV export supports dimensions up to {CSV_MAX_DIMENSION}")
+            f"CSV export supports dimensions up to {MAX_DENSE_DIMENSION}")
 
 
 def emit_matrix_csv(matrix: np.ndarray) -> str:

@@ -10,8 +10,7 @@ to its right.  The window rule is the parity rule
 totalized so that an all-zero window stays zero (the quiescent background
 is a fixed point).  Equivalently: the new bit is 1 iff the window holds a
 positive even number of ones.  That is the parity filter rule of Park,
-Steiglitz and Thurston (Physica D 19, 423 (1986)); `next_center` is the
-per-window reference.
+Steiglitz and Thurston (Physica D 19, 423 (1986)).
 
 A step is the old row shifted r sites left, xor greedy marks at least
 r + 1 sites apart (proof at `step`), and that is how it runs: on the row
@@ -40,19 +39,16 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .errors import NullWordError, ParseError, StepDivergedError, parse_int
+from .errors import ParseError, StepDivergedError, parse_int
 
 __all__ = [
     "Rule",
     "Configuration",
-    "Window",
     "BasicString",
     "Particle",
     "FrtPrediction",
     "FrtTimeCheck",
     "FrtReport",
-    "next_center",
-    "f_window",
     "step",
     "evolve",
     "parse_particles",
@@ -61,9 +57,7 @@ __all__ = [
     "frt_pattern",
     "frt_predict",
     "frt_check",
-    "render_particles",
     "parse_configuration",
-    "emit_configuration",
     "ascii_diagram",
     "pbm_diagram",
 ]
@@ -176,52 +170,6 @@ class Configuration:
 
 
 EMPTY = Configuration(0, ())
-
-
-@dataclass(frozen=True)
-class Window:
-    """One update neighborhood: r updated left bits, old center, r old right bits."""
-
-    left_updated: tuple[int, ...]
-    center: int
-    right: tuple[int, ...]
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return self.left_updated + (self.center,) + self.right
-
-
-def next_center(rule: Rule, window: Window) -> int:
-    """New center bit for one window; total (all-zero window maps to 0)."""
-    bits = window.bits
-    if len(bits) != rule.window_len:
-        raise ValueError(
-            f"window has {len(bits)} bits, expected {rule.window_len}"
-        )
-    if not any(bits):
-        return 0
-    parity = 0
-    for b in bits:
-        parity ^= b
-    return 1 ^ parity
-
-
-def f_window(rule: Rule, word: Sequence[int]) -> tuple[int, ...]:
-    """One-step image of a nonzero window word: center bit rewritten.
-
-    Bijective from the nonzero words of length 2r+1 onto all words except
-    the single word with zero sides and center 1 (the preimage of the
-    null word).  Raises NullWordError on the all-zero word, which is
-    excluded from the domain.
-    """
-    word = tuple(int(b) for b in word)
-    if len(word) != rule.window_len:
-        raise ValueError(f"word has {len(word)} bits, expected {rule.window_len}")
-    if not any(word):
-        raise NullWordError("the all-zero word has no image")
-    r = rule.radius
-    w = Window(word[:r], word[r], word[r + 1:])
-    return word[:r] + (next_center(rule, w),) + word[r + 1:]
 
 
 @lru_cache(maxsize=None)
@@ -415,19 +363,6 @@ def parse_particles(rule: Rule, config: Configuration) -> list[Particle]:
     return out
 
 
-def render_particles(rule: Rule, particles: Iterable[Particle]) -> Configuration:
-    """Place particles on the empty background at their start sites."""
-    placed = sorted(particles, key=lambda p: p.start_site)
-    if not placed:
-        return EMPTY
-    for a, b in zip(placed, placed[1:]):
-        if a.start_site + a.width > b.start_site:
-            raise ValueError("particles overlap")
-    lo, hi = placed[0].start_site, placed[-1].start_site + placed[-1].width
-    row = sum(p.word << (hi - p.start_site - p.width) for p in placed)
-    return Configuration._of_word(*_trim(lo, row, hi - lo))
-
-
 def frt_pattern(word, k: int, L: int, w: int):
     """Predicted word of a particle of L w-bit blocks after k returns.
 
@@ -581,11 +516,6 @@ def parse_configuration(text: str) -> Configuration:
         raise ParseError("unexpected line after the configuration row",
                          line_no=rest[1][0])
     return Configuration(origin, row)
-
-
-def emit_configuration(config: Configuration) -> str:
-    return "origin={}\n{}\n".format(
-        config.origin, format(config.word, "b") if config.word else "")
 
 
 def _frame(configs: Sequence[Configuration]) -> tuple[int, int]:

@@ -29,7 +29,7 @@ Reconstruction splits the plan into maximal runs of consecutive
 rotations that share the pivot and have distinct partners.  Applied in
 reverse, a run is the affine recurrence x <- u00 x + u01 w_k on the
 pivot row, which an inclusive odd-even scan evaluates in O(K n) work
-with no division, so arbitrary and parsed plans take the same path.
+with no division, so a plan need not come from `reck_decompose`.
 
 Mode indices are 0-based in code; the text format is 1-based like every
 other format in this package.
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotUnitary, ParseError, parse_float, parse_int
+from .errors import NotUnitary
 from .qstate import ArrayEq
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "reck_decompose",
     "reck_reconstruct",
     "emit_reck_plan",
-    "parse_reck_plan",
 ]
 
 
@@ -103,14 +102,6 @@ class EmbeddedRotation(ArrayEq):
         if not residual <= 1e-12:
             raise NotUnitary(residual)
         object.__setattr__(self, "u", _frozen(u))
-
-    def embedded(self, dimension: int) -> np.ndarray:
-        mat = np.eye(dimension, dtype=complex)
-        mat[self.i, self.i] = self.u[0, 0]
-        mat[self.i, self.j] = self.u[0, 1]
-        mat[self.j, self.i] = self.u[1, 0]
-        mat[self.j, self.j] = self.u[1, 1]
-        return mat
 
 
 class _Rotations(Sequence):
@@ -304,49 +295,3 @@ def emit_reck_plan(plan: ReckPlan) -> str:
     for k, ph in enumerate(plan.phases.tolist()):
         lines.append(f"P {k + 1} {ph.real:.17g} {ph.imag:.17g}")
     return "\n".join(lines) + "\n"
-
-
-def parse_reck_plan(text: str) -> ReckPlan:
-    rotations: list[tuple[int, EmbeddedRotation]] = []
-    phases: dict[int, complex] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
-        try:
-            if fields[0] == "R" and len(fields) == 11:
-                i, j = (parse_int(f, line_no) - 1 for f in fields[1:3])
-                vals = [parse_float(x, line_no) for x in fields[3:]]
-                block = np.array(
-                    [complex(vals[2 * k], vals[2 * k + 1]) for k in range(4)]
-                ).reshape(2, 2)
-                rotations.append((line_no, EmbeddedRotation(i, j, block)))
-            elif fields[0] == "P" and len(fields) == 4:
-                mode = parse_int(fields[1], line_no) - 1
-                if mode in phases:
-                    raise ParseError(f"second phase line for mode {mode + 1}",
-                                     line_no=line_no)
-                phases[mode] = complex(parse_float(fields[2], line_no),
-                                       parse_float(fields[3], line_no))
-            else:
-                raise ParseError(f"unrecognized plan line {line!r}",
-                                 line_no=line_no)
-        except (ValueError, NotUnitary) as err:
-            raise ParseError(str(err), line_no=line_no) from None
-    if not phases or sorted(phases) != list(range(len(phases))):
-        raise ParseError("phase lines must cover modes 1..N")
-    dim = len(phases)
-    for line_no, r in rotations:
-        if r.j >= dim:
-            raise ParseError(f"rotation mode {r.j + 1} out of range for "
-                             f"{dim} modes", line_no=line_no)
-    try:
-        return ReckPlan(dim,
-                        np.array([(r.i, r.j) for _, r in rotations],
-                                 dtype=np.int64).reshape(-1, 2),
-                        np.array([r.u for _, r in rotations],
-                                 dtype=complex).reshape(-1, 2, 2),
-                        [phases[k] for k in range(dim)])
-    except ValueError as err:
-        raise ParseError(str(err)) from None

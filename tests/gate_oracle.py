@@ -5,6 +5,10 @@ one gate at a time, with no fold and no index map.  The tests compare
 `apply_circuit` and `circuit_matrix` against `gate_by_gate`.  Each kernel reads its array argument as
 (2^n)-by-anything, so it runs on a state or on stacked states.  NOT
 writes out of place; CN and the reset work in place.
+
+The other references build what the package never builds itself: a
+basis state from its bits, the propagation circuit as one gate list,
+and a mesh rotation as a dense matrix.
 """
 
 import numpy as np
@@ -18,6 +22,32 @@ from qsca.qstate import (
     StateVector,
     _reset_inplace,
 )
+
+
+def basis_state(bits):
+    """Computational basis vector labeled by the given bits."""
+    bits = tuple(bits)
+    if not bits or not {0, 1}.issuperset(bits):
+        raise ValueError("need a nonempty tuple of 0/1 bits")
+    amp = np.zeros(2 ** len(bits), dtype=complex)
+    amp[int("".join(map(str, bits)), 2)] = 1.0
+    return StateVector(len(bits), amp)
+
+
+def stage_circuit(plan, reset_variant="extended"):
+    """All stages of a propagation plan concatenated into one circuit."""
+    ops = []
+    for m in range(1, plan.padding + 1):
+        ops.extend(plan.stage_ops(m, reset_variant))
+    return Circuit(plan.n_qubits, tuple(ops))
+
+
+def embedded(rotation, dimension):
+    """The rotation's 2x2 block on modes (i, j) of the identity."""
+    i, j = rotation.i, rotation.j
+    mat = np.eye(dimension, dtype=complex)
+    mat[np.ix_([i, j], [i, j])] = rotation.u
+    return mat
 
 
 def _not_into(src, dst, q):

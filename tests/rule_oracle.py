@@ -1,0 +1,63 @@
+"""Per-window and per-bit references for the classical automaton.
+
+The package runs the rule on whole rows and windows as int words; these
+functions restate it one window or one bit at a time, for the tests to
+compare against: `next_center` and `f_window` for the window rule,
+`render_particles` for particle segmentation, and `emit_configuration`
+for the configuration text format.
+"""
+
+from qsca.sca_core import Configuration
+
+
+def next_center(rule, bits):
+    """New center bit of one window (r updated left bits, the old center,
+    r old right bits); total, the all-zero window maps to 0."""
+    bits = tuple(bits)
+    if len(bits) != rule.window_len:
+        raise ValueError(
+            f"window has {len(bits)} bits, expected {rule.window_len}")
+    if not any(bits):
+        return 0
+    parity = 0
+    for b in bits:
+        parity ^= b
+    return 1 ^ parity
+
+
+def f_window(rule, word):
+    """One-step image of a nonzero window word: center bit rewritten.
+
+    Bijective from the nonzero words of length 2r+1 onto all words except
+    the single word with zero sides and center 1.  The all-zero word is
+    outside the domain and raises ValueError.
+    """
+    word = tuple(int(b) for b in word)
+    if len(word) != rule.window_len:
+        raise ValueError(
+            f"word has {len(word)} bits, expected {rule.window_len}")
+    if not any(word):
+        raise ValueError("the all-zero word has no image")
+    r = rule.radius
+    return word[:r] + (next_center(rule, word),) + word[r + 1:]
+
+
+def render_particles(particles):
+    """Place particles on the empty background at their start sites."""
+    placed = sorted(particles, key=lambda p: p.start_site)
+    for a, b in zip(placed, placed[1:]):
+        if a.start_site + a.width > b.start_site:
+            raise ValueError("particles overlap")
+    if not placed:
+        return Configuration(0, ())
+    lo = placed[0].start_site
+    bits = [0] * (placed[-1].start_site + placed[-1].width - lo)
+    for p in placed:
+        bits[p.start_site - lo:p.start_site - lo + p.width] = p.flat_bits
+    return Configuration(lo, tuple(bits))
+
+
+def emit_configuration(config):
+    """The two-line text format: `origin=<int>`, then the stored bits."""
+    return "origin={}\n{}\n".format(config.origin,
+                                    "".join(map(str, config.bits)))

@@ -11,13 +11,13 @@ import time
 
 import numpy as np
 
+from gate_oracle import basis_state
 from qsca.frt_quantum import stage_identity_check
 from qsca.qstate import (
     Circuit,
     Cn,
     Not,
     apply_circuit,
-    basis_state,
     circuit_matrix,
 )
 from qsca.quantize import (

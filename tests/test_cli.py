@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qsca import qstate, quantize
 from qsca.cli import _parse_blocks, build_parser, main
 from qsca.errors import ParseError
-from qsca.unitary_compile import parse_reck_plan
 
 
 @pytest.fixture
@@ -259,16 +258,24 @@ def test_parallelism(capsys):
     assert f"amplitude {1 / np.sqrt(31):.17g}\n" in out
 
 
+def plan_line_counts(out):
+    """(R lines, P lines, all lines) of an emitted reck plan."""
+    kinds = [line.split()[0] for line in out.splitlines()]
+    return kinds.count("R"), kinds.count("P"), len(kinds)
+
+
 def test_reck_random(capsys):
     code, out, _ = run(capsys, "reck", "--dimension", "4")
     assert code == 0
-    assert parse_reck_plan(out).dimension == 4
+    # a dense unitary needs all 4 * 3 / 2 rotations, then 4 phases
+    assert plan_line_counts(out) == (6, 4, 10)
 
 
 def test_reck_circuit(capsys):
     code, out, _ = run(capsys, "reck", "--radius", "1")
     assert code == 0
-    assert parse_reck_plan(out).dimension == 8
+    # the 8 x 8 window circuit is a permutation: two swaps, 8 phases
+    assert plan_line_counts(out) == (2, 8, 10)
 
 
 @pytest.mark.parametrize("dimension, drawn", [

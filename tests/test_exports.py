@@ -71,4 +71,6 @@ def test_parser_constants_have_one_home():
     assert spin_chain.GENERATOR_VARIANTS is errors.GENERATOR_VARIANTS
     assert qstate.RESET_VARIANTS is errors.RESET_VARIANTS
     # one dense budget for the CSV export and `reck --dimension`
-    assert quantize.CSV_MAX_DIMENSION is errors.MAX_DENSE_DIMENSION
+    quantize.check_csv_dimension(4096)
+    with pytest.raises(errors.DimensionTooLarge):
+        quantize.check_csv_dimension(4097)

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from gate_oracle import gate_by_gate
+from gate_oracle import gate_by_gate, stage_circuit
 from qsca.errors import DimensionTooLarge
 from qsca import frt_quantum
 from qsca.frt_quantum import (
@@ -123,7 +123,7 @@ def test_stage_plan_ops_golden():
     assert plan.stage_ops(2, "literal") == (
         CollectiveCn(3, 5, 2), CollectiveCn(3, 7, 2),
         BlockReset(3, 2, "literal"))
-    circuit = plan.as_circuit()
+    circuit = stage_circuit(plan)
     assert circuit.n_qubits == 8
     assert circuit.ops == plan.stage_ops(1) + plan.stage_ops(2)
 
@@ -226,11 +226,15 @@ def test_run_frt_states_match_apply_circuit(L, r, padding, variant):
         for m, state in stage_states(plan, start, variant):
             want = basis_vector(plan.n_qubits, report.records[m].index)
             assert np.array_equal(state.amplitudes, want.amplitudes)
+        # and all stages as one circuit
+        whole = apply_circuit(basis_vector(plan.n_qubits, start),
+                              stage_circuit(plan, variant))
+        assert np.array_equal(whole.amplitudes, state.amplitudes)
 
 
 def test_circuit_linear_on_superpositions():
     plan = FrtStagePlan(1, 2, 2)
-    circuit = plan.as_circuit()
+    circuit = stage_circuit(plan)
     a = basis_vector(6, 0b10_00_00)
     b = basis_vector(6, 0b11_00_00)
     mixed = StateVector(6, (a.amplitudes + b.amplitudes) / np.sqrt(2))

@@ -10,9 +10,10 @@ from gate_oracle import (
     apply_cn,
     apply_collective_cn,
     apply_not,
+    basis_state,
     gate_by_gate,
 )
-from qsca.errors import DimensionTooLarge, ParseError
+from qsca.errors import DimensionTooLarge
 from qsca.qstate import (
     BlockReset,
     Circuit,
@@ -23,10 +24,8 @@ from qsca.qstate import (
     affine_fold,
     affine_image,
     apply_circuit,
-    basis_state,
     circuit_matrix,
     emit_gatelist,
-    parse_gatelist,
     square_zeros,
     uniform_superposition_nonnull,
 )
@@ -244,6 +243,12 @@ def test_circuit_validation():
         Circuit(3, (CollectiveCn(1, 3, 2),))
     with pytest.raises(ValueError):
         Circuit(0, ())
+    # a block's top qubit is start + length - 1, never a list of qubits
+    huge = 999999999999999999992
+    for op in (BlockReset(1, huge, "literal"), Not(huge),
+               CollectiveCn(1, huge, 1)):
+        with pytest.raises(ValueError):
+            Circuit(4, (op,))
 
 
 def test_apply_circuit_basics():
@@ -492,89 +497,40 @@ def test_state_width_limit():
     # a 29-qubit state is 8 GiB: refused before it is allocated
     for n in (29, 50):
         with pytest.raises(DimensionTooLarge):
-            basis_state((0,) * n)
-        with pytest.raises(DimensionTooLarge):
             uniform_superposition_nonnull(n)
 
 
 # -- text formats -----------------------------------------------------------
 
-def test_parse_gatelist():
-    circuit = parse_gatelist("X 3\nCN 1 4\n")
-    assert circuit.ops == (Not(3), Cn(1, 4))
-    assert circuit.n_qubits == 4
-    both = parse_gatelist("# header\nCCN 1 4 3  # trailing\nRESET 4 3 literal\n")
-    assert both.ops == (CollectiveCn(1, 4, 3), BlockReset(4, 3, "literal"))
-    fixed = parse_gatelist("X 2\n", n_qubits=6)
-    assert fixed.n_qubits == 6
+_GATES = {"X": Not, "CN": Cn, "CCN": CollectiveCn, "RESET": BlockReset}
 
 
-def test_parse_gatelist_wide_blocks():
-    # a block's top qubit is start + length - 1, never a list of qubits
-    huge = 999999999999999999992
-    for text in (f"RESET 1 {huge} literal\n", f"X {huge}\n",
-                 f"CCN 1 {huge} 1\n"):
-        assert parse_gatelist(text).n_qubits == huge
-    assert parse_gatelist("RESET 1 2000000 literal\n").n_qubits == 2000000
-    assert parse_gatelist("CCN 5 1 3\n").n_qubits == 7
-    with pytest.raises(ParseError) as info:
-        parse_gatelist(f"RESET 1 {huge} literal\n", n_qubits=4)
-    assert info.value.line_no == 1
-    with pytest.raises(ValueError):
-        Circuit(4, (CollectiveCn(1, 4, 2),))
-
-
-def test_parse_gatelist_errors():
-    for bad in ("Y 1\n", "X\n", "CN 1\n", "CN 2 2\n", "CCN 1 2 x\n",
-                "RESET 1 2 maybe\n", "X 0\n"):
-        with pytest.raises(ParseError):
-            parse_gatelist(bad)
-    with pytest.raises(ParseError) as info:
-        parse_gatelist("X 1\nBAD 2\n")
-    assert info.value.line_no == 2
-    # out-of-range ops and integers other than ASCII -?[0-9]+ name their line
-    for text, n_qubits in (("X 1\nX 9\n", 4), ("X 1\nX 0\n", None),
-                           ("X 1\nX -1\n", None), ("X 1\nCN 1 -2\n", None),
-                           ("X 1\nX 1_0\n", None), ("X 1\nX \u0663\n", None),
-                           ("X 1\nCN +1 2\n", None),
-                           ("X 1\nRESET 1_0 2 literal\n", None),
-                           ("X 1\nRESET 1 \u0662 extended\n", None)):
-        with pytest.raises(ParseError) as info:
-            parse_gatelist(text, n_qubits=n_qubits)
-        assert info.value.line_no == 2, text
-
-
-_GATE_TOKENS = st.sampled_from(
-    ["X", "CN", "CCN", "RESET", "x", "cn", "Y", "0", "1", "2", "3", "4", "-1",
-     "99", "1e3", "1_0", "\u0663", "+1", "literal", "maybe", "#", "# 1",
-     ""])
-
-
-@settings(max_examples=300, deadline=None)
-@given(lines=st.lists(st.lists(_GATE_TOKENS, max_size=5).map(" ".join),
-                      max_size=6),
-       n_qubits=st.none() | st.integers(-1, 6))
-def test_parse_gatelist_raises_only_parse_error(lines, n_qubits):
-    try:
-        circuit = parse_gatelist("\n".join(lines), n_qubits=n_qubits)
-    except ParseError:
-        return
-    assert circuit.n_qubits >= 1
+def read_gatelist(text, n_qubits):
+    """The circuit of an emitted gate list, read back without checks."""
+    ops = []
+    for line in text.splitlines():
+        name, *args = line.split()
+        ops.append(_GATES[name](*(int(a) if a.isdigit() else a
+                                  for a in args)))
+    return Circuit(n_qubits, tuple(ops))
 
 
 def test_gatelist_round_trip():
     text = ("X 3\n"
             "CN 1 4\n"
-            "CCN 1 3 2\n"
-            "RESET 3 2 extended\n")
-    circuit = parse_gatelist(text)
+            "CCN 1 4 3\n"
+            "RESET 4 3 literal\n"
+            "RESET 1 2 extended\n")
+    circuit = Circuit(6, (Not(3), Cn(1, 4), CollectiveCn(1, 4, 3),
+                          BlockReset(4, 3, "literal"),
+                          BlockReset(1, 2, "extended")))
     assert emit_gatelist(circuit) == text
-    # comments and spacing normalize away
-    assert emit_gatelist(parse_gatelist("# c\n  X 3\n\nCN 1 4 # z\n")) \
-        == "X 3\nCN 1 4\n"
+    assert read_gatelist(text, 6) == circuit
+    assert emit_gatelist(Circuit(2, ())) == ""
 
 
 @settings(max_examples=100, deadline=None)
 @given(circuits(max_qubits=10))
 def test_gatelist_round_trip_property(circuit):
-    assert parse_gatelist(emit_gatelist(circuit), circuit.n_qubits) == circuit
+    # the text names every op and field: reading it back loses nothing
+    assert read_gatelist(emit_gatelist(circuit), circuit.n_qubits) == circuit

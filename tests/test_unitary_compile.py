@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsca.errors import NotUnitary, ParseError, parse_float
+from gate_oracle import embedded
+from qsca.errors import NotUnitary
 from qsca.qstate import circuit_matrix
 from qsca.quantize import build_uf_circuit, build_uf_matrix
 from qsca.unitary_compile import (
@@ -15,7 +16,6 @@ from qsca.unitary_compile import (
     _unitarity_residual,
     ReckPlan,
     emit_reck_plan,
-    parse_reck_plan,
     reck_decompose,
     reck_reconstruct,
 )
@@ -43,7 +43,7 @@ def test_embedded_rotation_golden():
     want = np.array([[0, 0, 1],
                      [0, 1, 0],
                      [1, 0, 0]], dtype=complex)
-    assert np.array_equal(swap.embedded(3), want)
+    assert np.array_equal(embedded(swap, 3), want)
     assert not swap.u.flags.writeable
 
 
@@ -279,7 +279,7 @@ def embedded_product(plan):
     """Oracle: the plan multiplied out with dense embedded n x n matrices."""
     mat = np.diag(plan.phases).astype(complex)
     for rot in reversed(plan.rotations):
-        mat = rot.embedded(plan.dimension) @ mat
+        mat = embedded(rot, plan.dimension) @ mat
     return mat
 
 
@@ -394,7 +394,7 @@ def test_partial_products_stay_unitary():
     plan = reck_decompose(u)
     partial = np.diag(plan.phases).astype(complex)
     for rot in reversed(plan.rotations):
-        partial = rot.embedded(6) @ partial
+        partial = embedded(rot, 6) @ partial
         gram = partial.conj().T @ partial
         assert np.abs(gram - np.eye(6)).max() <= 1e-12
 
@@ -424,10 +424,24 @@ def _plan_kinds():
     return haar | perms | arbitrary
 
 
+def read_reck_plan(text):
+    """The plan of an emitted text, read back without checks.  Each pair
+    of float() values is viewed as one complex, so signed zeros survive."""
+    rows = [line.split() for line in text.splitlines()]
+    rots = [row[1:] for row in rows if row[0] == "R"]
+    phases = [[float(x) for x in row[2:]] for row in rows if row[0] == "P"]
+    modes = np.array([(int(i) - 1, int(j) - 1) for i, j, *_ in rots],
+                     dtype=np.int64).reshape(-1, 2)
+    blocks = np.array([[float(x) for x in row[2:]] for row in rots])
+    return ReckPlan(len(phases), modes,
+                    blocks.reshape(-1, 8).view(complex).reshape(-1, 2, 2),
+                    np.array(phases).view(complex).ravel())
+
+
 @settings(max_examples=80, deadline=None)
 @given(plan=_plan_kinds())
 def test_text_round_trip_exact(plan):
-    back = parse_reck_plan(emit_reck_plan(plan))
+    back = read_reck_plan(emit_reck_plan(plan))
     assert back == plan and hash(back) == hash(plan)
     # bit-identical, signed zeros included
     assert back.blocks.tobytes() == plan.blocks.tobytes()
@@ -437,87 +451,12 @@ def test_text_round_trip_exact(plan):
 def test_emit_golden():
     plan = plan_of(2, (), np.array([1.0, -1.0]))
     assert emit_reck_plan(plan) == "P 1 1 0\nP 2 -1 0\n"
-
-
-def test_parse_errors():
-    with pytest.raises(ParseError):
-        parse_reck_plan("Q 1 2\n")
-    with pytest.raises(ParseError) as info:
-        parse_reck_plan("P 1 1 0\nR 2 1 1 0 0 0 0 0 1 0\nP 2 1 0\n")
-    assert info.value.line_no == 2
-    with pytest.raises(ParseError):
-        # non-unitary rotation entries
-        parse_reck_plan("R 1 2 1 0 0 0 0 0 2 0\nP 1 1 0\nP 2 1 0\n")
-    with pytest.raises(ParseError):
-        parse_reck_plan("P 1 1 0\nP 3 1 0\n")
-    with pytest.raises(ParseError):
-        parse_reck_plan("")
-    with pytest.raises(ParseError):
-        # phase off the unit circle
-        parse_reck_plan("P 1 2 0\n")
-    with pytest.raises(ParseError):
-        # NaN rotation entry and NaN phase
-        parse_reck_plan("R 1 2 nan 0 0 0 0 0 1 0\nP 1 nan 0\nP 2 1 0\n")
-    with pytest.raises(ParseError):
-        parse_reck_plan("P 1 nan 0\nP 2 1 0\n")
-    with pytest.raises(ParseError):
-        parse_reck_plan("R 1 2 inf 0 0 0 0 0 1 0\nP 1 1 0\nP 2 1 0\n")
-    with pytest.raises(ParseError) as info:
-        # a repeated phase line would silently override the first
-        parse_reck_plan("P 1 1 0\nP 1 -1 0\nP 2 1 0\n")
-    assert info.value.line_no == 2
-    # mode indices are ASCII -?[0-9]+; int() alone reads these as 2
-    for text in ("P 1 1 0\nP \u0662 1 0\n", "P 1 1 0\nP +2 1 0\n",
-                 "P 1 1 0\nR 1 \u0662 1 0 0 0 0 0 1 0\nP 2 1 0\n",
-                 "P 1 1 0\nR 1 0_2 1 0 0 0 0 0 1 0\nP 2 1 0\n",
-                 # entries are ASCII decimals; float() alone reads these
-                 # as 1, 1 and 0
-                 "P 1 1 0\nP 2 \u0661 0\n", "P 1 1 0\nP 2 1_0e-1 0\n",
-                 "P 1 1 0\nP 2 1 \u0660\n",
-                 "P 1 1 0\nR 1 2 \u0661 0 0 0 0 0 1 0\nP 2 1 0\n",
-                 "P 1 1 0\nR 1 2 1 0 0 0 0 0 1 0_0\nP 2 1 0\n",
-                 "P 1 1 0\nP 2 +1 0\n", "P 1 1 0\nP 2 1 0j\n"):
-        with pytest.raises(ParseError) as info:
-            parse_reck_plan(text)
-        assert info.value.line_no == 2, text
-
-
-    with pytest.raises(ParseError) as info:
-        parse_reck_plan("P 1 \u0661 0\nP 2 1_0e-1 0\n")
-    assert info.value.line_no == 1
-
-
-def test_parse_rotation_mode_out_of_range():
-    # a mode past the phase lines, even one past int64, names its line
-    for mode in ("3", "999999999999999999992"):
-        with pytest.raises(ParseError) as info:
-            parse_reck_plan(f"P 1 1 0\nR 1 {mode} 0 0 1 0 1 0 0 0\n"
-                            "P 2 1 0\n")
-        assert info.value.line_no == 2
-
-
-def test_parse_float_reads_every_17g_output():
-    values = [0.0, -0.0, 1.0, -0.5, 0.1, 1 / 3, 1e-5, 123456789.0,
-              5e-324, -2.5e-310, 1.7976931348623157e308, 1e16, 1e17]
-    for v in values:
-        back = parse_float(f"{v:.17g}")
-        assert np.array([back]).tobytes() == np.array([v]).tobytes(), v
-    for bad in ("", "-", ".", "e5", "1e", "+1", " 1", "1 ", "nan", "inf",
-                "-inf", "1_0", "\u0661", "0x10", "1j"):
-        with pytest.raises(ParseError):
-            parse_float(bad)
-
-
-_PLAN_TOKENS = st.sampled_from(
-    ["R", "P", "Q", "0", "1", "2", "3", "-1", "0.5", "nan", "inf", "-inf",
-     "1e400", "x", "1_0", "\u0662", ""])
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(_PLAN_TOKENS, max_size=12).map(" ".join), max_size=6))
-def test_parser_raises_only_parse_error(lines):
-    try:
-        plan = parse_reck_plan("\n".join(lines))
-    except ParseError:
-        return
-    assert np.isfinite(plan.phases).all()
+    # a rotation by 0.3 rad; 17 significant digits, signed zeros kept
+    c, sn = 0.95533648912560598, 0.29552020666133955
+    plan = plan_of(2, [EmbeddedRotation(0, 1, np.array([[c, -sn], [sn, c]]))],
+                   np.array([1j, complex(-1.0, -0.0)]))
+    assert emit_reck_plan(plan) == (
+        "R 1 2 0.95533648912560598 0 -0.29552020666133955 0 "
+        "0.29552020666133955 0 0.95533648912560598 0\n"
+        "P 1 0 1\n"
+        "P 2 -1 -0\n")
