@@ -101,14 +101,14 @@ def cmd_uf(args) -> int:
                    report.range_residual, report.support_residual,
                    report.norm_deviation))
         return 0 if report.ok else 2
-    # blockform: permuted matrix plus structural verdict
+    # blockform: the verdict on words, the dense matrix for the CSV only
     quantize.check_csv_dimension(t_op.dimension)
     partition = quantize.partition_basis(args.radius)
-    blocked = quantize.represent_blocked(t_op, partition)
     k = len(partition.invariant_words)
-    ok = quantize.block_form_ok(blocked, k)
+    ok = quantize.block_form_ok(t_op, partition)
     text = "invariant {} flipped {}\n".format(k, t_op.dimension - k)
-    text += quantize.emit_matrix_csv(blocked)
+    text += quantize.emit_matrix_csv(
+        quantize.represent_blocked(t_op, partition))
     text += "blockform {}\n".format("ok" if ok else "MISMATCH")
     _write(args.out, text)
     return 0 if ok else 2
@@ -222,10 +222,7 @@ def cmd_reck(args) -> int:
         raise DimensionTooLarge(
             f"{modes} modes exceeds the mesh limit of {MAX_DENSE_DIMENSION}")
     if args.dimension is not None:
-        rng = np.random.default_rng(args.seed)
-        raw = rng.standard_normal((args.dimension, args.dimension)) \
-            + 1j * rng.standard_normal((args.dimension, args.dimension))
-        target, _ = np.linalg.qr(raw)
+        target = _haar(np.random.default_rng(args.seed), args.dimension)
     else:
         from . import qstate, quantize
         circuit = quantize.build_uf_circuit(
@@ -237,6 +234,15 @@ def cmd_reck(args) -> int:
     return 0 if error <= 1e-9 else 2
 
 
+def _haar(rng, dim: int):
+    """A seeded random dim x dim unitary: the Q factor of a complex
+    Gaussian matrix."""
+    import numpy as np
+    raw = rng.standard_normal((dim, dim)) \
+        + 1j * rng.standard_normal((dim, dim))
+    return np.linalg.qr(raw)[0]
+
+
 def cmd_check(args) -> int:
     import numpy as np
 
@@ -244,12 +250,8 @@ def cmd_check(args) -> int:
                    unitary_compile)
     rng = np.random.default_rng(args.seed)
     lines = []
-    failures = 0
 
     def record(name: str, ok: bool, detail: str = ""):
-        nonlocal failures
-        if not ok:
-            failures += 1
         suffix = f"  {detail}" if detail else ""
         lines.append("{} {}{}".format("ok  " if ok else "FAIL", name, suffix))
 
@@ -270,50 +272,43 @@ def cmd_check(args) -> int:
         record(f"partial isometry r={r}", report.ok,
                f"residuals {report.range_residual} {report.support_residual}")
 
-    # block form
+    # block form, on the image words
     for r in (1, 2):
-        blocked = quantize.represent_blocked(quantize.build_uf_matrix(r),
-                                             quantize.partition_basis(r))
-        record(f"block form r={r}",
-               quantize.block_form_ok(blocked, 2 ** (2 * r)))
+        record(f"block form r={r}", quantize.block_form_ok(
+            quantize.build_uf_matrix(r), quantize.partition_basis(r)))
 
-    # circuit factorization
+    # circuit factorization: the NOT/CN circuit's affine map agrees with
+    # U on every nonzero word
     for r in (1, 2, 3):
-        t_op = quantize.build_uf_matrix(r)
-        circuit = quantize.build_uf_circuit(r, r + 1, 2 * r + 1)
-        mat = qstate.circuit_matrix(circuit).real
-        mat[:, 0] = 0.0
-        record(f"circuit factorization r={r}",
-               np.array_equal(mat.astype(np.int8), t_op.matrix))
+        n = 2 * r + 1
+        circuit = quantize.build_uf_circuit(r, r + 1, n)
+        fold = qstate.affine_fold(n, circuit.ops)
+        image = qstate.affine_image(n, fold, np.arange(2 ** n))
+        record(f"circuit factorization r={r}", np.array_equal(
+            image[1:], quantize.build_uf_matrix(r).image[1:]))
 
     # totalized chain step against the classical scan, on every word
-    # with sites 1..r zero: the scan then never writes left of site 1
-    rule = sca_core.Rule(2)
-    n = 11
-    image = quantize.total_step(2, n, "partial_isometry").image
-    ok = True
-    for word in range(2 ** (n - 2)):
-        bits = tuple((word >> (n - s)) & 1 for s in range(1, n + 1))
-        term = sca_core.step(rule, sca_core.Configuration(1, bits))
-        want = sum(term.site(s) << (n - s) for s in range(1, n + 1))
-        ok = ok and int(image[word]) == want
-    record("chain step matches classical scan r=2", ok)
+    # with sites 1..r zero: the new row then lies within sites 1..n, so
+    # its word shifted to end at site n is the image (0 for the empty row)
+    rule, n = sca_core.Rule(2), 11
+    rows = (sca_core.step(rule, sca_core.Configuration(1, format(w, f"0{n}b")))
+            for w in range(2 ** (n - 2)))
+    record("chain step matches classical scan r=2",
+           [t.word << n - t.end for t in rows]
+           == quantize.total_step(2, n, "partial_isometry").image[
+               :2 ** (n - 2)].tolist())
 
-    # generators
-    x_gate = np.array([[0, 1], [1, 0]], dtype=complex)
-    cn_gate = np.eye(4, dtype=complex)
-    cn_gate[[2, 3]] = cn_gate[[3, 2]]
-    exp_not = spin_chain.matrix_exp_hermitian(
-        spin_chain.generator_not("verified"), np.pi)
-    exp_cn = spin_chain.matrix_exp_hermitian(
-        spin_chain.generator_cn("verified"), np.pi)
+    # generators: exp(i pi G) against the gate
+    def exponentiates_to(generator, variant: str, gate) -> bool:
+        exp = spin_chain.matrix_exp_hermitian(generator(variant), np.pi)
+        return np.abs(exp - gate).max() <= 1e-10
+
+    x_gate, cn_gate = np.eye(2)[::-1], np.eye(4)[[0, 1, 3, 2]]
     record("verified generators reproduce gates",
-           np.abs(exp_not - x_gate).max() <= 1e-10
-           and np.abs(exp_cn - cn_gate).max() <= 1e-10)
-    exp_cn_lit = spin_chain.matrix_exp_hermitian(
-        spin_chain.generator_cn("literal"), np.pi)
+           exponentiates_to(spin_chain.generator_not, "verified", x_gate)
+           and exponentiates_to(spin_chain.generator_cn, "verified", cn_gate))
     record("literal CN generator exponentiates to identity",
-           np.abs(exp_cn_lit - np.eye(4)).max() <= 1e-10)
+           exponentiates_to(spin_chain.generator_cn, "literal", np.eye(4)))
 
     # chain Hamiltonian hermiticity
     h = spin_chain.to_dense(spin_chain.build_chain_hamiltonian(8, 2))
@@ -327,9 +322,7 @@ def cmd_check(args) -> int:
     record("block propagation sampled r=2 L=3", rep.ok)
 
     # classical recurrence on random particles
-    rule = sca_core.Rule(2)
-    passed = matched = 0
-    attempts = 0
+    passed = matched = attempts = 0
     while passed < 10 and attempts < 400:
         attempts += 1
         L = int(rng.integers(1, 4))
@@ -353,22 +346,15 @@ def cmd_check(args) -> int:
     record("one-shot superposition update r=2",
            quantize.parallelism_demo(2).ok)
 
-    # mesh decomposition round trips
-    ok = True
-    for dim in (2, 4, 8):
-        raw = rng.standard_normal((dim, dim)) \
-            + 1j * rng.standard_normal((dim, dim))
-        target, _ = np.linalg.qr(raw)
-        plan = unitary_compile.reck_decompose(target)
-        err = np.abs(unitary_compile.reck_reconstruct(plan) - target).max()
-        ok = ok and err <= 1e-9
-    circuit = quantize.build_uf_circuit(1, 2, 3)
-    target = qstate.circuit_matrix(circuit)
-    plan = unitary_compile.reck_decompose(target)
-    ok = ok and np.abs(
-        unitary_compile.reck_reconstruct(plan) - target).max() <= 1e-9
-    record("mesh decomposition round trip", ok)
+    # mesh decomposition round trips: random unitaries, the r=1 circuit
+    targets = [_haar(rng, dim) for dim in (2, 4, 8)]
+    targets.append(qstate.circuit_matrix(quantize.build_uf_circuit(1, 2, 3)))
+    record("mesh decomposition round trip", all(
+        np.abs(unitary_compile.reck_reconstruct(
+            unitary_compile.reck_decompose(t)) - t).max() <= 1e-9
+        for t in targets))
 
+    failures = sum(line.startswith("FAIL") for line in lines)
     lines.append("{} checks, {} failed".format(len(lines), failures))
     _write(args.out, "\n".join(lines) + "\n")
     return 0 if failures == 0 else 2

@@ -217,26 +217,34 @@ def partition_basis(r: int) -> BasisPartition:
                           tuple(flipped.tolist()))
 
 
-def represent_blocked(t_op: TransitionOperator,
-                      partition: BasisPartition) -> np.ndarray:
-    """U conjugated by the partition's basis permutation, dense int8."""
+def _blocked_image(t_op: TransitionOperator,
+                   partition: BasisPartition) -> np.ndarray:
+    """U's image in the partition's basis order: entry pos[x] holds
+    pos[U x], -1 at the null word's position."""
     order = np.concatenate((partition.invariant_words,
                             partition.flipped_words))
     pos = np.empty_like(order)
     pos[order] = np.arange(order.size)
+    blocked = np.full(order.size, -1, dtype=np.int64)
     src, dest = t_op.mapped()
-    blocked = square_zeros(t_op.dimension, np.int8)
-    blocked[pos[dest], pos[src]] = 1
+    blocked[pos[src]] = pos[dest]
     return blocked
 
 
-def block_form_ok(blocked: np.ndarray, invariant_count: int) -> bool:
-    """Whether blocked is diag(I_invariant_count, antidiag(1, ..., 1, 0))."""
-    dim, k = blocked.shape[0], invariant_count
-    want = np.zeros_like(blocked)
-    want[np.arange(k), np.arange(k)] = 1
-    want[np.arange(k, dim - 1), np.arange(dim - 1, k, -1)] = 1
-    return np.array_equal(blocked, want)
+def represent_blocked(t_op: TransitionOperator,
+                      partition: BasisPartition) -> np.ndarray:
+    """U conjugated by the partition's basis permutation, dense int8."""
+    return WordMap(t_op.radius, _blocked_image(t_op, partition)).matrix
+
+
+def block_form_ok(t_op: TransitionOperator,
+                  partition: BasisPartition) -> bool:
+    """Whether U in the partition's basis order is diag(I_k,
+    antidiag(1, ..., 1, 0)), k the number of invariant words: decided on
+    words, the blocked image must read 0..k-1, -1, dim-2 down to k."""
+    dim, k = t_op.dimension, len(partition.invariant_words)
+    want = np.concatenate((np.arange(k), [-1], np.arange(dim - 2, k - 1, -1)))
+    return np.array_equal(_blocked_image(t_op, partition), want)
 
 
 def build_uf_circuit(r: int, site: int, n_qubits: int) -> Circuit:

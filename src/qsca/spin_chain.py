@@ -15,18 +15,18 @@ ship side by side:
             (1 - sigma_z)(1 - sigma_x)/4, whose exponentials reproduce
             NOT and CN exactly.
 
-The chain Hamiltonian is the sum over sites of the site generator
-(NOT generator plus the CN generators toward the r neighbors on each
-side, free boundaries).  Everything is expanded into Pauli terms with
-real coefficients and X/Z factors only, held as (x_mask, z_mask,
-coefficient) rows with site s at bit n - s; the `PauliTerm` tuples of a
-`HamiltonianSum` are read off those rows, and `HamiltonianSum.masks`
-gives them back as arrays.  A term with masks (x, z) maps column word w
-to row w ^ x with sign (-1)^popcount(w & z), so `to_dense` writes one
-diagonal per distinct X mask and the matrix is real symmetric by
-construction.  Its rows are padded by one cache line (`square_zeros`),
-so the transposed reads of a symmetry check do not all land in one
-cache set of the 2^n-wide matrix.
+The chain Hamiltonian is the sum over sites of the site generator,
+one gate generator per gate of that site's `build_uf_circuit` (the NOT
+and the CNs from its in-range neighbors).  Everything is expanded into
+Pauli terms with real coefficients and X/Z factors only, held as
+(x_mask, z_mask, coefficient) rows with site s at bit n - s; the
+`PauliTerm` tuples of a `HamiltonianSum` are read off those rows, and
+`HamiltonianSum.masks` gives them back as arrays.  A term with masks
+(x, z) maps column word w to row w ^ x with sign (-1)^popcount(w & z),
+so `to_dense` writes one diagonal per distinct X mask and the matrix is
+real symmetric by construction.  Its rows are padded by one cache line
+(`square_zeros`), so the transposed reads of a symmetry check do not all
+land in one cache set of the 2^n-wide matrix.
 
 Because the per-site generators at different sites do not commute, the
 exponential of the summed Hamiltonian is not the product of the per-site
@@ -55,8 +55,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import GENERATOR_VARIANTS, DimensionTooLarge, NotHermitian
-from .qstate import DENSE_LIMIT, affine_fold, affine_image, square_zeros
-from .quantize import total_step
+from .qstate import DENSE_LIMIT, Not, affine_fold, affine_image, square_zeros
+from .quantize import build_uf_circuit, total_step
 
 __all__ = [
     "GENERATOR_VARIANTS",
@@ -201,11 +201,12 @@ def generator_cn(variant: str) -> np.ndarray:
 
 
 def _site_rows(i: int, r: int, n: int, variant: str) -> list[Row]:
-    rows = _not_terms(i, n, variant)
-    for k in range(1, r + 1):
-        for j in (i - k, i + k):
-            if 1 <= j <= n:
-                rows.extend(_cn_terms(j, i, n, variant))
+    """The site-i generator, one gate generator per gate of the site-i
+    window circuit."""
+    rows: list[Row] = []
+    for op in build_uf_circuit(r, i, n).ops:
+        rows.extend(_not_terms(op.q, n, variant) if isinstance(op, Not)
+                    else _cn_terms(op.control, op.target, n, variant))
     return _merge(rows, n)
 
 
@@ -216,11 +217,11 @@ def build_site_hamiltonian(i: int, r: int, n_sites: int,
     Out-of-range neighbors are dropped (free boundaries).  All factors
     involve X only on site i and Z only on neighbors, so the terms
     commute with each other and exp(i pi H_i) is exactly the site gate
-    product for the verified variant.
+    product for the verified variant.  A site outside 1..n_sites raises
+    ValueError, and a radius outside 1..MAX_RADIUS RadiusError, as
+    `build_uf_circuit` does.
     """
     _check_variant(variant)
-    if not 1 <= i <= n_sites:
-        raise ValueError(f"site {i} out of range")
     return _hamiltonian(n_sites, r, _site_rows(i, r, n_sites, variant))
 
 

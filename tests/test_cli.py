@@ -321,12 +321,52 @@ def test_reck_needs_target(capsys):
     assert code == 1 and "reck" in err
 
 
+CHECK_SEED0 = """\
+ok   window map bijective r=1
+ok   window map bijective r=2
+ok   window map bijective r=3
+ok   partial isometry r=1  residuals 0 0
+ok   partial isometry r=2  residuals 0 0
+ok   partial isometry r=3  residuals 0 0
+ok   block form r=1
+ok   block form r=2
+ok   circuit factorization r=1
+ok   circuit factorization r=2
+ok   circuit factorization r=3
+ok   chain step matches classical scan r=2
+ok   verified generators reproduce gates
+ok   literal CN generator exponentiates to identity
+ok   chain Hamiltonian Hermitian n=8 r=2
+ok   block propagation exhaustive r=1 L=2
+ok   block propagation sampled r=2 L=3
+ok   classical recurrence on sampled particles  10/10 detector passes matched
+ok   one-shot superposition update r=2
+ok   mesh decomposition round trip
+20 checks, 0 failed
+"""
+
+
 def test_check_suite(capsys):
-    code, out, _ = run(capsys, "check")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[-1] == "20 checks, 0 failed"
-    assert all(line.startswith("ok  ") for line in lines[:-1])
+    # the default seed is 0
+    assert run(capsys, "check") == (0, CHECK_SEED0, "")
+
+
+def test_check_builds_no_dense_u(capsys, monkeypatch):
+    # the verdicts come from word images: no dense U, no blocked matrix,
+    # and a dense circuit only as the r=1 mesh target
+    def not_built(*args):
+        raise AssertionError("a dense matrix was built")
+    monkeypatch.setattr(quantize.WordMap, "matrix", property(not_built))
+    monkeypatch.setattr(quantize, "represent_blocked", not_built)
+    dense_circuits = []
+    circuit_matrix = qstate.circuit_matrix
+
+    def recorded(circuit):
+        dense_circuits.append(circuit.n_qubits)
+        return circuit_matrix(circuit)
+    monkeypatch.setattr(qstate, "circuit_matrix", recorded)
+    assert run(capsys, "check", "--seed", "0") == (0, CHECK_SEED0, "")
+    assert dense_circuits == [3]
 
 
 def test_check_deterministic(capsys):

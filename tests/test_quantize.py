@@ -7,6 +7,7 @@ from gate_oracle import basis_state
 from qsca.errors import DimensionTooLarge, RadiusError
 from qsca.qstate import Cn, Not, circuit_matrix, square_zeros
 from qsca.quantize import (
+    BasisPartition,
     TransitionOperator,
     WordMap,
     block_form_ok,
@@ -273,8 +274,34 @@ def test_blocked_form_matches_dense_permutation():
         assert np.array_equal(blocked, t_op.matrix[np.ix_(order, order)])
         assert blocked.strides == square_zeros(order.size, np.int8).strides
         assert blocked.dtype == np.int8 and blocked.flags.writeable
-        assert block_form_ok(blocked, 2 ** (2 * r))
-        assert not block_form_ok(t_op.matrix, 2 ** (2 * r))
+
+
+def block_form_target(dim, k):
+    """diag(I_k, antidiag(1, ..., 1, 0)), dense: the oracle that the
+    word-level verdict of block_form_ok is compared against."""
+    want = np.zeros((dim, dim), dtype=np.int8)
+    want[np.arange(k), np.arange(k)] = 1
+    want[np.arange(k, dim - 1), np.arange(dim - 1, k, -1)] = 1
+    return want
+
+
+def test_block_form_verdict_matches_dense_target():
+    for r in range(1, 5):
+        t_op = build_uf_matrix(r)
+        part = partition_basis(r)
+        dim, k = t_op.dimension, len(part.invariant_words)
+        assert k == 2 ** (2 * r)
+        flipped = part.flipped_words
+        # the natural word order leaves U as it is; a rotated flipped
+        # list misplaces every antidiagonal entry
+        natural = BasisPartition(r, tuple(range(k)), tuple(range(k, dim)))
+        rotated = BasisPartition(r, part.invariant_words,
+                                 flipped[1:] + flipped[:1])
+        for partition, ok in ((part, True), (natural, False),
+                              (rotated, False)):
+            dense = np.array_equal(represent_blocked(t_op, partition),
+                                   block_form_target(dim, k))
+            assert block_form_ok(t_op, partition) == dense == ok
 
 
 def test_blocked_form_stable_under_repartition():
