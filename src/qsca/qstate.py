@@ -31,6 +31,10 @@ of an already-zero block), so circuit_matrix never runs states: it
 pushes the words 0..2^n-1 through the ops as one int64 array and
 scatters ones into a zeroed matrix, which is its whole peak memory
 apart from a few 2^n-entry word arrays.
+
+Every dense matrix and state passes one size check, `_check_dense`,
+before its first 2^n-sized array: at most the 256 MiB of a complex
+MAX_DENSE_DIMENSION-square matrix (12 qubits; 24 for a state).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import RESET_VARIANTS, DimensionTooLarge
+from .errors import MAX_DENSE_DIMENSION, RESET_VARIANTS, DimensionTooLarge
 
 __all__ = [
     "ArrayEq",
@@ -60,10 +64,16 @@ __all__ = [
     "emit_gatelist",
 ]
 
-# qubits (or sites) of a dense matrix: 4 GiB complex, which is also
-# circuit_matrix's peak there (plus 2^14-entry word arrays)
-DENSE_LIMIT = 14
 _CHUNK_QUBITS = 12  # a gather writes 2^12 outputs per np.take
+
+
+def _check_dense(entries: int, itemsize: int) -> None:
+    """Refuse more bytes than the dense budget, the 256 MiB of a complex
+    MAX_DENSE_DIMENSION-square matrix (a row pad not counted)."""
+    budget = 16 * MAX_DENSE_DIMENSION ** 2
+    if entries * itemsize > budget:
+        raise DimensionTooLarge(f"{entries * itemsize} bytes exceeds the "
+                                f"dense budget of {budget >> 20} MiB")
 
 
 def square_zeros(dim: int, dtype=float) -> np.ndarray:
@@ -76,6 +86,7 @@ def square_zeros(dim: int, dtype=float) -> np.ndarray:
     column over all sets (Lam, Rothberg & Wolf, ASPLOS-IV (1991)).
     """
     itemsize = np.dtype(dtype).itemsize
+    _check_dense(dim * dim, itemsize)
     return np.zeros((dim, dim + 64 // itemsize), dtype=dtype)[:, :dim]
 
 
@@ -132,13 +143,6 @@ class StateVector(ArrayEq):
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _check_state_width(n: int) -> None:
-    """A state vector gets the dense matrix's 4 GiB: 2 * DENSE_LIMIT qubits."""
-    if n > 2 * DENSE_LIMIT:
-        raise DimensionTooLarge(
-            f"{n} qubits exceeds the state limit of {2 * DENSE_LIMIT}")
-
-
 def uniform_superposition_nonnull(n_qubits: int) -> StateVector:
     """Unit-norm equal superposition of every nonzero basis label.
 
@@ -147,8 +151,8 @@ def uniform_superposition_nonnull(n_qubits: int) -> StateVector:
     """
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
-    _check_state_width(n_qubits)
     dim = 2 ** n_qubits
+    _check_dense(dim, np.dtype(complex).itemsize)
     amp = np.full(dim, 1.0 / np.sqrt(dim - 1), dtype=complex)
     amp[0] = 0.0
     return StateVector._owning(n_qubits, amp)
@@ -251,17 +255,17 @@ class Circuit:
                     f"op {op!r} out of range for {self.n_qubits} qubits")
 
 
-def _reset_inplace(buf: np.ndarray, n: int, block: int, block_len: int,
-                   variant: str) -> None:
-    """Funnel one block onto its all-zero word, in place; buf is read as
-    (2^n)-by-anything, so it may hold a state or stacked states."""
-    pre = 2 ** (block - 1)
-    view = buf.reshape(pre, 2 ** block_len, -1)
-    total = view.sum(axis=1)
-    if variant == "literal":
-        total -= view[:, 0]
-    view[:] = 0
-    view[:, 0] = total
+def _reset_inplace(buf: np.ndarray, op: BlockReset) -> None:
+    """Funnel op's block onto its all-zero word, in place: add the block
+    words into the zero word's slice one at a time, ascending (from word 1
+    for `literal`), then zero the rest.  buf is (2^n)-by-anything."""
+    view = buf.reshape(2 ** (op.block - 1), 2 ** op.block_len, -1)
+    total = view[:, 0]
+    if op.variant == "literal":
+        total[...] = 0
+    for word in range(1, 2 ** op.block_len):
+        total += view[:, word]
+    view[:, 1:] = 0
 
 
 def affine_fold(n: int, ops: Iterable[GateOp]) -> tuple[tuple[int, ...], int]:
@@ -367,7 +371,7 @@ def _apply_ops(n: int, amp: np.ndarray, ops: Sequence[GateOp]) -> np.ndarray:
         if buf is amp:
             buf = amp.copy()
         for op in run:
-            _reset_inplace(buf, n, op.block, op.block_len, op.variant)
+            _reset_inplace(buf, op)
     return buf
 
 
@@ -387,12 +391,11 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
 def circuit_matrix(circuit: Circuit) -> np.ndarray:
     """Dense complex matrix of a circuit: column x is the image of basis
     word x, a single 1 or all zero.  Peak memory is the C-contiguous
-    matrix plus a few 2^n-entry int64 word arrays."""
+    matrix plus a few 2^n-entry int64 word arrays; above 12 qubits, over
+    the dense budget, DimensionTooLarge is raised before any of them."""
     n = circuit.n_qubits
-    if n > DENSE_LIMIT:
-        raise DimensionTooLarge(
-            f"{n} qubits exceeds the dense limit of {DENSE_LIMIT}")
     dim = 2 ** n
+    _check_dense(dim * dim, np.dtype(complex).itemsize)
     image = _word_image(n, circuit.ops, np.arange(dim, dtype=np.int64))
     cols = np.flatnonzero(image >= 0)
     mat = np.zeros((dim, dim), dtype=complex)

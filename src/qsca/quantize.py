@@ -14,10 +14,9 @@ diag(identity, antidiagonal(1,...,1,0)), the NOT/controlled-NOT circuit
 on the window, the whole-chain step in its unitary-circuit and
 partial-isometry readings, and the one-shot superposition update.
 
-MAX_RADIUS stays at 6 (dimension 2^13 = 8192).  The word map would go
-further; the dense consumers bound it: the block-form CSV and
-`reck --radius` both stop at MAX_DENSE_DIMENSION = 4096 rows, that is
-at r = 5.
+MAX_RADIUS stays at 6 (dimension 2^13 = 8192).  The dense paths do not
+bound it: each refuses more than the dense budget (`qstate.square_zeros`,
+so the int8 U stops at r = 6); the word-map commands need their own limit.
 
 U and the partial-isometry chain step are both a `WordMap`.  Only its
 `tocsc` imports scipy, and nothing in the package calls it.
@@ -101,9 +100,9 @@ class WordMap(ArrayEq):
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense int8 matrix, derived on demand."""
-        src, dest = self.mapped()
+        """Dense int8 matrix, derived on demand, within the dense budget."""
         mat = square_zeros(self.dimension, np.int8)
+        src, dest = self.mapped()
         mat[dest, src] = 1
         return mat
 

@@ -55,7 +55,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import GENERATOR_VARIANTS, DimensionTooLarge, NotHermitian
-from .qstate import DENSE_LIMIT, Not, affine_fold, affine_image, square_zeros
+from .qstate import Not, affine_fold, affine_image, square_zeros
 from .quantize import build_uf_circuit, total_step
 
 __all__ = [
@@ -242,8 +242,8 @@ def _dense(n: int, x: np.ndarray, z: np.ndarray,
     """Dense matrix of mask rows: the terms sharing an X mask add up, in
     term order, to one diagonal of values scattered at (w ^ x, w)."""
     dim = 2 ** n
-    cols = np.arange(dim)
     mat = square_zeros(dim)
+    cols = np.arange(dim)
     for mask in set(x.tolist()):
         same = x == mask
         vals = np.zeros(dim)
@@ -260,13 +260,10 @@ def to_dense(h: HamiltonianSum) -> np.ndarray:
     the terms with one X mask fill one diagonal; no Kronecker products
     are materialized.  The result is a row-padded view: with a 2^n-element
     row stride a column would map to a few cache sets, and `h == h.T`
-    would miss on every entry.
+    would miss on every entry.  Above 12 sites, over the dense budget
+    (`square_zeros`), DimensionTooLarge comes before any 2^n array.
     """
-    n = h.n_sites
-    if n > DENSE_LIMIT:
-        raise DimensionTooLarge(
-            f"{n} sites exceeds the dense limit of {DENSE_LIMIT}")
-    return _dense(n, *h.masks)
+    return _dense(h.n_sites, *h.masks)
 
 
 def matrix_exp_hermitian(h: np.ndarray, scale: float) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Gate-by-gate reference for the state-vector executor.
 
-Each gate runs as its own slice-swapping kernel on a copy of the state,
-one gate at a time, with no fold and no index map.  The tests compare
-`apply_circuit` and `circuit_matrix` against `gate_by_gate`.  Each kernel reads its array argument as
-(2^n)-by-anything, so it runs on a state or on stacked states.  NOT
-writes out of place; CN and the reset work in place.
+Each gate runs on a copy of the state, one gate at a time, with no
+fold.  NOT and CN are slice-swapping kernels that read their array
+argument as (2^n)-by-anything; NOT writes out of place and CN works in
+place.  The reset is the sum of its dyads over an index gather, so it
+shares no code with the package's reset kernel.  The tests compare
+`apply_circuit` and `circuit_matrix` against `gate_by_gate`.
 
 The other references build what the package never builds itself: a
 basis state from its bits, the propagation circuit as one gate list,
@@ -20,7 +21,6 @@ from qsca.qstate import (
     Cn,
     Not,
     StateVector,
-    _reset_inplace,
 )
 
 
@@ -99,10 +99,21 @@ def apply_collective_cn(state, control_block, target_block, block_len):
 
 
 def apply_block_reset(state, block, block_len, variant="extended"):
+    """The reset as its sum of dyads |0><w| on the block: output word y,
+    its block zero, gets the amplitudes of y | w added one block word w
+    at a time in ascending order (w >= 1 for literal), by a sequential
+    np.add.accumulate over an index gather."""
     _checked(state, BlockReset(block, block_len, variant))
-    buf = state.amplitudes.copy()
-    _reset_inplace(buf, state.n_qubits, block, block_len, variant)
-    return StateVector(state.n_qubits, buf)
+    n = state.n_qubits
+    shift = n + 1 - block - block_len
+    words = np.arange(2 ** n)
+    zeroed = words[(words >> shift) % 2 ** block_len == 0]
+    first = 1 if variant == "literal" else 0
+    terms = state.amplitudes[
+        zeroed[:, None] | np.arange(first, 2 ** block_len) << shift]
+    out = np.zeros_like(state.amplitudes)
+    out[zeroed] = np.add.accumulate(terms, axis=1)[:, -1]
+    return StateVector(n, out)
 
 
 def gate_by_gate(state, ops):

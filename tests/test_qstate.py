@@ -29,6 +29,8 @@ from qsca.qstate import (
     square_zeros,
     uniform_superposition_nonnull,
 )
+from qsca.quantize import WordMap
+from qsca.spin_chain import HamiltonianSum, to_dense
 
 
 def bit_of(index, q, n):
@@ -204,6 +206,29 @@ def test_apply_block_reset():
     assert np.allclose(out.amplitudes, [3 / np.sqrt(3), 0, 0, 0])
     with pytest.raises(ValueError):
         BlockReset(1, 2, "projective")
+
+
+def test_literal_reset_sums_only_the_nonzero_words():
+    # 1 + 1e-17 rounds to 1, so only a sum that leaves the zero word out
+    # keeps the 1e-17
+    state = StateVector(2, [1, 1e-17, 0, 0])
+    circuit = Circuit(2, (BlockReset(2, 1, "literal"),))
+    want = [1e-17, 0, 0, 0]
+    assert np.array_equal(apply_circuit(state, circuit).amplitudes, want)
+    assert np.array_equal(circuit_matrix(circuit) @ state.amplitudes, want)
+
+
+@pytest.mark.parametrize("variant", ["literal", "extended"])
+def test_reset_peak_is_one_state(variant, traced_peak):
+    # the reset sums in place into the zero word's slice: no 2^(n-w)
+    # temporary next to the state's copy
+    n = 20
+    state = random_state(np.random.default_rng(2013), n)
+    circuit = Circuit(n, (BlockReset(1, 1, variant),))
+    out, peak = traced_peak(apply_circuit, state, circuit)
+    assert peak <= state.amplitudes.nbytes + 2 ** 20
+    assert np.array_equal(out.amplitudes,
+                          gate_by_gate(state, circuit.ops).amplitudes)
 
 
 def test_block_reset_matrix_identities():
@@ -491,6 +516,24 @@ def test_circuit_matrix_dimension_limit():
     big = Circuit(15, (Not(1),))
     with pytest.raises(DimensionTooLarge):
         circuit_matrix(big)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: square_zeros(4097, complex),
+    lambda: WordMap(1, np.full(16385, -1)).matrix,
+    lambda: circuit_matrix(Circuit(13, (Not(1),))),
+    lambda: to_dense(HamiltonianSum(13, 1, ())),
+    lambda: uniform_superposition_nonnull(25),
+], ids=["square_zeros", "WordMap.matrix", "circuit_matrix", "to_dense",
+        "state"])
+def test_dense_budget_refuses_before_allocating(build, traced_peak):
+    # each is just over the 256 MiB dense budget; the check runs before
+    # any 2^n-sized array is built
+    def refused():
+        with pytest.raises(DimensionTooLarge):
+            build()
+    _, peak = traced_peak(refused)
+    assert peak < 2 ** 20
 
 
 def test_state_width_limit():
