@@ -71,9 +71,9 @@ _EXPORTS = {
         "apply_site_exponential",
         "build_chain_hamiltonian",
         "build_site_hamiltonian",
+        "exp_i_pi",
         "generator_cn",
         "generator_not",
-        "matrix_exp_hermitian",
         "sum_product_gap",
         "to_dense",
     ),

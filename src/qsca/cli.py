@@ -282,8 +282,7 @@ def cmd_check(args) -> int:
     for r in (1, 2, 3):
         n = 2 * r + 1
         circuit = quantize.build_uf_circuit(r, r + 1, n)
-        fold = qstate.affine_fold(n, circuit.ops)
-        image = qstate.affine_image(n, fold, np.arange(2 ** n))
+        image = qstate.word_image(n, circuit.ops, np.arange(2 ** n))
         record(f"circuit factorization r={r}", np.array_equal(
             image[1:], quantize.build_uf_matrix(r).image[1:]))
 
@@ -300,7 +299,7 @@ def cmd_check(args) -> int:
 
     # generators: exp(i pi G) against the gate
     def exponentiates_to(generator, variant: str, gate) -> bool:
-        exp = spin_chain.matrix_exp_hermitian(generator(variant), np.pi)
+        exp = spin_chain.exp_i_pi(generator(variant))
         return np.abs(exp - gate).max() <= 1e-10
 
     x_gate, cn_gate = np.eye(2)[::-1], np.eye(4)[[0, 1, 3, 2]]

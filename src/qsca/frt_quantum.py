@@ -12,9 +12,9 @@ A basis input stays a basis state: each stage's CN cascade is one
 affine map of the register index over GF(2) (qstate.affine_fold) and
 the reset clears block m's bits, or, in the literal variant, annihilates
 the state when they are already clear.  So run_frt and
-stage_identity_check push register indices through each stage with the
-word-image step that circuit_matrix uses, never state vectors, and
-take registers up to the 63 qubits of an int64 index; the sweep pushes
+stage_identity_check push register indices through each stage with
+`qstate.word_image`, the step circuit_matrix uses, never state vectors,
+and take registers up to the 63 qubits of an int64 index; the sweep pushes
 all its instances through each stage as one int64 array.  The records
 of run_frt hold the indices themselves; blocks are read from an index
 by shifts only to format a report.  The closed form every stage is
@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionTooLarge
-from .qstate import BlockReset, CollectiveCn, GateOp, _word_image
+from .qstate import BlockReset, CollectiveCn, GateOp, word_image
 from .sca_core import BasicString, Particle, format_block, frt_pattern
 
 __all__ = [
@@ -95,7 +95,7 @@ def _check_width(n_qubits: int) -> None:
 def _track(plan: FrtStagePlan, x: np.ndarray, reset_variant: str):
     """Register indices x after each stage of plan; -1 marks annihilation."""
     for m in range(1, plan.padding + 1):
-        x = _word_image(plan.n_qubits, plan.stage_ops(m, reset_variant), x)
+        x = word_image(plan.n_qubits, plan.stage_ops(m, reset_variant), x)
         yield x
 
 

@@ -14,23 +14,24 @@ of StateVector.
 NOT, CN and the collective CN are affine maps x -> Ax ^ b of the basis
 index over GF(2) (Aaronson & Gottesman, PRA 70, 052328 (2004)).
 `affine_fold` folds a run of them into one (A, b); `affine_image` maps
-basis indices through a fold without any state vector.  A circuit runs
-on a state as one gather through the inverse map per maximal run of
-such gates, plus the reset kernel for each reset.  Every gate in a run
-is its own inverse (the pairwise CNs of a collective CN act on disjoint
-qubits and commute), so the inverse map is the fold of the run reversed.
-The gather writes 2^12 outputs at a time: the inverse image of index
-(h << 12) | l is high[h] ^ low[l], where low folds the 12 least
-significant qubits (carrying b) and high the rest, so no 2^n index
-array is built.  apply_circuit's peak memory is its output state for a
-single run, and at most two new states (a gather's input and output)
-for any other circuit.
+basis indices through a fold, one table lookup per 12 index bits, without
+any state vector.  A circuit runs on a state as one gather through the
+inverse map per maximal run of such gates, plus the reset kernel for
+each reset.  Every gate in a run is its own inverse (the pairwise CNs of
+a collective CN act on disjoint qubits and commute), so the inverse map
+is the fold of the run reversed.  The gather writes 2^12 outputs at a
+time: the inverse image of index (h << 12) | l is high[h] ^ low[l],
+where low folds the 12 least significant qubits (carrying b) and high
+the rest, so no 2^n index array is built.  apply_circuit's peak memory
+is its output state for a single run, and at most two new states (a
+gather's input and output) for any other circuit.
 
 Every op sends a basis word to one word or to nothing (a literal reset
-of an already-zero block), so circuit_matrix never runs states: it
-pushes the words 0..2^n-1 through the ops as one int64 array and
-scatters ones into a zeroed matrix, which is its whole peak memory
-apart from a few 2^n-entry word arrays.
+of an already-zero block), so `word_image` pushes int64 words through a
+circuit: one `affine_image` per NOT/CN run and a block mask per reset.
+circuit_matrix never runs states: it pushes the words 0..2^n-1 through
+`word_image` and scatters ones into a zeroed matrix, which is its whole
+peak memory apart from a few 2^n-entry word arrays.
 
 Every dense matrix and state passes one size check, `_check_dense`,
 before its first 2^n-sized array: at most the 256 MiB of a complex
@@ -60,6 +61,7 @@ __all__ = [
     "circuit_matrix",
     "affine_fold",
     "affine_image",
+    "word_image",
     "uniform_superposition_nonnull",
     "emit_gatelist",
 ]
@@ -120,11 +122,10 @@ class StateVector(ArrayEq):
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        amp = np.array(self.amplitudes, dtype=complex)
         if amp.shape != (2 ** self.n_qubits,):
             raise ValueError(
                 f"expected {2 ** self.n_qubits} amplitudes, got {amp.shape}")
-        amp = amp.copy()
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
 
@@ -301,16 +302,6 @@ def affine_fold(n: int, ops: Iterable[GateOp]) -> tuple[tuple[int, ...], int]:
     return cols, b
 
 
-def affine_image(n: int, fold: tuple[tuple[int, ...], int],
-                 x: np.ndarray) -> np.ndarray:
-    """Images of the int64 basis indices x under a fold from affine_fold."""
-    cols, b = fold
-    y = np.full_like(x, b)
-    for j, col in enumerate(cols, start=1):
-        y ^= ((x >> (n - j)) & 1) * col
-    return y
-
-
 def _span(cols: Sequence[int], b: int) -> np.ndarray:
     """b xor'ed with every subset of cols: entry i takes cols[k] for each
     set bit k of i.  Built by doubling."""
@@ -340,11 +331,29 @@ def _gather(n: int, src: np.ndarray,
     return out
 
 
+def affine_image(n: int, fold: tuple[tuple[int, ...], int],
+                 x: np.ndarray) -> np.ndarray:
+    """Images of the int64 basis indices x under a fold from affine_fold:
+    the xor of one `_span` table entry per 12 bits of x, b folded into
+    the table of the lowest 12."""
+    cols, b = fold
+    lsb_first = cols[::-1]
+
+    def lookup(lo: int, base: int) -> np.ndarray:
+        table = _span(lsb_first[lo:lo + _CHUNK_QUBITS], base)
+        return table.take((x >> lo) & (len(table) - 1))
+
+    y = lookup(0, b)
+    for lo in range(_CHUNK_QUBITS, n, _CHUNK_QUBITS):
+        y ^= lookup(lo, 0)
+    return y
+
+
 def _is_reset(op: GateOp) -> bool:
     return isinstance(op, BlockReset)
 
 
-def _word_image(n: int, ops: Iterable[GateOp], x: np.ndarray) -> np.ndarray:
+def word_image(n: int, ops: Iterable[GateOp], x: np.ndarray) -> np.ndarray:
     """Images of the int64 basis words x under ops, -1 where a literal
     reset meets an already-zero block; a -1 in x stays -1."""
     dead = x < 0
@@ -396,7 +405,7 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
     n = circuit.n_qubits
     dim = 2 ** n
     _check_dense(dim * dim, np.dtype(complex).itemsize)
-    image = _word_image(n, circuit.ops, np.arange(dim, dtype=np.int64))
+    image = word_image(n, circuit.ops, np.arange(dim, dtype=np.int64))
     cols = np.flatnonzero(image >= 0)
     mat = np.zeros((dim, dim), dtype=complex)
     mat[image[cols], cols] = 1

@@ -74,10 +74,6 @@ class Rule:
             raise ValueError(f"radius must be >= 1, got {self.radius}")
 
     @property
-    def window_len(self) -> int:
-        return 2 * self.radius + 1
-
-    @property
     def block_len(self) -> int:
         """Length of a basic string."""
         return self.radius + 1
@@ -163,10 +159,6 @@ class Configuration:
         if self.origin <= n <= self.end:
             return self.bits[n - self.origin]
         return 0
-
-    def shifted(self, k: int) -> "Configuration":
-        return Configuration._of_word(self.origin + k if self.word else 0,
-                                      self.word)
 
 
 EMPTY = Configuration(0, ())
@@ -324,10 +316,6 @@ class Particle:
     @property
     def block_len(self) -> int:
         return len(self.blocks[0].bits)
-
-    @property
-    def width(self) -> int:
-        return len(self.blocks) * self.block_len
 
     @property
     def flat_bits(self) -> tuple[int, ...]:

@@ -40,9 +40,11 @@ held as one 2^k x 2^k block per value of the low bits, and site k + 1
 turns those into half as many blocks twice as wide in one broadcast
 multiply, O(4^n) in all instead of n passes of O(4^n) each.  The summed
 Hamiltonian commutes with the reflection of the chain (site i to
-n + 1 - i, checked exactly), so exp(i pi H) is diagonalized on the
-reflection's symmetric and antisymmetric sectors, two real `eigh` of
-about half the size instead of one of the whole space.
+n + 1 - i, checked exactly), so exp(i pi H) is taken on the reflection's
+symmetric and antisymmetric sectors, two matrices of about half the size
+instead of the whole space.  Both go through `exp_i_pi`, the one
+exponential of a real symmetric matrix (a real `eigh`, then cos and sin
+as two real products), which `qsca check` also runs on the generators.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import GENERATOR_VARIANTS, DimensionTooLarge, NotHermitian
-from .qstate import Not, affine_fold, affine_image, square_zeros
+from .qstate import Not, square_zeros, word_image
 from .quantize import build_uf_circuit, total_step
 
 __all__ = [
@@ -68,7 +70,7 @@ __all__ = [
     "build_site_hamiltonian",
     "build_chain_hamiltonian",
     "to_dense",
-    "matrix_exp_hermitian",
+    "exp_i_pi",
     "apply_site_exponential",
     "sum_product_gap",
     "emit_hamiltonian_terms",
@@ -266,16 +268,25 @@ def to_dense(h: HamiltonianSum) -> np.ndarray:
     return _dense(h.n_sites, *h.masks)
 
 
-def matrix_exp_hermitian(h: np.ndarray, scale: float) -> np.ndarray:
-    """exp(i * scale * h) through the eigendecomposition of Hermitian h."""
-    h = np.asarray(h)
+def _check_real_symmetric(h: np.ndarray) -> None:
+    if np.iscomplexobj(h):
+        raise ValueError("matrix is complex, not real symmetric")
     if not np.isfinite(h).all():
         raise ValueError("matrix has non-finite entries")
-    residual = float(np.abs(h - h.conj().T).max())
-    if not residual <= 1e-10:
-        raise NotHermitian(residual)
+    if not np.array_equal(h, h.T):
+        raise NotHermitian(float(np.abs(h - h.T).max()))
+
+
+def exp_i_pi(h: np.ndarray) -> np.ndarray:
+    """exp(i pi h) for a real symmetric h: a real eigh, then its cos and
+    sin as two real products.  Complex or non-finite h raises ValueError,
+    an asymmetric one NotHermitian."""
+    h = np.asarray(h)
+    _check_real_symmetric(h)
     vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * scale * vals)) @ vecs.conj().T
+    cos = (vecs * np.cos(np.pi * vals)) @ vecs.T
+    sin = (vecs * np.sin(np.pi * vals)) @ vecs.T
+    return cos + 1j * sin
 
 
 def _site_blocks(n: int, site: int, x: np.ndarray, z: np.ndarray,
@@ -369,13 +380,6 @@ def _reflection(n: int) -> tuple[np.ndarray, ...]:
     return rev, lower, rev[lower], np.flatnonzero(words == rev)
 
 
-def _exp_i_pi_real(h: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(h)
-    cos = (vecs * np.cos(np.pi * vals)) @ vecs.T
-    sin = (vecs * np.sin(np.pi * vals)) @ vecs.T
-    return cos + 1j * sin
-
-
 def _exp_i_pi_by_reflection(h: np.ndarray) -> np.ndarray:
     """exp(i pi h) for a real symmetric h on 2^n words that commutes
     exactly with the bit reversal of the words.
@@ -383,20 +387,17 @@ def _exp_i_pi_by_reflection(h: np.ndarray) -> np.ndarray:
     On the pairs w < R(w) the symmetric sector has the basis
     (e_w + e_Rw)/sqrt2, the antisymmetric one (e_w - e_Rw)/sqrt2, and the
     palindromes join the symmetric sector as e_w; h is block diagonal on
-    the two, and each block is exponentiated with a real eigh.
+    the two, and each block is exponentiated by `exp_i_pi`.
     """
-    if not np.isfinite(h).all():
-        raise ValueError("matrix has non-finite entries")
-    if not np.array_equal(h, h.T):
-        raise NotHermitian(float(np.abs(h - h.T).max()))
+    _check_real_symmetric(h)
     rev, lower, upper, fixed = _reflection(len(h).bit_length() - 1)
     if not np.array_equal(h[np.ix_(rev, rev)], h):
         raise ValueError("matrix does not commute with the reflection")
     same, cross = h[np.ix_(lower, lower)], h[np.ix_(lower, upper)]
     edge = np.sqrt(2) * h[np.ix_(fixed, lower)]
-    sym = _exp_i_pi_real(np.block([[same + cross, edge.T],
-                                   [edge, h[np.ix_(fixed, fixed)]]]))
-    anti = _exp_i_pi_real(same - cross)
+    sym = exp_i_pi(np.block([[same + cross, edge.T],
+                             [edge, h[np.ix_(fixed, fixed)]]]))
+    anti = exp_i_pi(same - cross)
     p = len(lower)
     plus, minus = (sym[:p, :p] + anti) / 2, (sym[:p, :p] - anti) / 2
     out = np.empty(h.shape, dtype=complex)
@@ -448,8 +449,7 @@ def sum_product_gap(n_sites: int, r: int,
     sum_vs_product = float(np.abs(total - product).max())
     # the circuit permutes the words: subtract its ones from the product
     words = np.arange(2 ** n_sites)
-    product[affine_image(n_sites, affine_fold(n_sites, circuit.ops), words),
-            words] -= 1
+    product[word_image(n_sites, circuit.ops, words), words] -= 1
     return SumProductReport(
         n_sites=n_sites,
         radius=r,

@@ -7,6 +7,10 @@ place.  The reset is the sum of its dyads over an index gather, so it
 shares no code with the package's reset kernel.  The tests compare
 `apply_circuit` and `circuit_matrix` against `gate_by_gate`.
 
+`word_image_by_gate` pushes basis words through a circuit as Python ints,
+one gate at a time, for `word_image`; `affine_image_by_qubit` maps words
+through a fold one qubit at a time, for `affine_image`.
+
 The other references build what the package never builds itself: a
 basis state from its bits, the propagation circuit as one gate list,
 and a mesh rotation as a dense matrix.
@@ -130,3 +134,40 @@ def gate_by_gate(state, ops):
             state = apply_block_reset(state, op.block, op.block_len,
                                       op.variant)
     return state
+
+
+def affine_image_by_qubit(n, fold, x):
+    """Images of int64 words x under a fold (cols, b) of affine_fold: b
+    xor'ed with cols[j - 1] for each qubit j whose bit is set in x."""
+    cols, b = fold
+    y = np.full_like(x, b)
+    for j, col in enumerate(cols, start=1):
+        y ^= ((x >> (n - j)) & 1) * col
+    return y
+
+
+def word_image_by_gate(n, ops, words):
+    """Basis words (Python ints) after the ops, one gate at a time; -1
+    where a literal reset meets an already-zero block, and -1 stays -1."""
+    def flip_if(w, control, target):
+        return w ^ ((w >> (n - control)) & 1) << (n - target)
+
+    out = []
+    for w in words:
+        for op in ops:
+            if w < 0:
+                break
+            if isinstance(op, Not):
+                w ^= 1 << (n - op.q)
+            elif isinstance(op, Cn):
+                w = flip_if(w, op.control, op.target)
+            elif isinstance(op, CollectiveCn):
+                for k in range(op.block_len):
+                    w = flip_if(w, op.control_block + k, op.target_block + k)
+            else:
+                mask = sum(1 << (n - q)
+                           for q in range(op.block, op.block + op.block_len))
+                w = -1 if op.variant == "literal" and not w & mask \
+                    else w & ~mask
+        out.append(w)
+    return out

@@ -4,19 +4,35 @@ The package runs the rule on whole rows and windows as int words; these
 functions restate it one window or one bit at a time, for the tests to
 compare against: `next_center` and `f_window` for the window rule,
 `render_particles` for particle segmentation, and `emit_configuration`
-for the configuration text format.
+for the configuration text format.  `window_len`, `shifted` and
+`particle_width` are the small derived quantities only the tests read.
 """
 
 from qsca.sca_core import Configuration
+
+
+def window_len(rule):
+    """Cells in one window: r left neighbours, the center, r right."""
+    return 2 * rule.radius + 1
+
+
+def shifted(config, k):
+    """The row moved k sites to the right, rebuilt from its word."""
+    return Configuration(config.origin + k, format(config.word, "b"))
+
+
+def particle_width(particle):
+    """Sites a particle covers: its block count times its block length."""
+    return particle.block_count * particle.block_len
 
 
 def next_center(rule, bits):
     """New center bit of one window (r updated left bits, the old center,
     r old right bits); total, the all-zero window maps to 0."""
     bits = tuple(bits)
-    if len(bits) != rule.window_len:
+    if len(bits) != window_len(rule):
         raise ValueError(
-            f"window has {len(bits)} bits, expected {rule.window_len}")
+            f"window has {len(bits)} bits, expected {window_len(rule)}")
     if not any(bits):
         return 0
     parity = 0
@@ -33,9 +49,9 @@ def f_window(rule, word):
     outside the domain and raises ValueError.
     """
     word = tuple(int(b) for b in word)
-    if len(word) != rule.window_len:
+    if len(word) != window_len(rule):
         raise ValueError(
-            f"word has {len(word)} bits, expected {rule.window_len}")
+            f"word has {len(word)} bits, expected {window_len(rule)}")
     if not any(word):
         raise ValueError("the all-zero word has no image")
     r = rule.radius
@@ -46,14 +62,15 @@ def render_particles(particles):
     """Place particles on the empty background at their start sites."""
     placed = sorted(particles, key=lambda p: p.start_site)
     for a, b in zip(placed, placed[1:]):
-        if a.start_site + a.width > b.start_site:
+        if a.start_site + particle_width(a) > b.start_site:
             raise ValueError("particles overlap")
     if not placed:
         return Configuration(0, ())
     lo = placed[0].start_site
-    bits = [0] * (placed[-1].start_site + placed[-1].width - lo)
+    bits = [0] * (placed[-1].start_site + particle_width(placed[-1]) - lo)
     for p in placed:
-        bits[p.start_site - lo:p.start_site - lo + p.width] = p.flat_bits
+        start = p.start_site - lo
+        bits[start:start + particle_width(p)] = p.flat_bits
     return Configuration(lo, tuple(bits))
 
 

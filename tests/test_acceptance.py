@@ -32,9 +32,9 @@ from qsca.sca_core import BasicString, Particle, Rule, frt_check
 from qsca.spin_chain import (
     build_chain_hamiltonian,
     build_site_hamiltonian,
+    exp_i_pi,
     generator_cn,
     generator_not,
-    matrix_exp_hermitian,
     sum_product_gap,
     to_dense,
 )
@@ -87,12 +87,12 @@ def test_04_block_propagation_stage_patterns_exact():
 def test_05_generator_exponentials_reproduce_gates():
     x_gate = np.array([[0, 1], [1, 0]], dtype=complex)
     cn_gate = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
-    got_not = matrix_exp_hermitian(generator_not("verified"), np.pi)
-    got_cn = matrix_exp_hermitian(generator_cn("verified"), np.pi)
+    got_not = exp_i_pi(generator_not("verified"))
+    got_cn = exp_i_pi(generator_cn("verified"))
     assert np.abs(got_not - x_gate).max() <= 1e-10
     assert np.abs(got_cn - cn_gate).max() <= 1e-10
-    lit_not = matrix_exp_hermitian(generator_not("literal"), np.pi)
-    lit_cn = matrix_exp_hermitian(generator_cn("literal"), np.pi)
+    lit_not = exp_i_pi(generator_not("literal"))
+    lit_cn = exp_i_pi(generator_cn("literal"))
     print("literal NOT distance from gate:",
           f"{np.abs(lit_not - x_gate).max():.6f}")
     print("literal CN distance from gate:",

@@ -1,6 +1,9 @@
 import ast
+import dataclasses
 import importlib
+import inspect
 import pkgutil
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -107,11 +110,48 @@ def referenced_names():
     return names
 
 
+def public_members(cls):
+    """Names of the public methods and properties defined on cls, not
+    its dataclass fields."""
+    fields = ({f.name for f in dataclasses.fields(cls)}
+              if dataclasses.is_dataclass(cls) else set())
+    members = (property, cached_property, classmethod, staticmethod)
+    return [name for name, value in vars(cls).items()
+            if not name.startswith("_") and name not in fields
+            and (inspect.isfunction(value) or isinstance(value, members))]
+
+
 def test_every_public_name_has_a_caller():
     referenced = referenced_names()
-    uncalled = {f"{name}.{export}" for name in MODULES
-                for export in getattr(importlib.import_module(f"qsca.{name}"),
-                                      "__all__", ())
-                if export not in referenced}
+    uncalled = set()
+    for name in MODULES:
+        module = importlib.import_module(f"qsca.{name}")
+        for export in getattr(module, "__all__", ()):
+            obj = getattr(module, export)
+            members = public_members(obj) if inspect.isclass(obj) else []
+            uncalled |= {f"{name}.{export}.{member}" for member in members
+                         if member not in referenced}
+            if export not in referenced:
+                uncalled.add(f"{name}.{export}")
     # an entry whose name gains a caller leaves the list
     assert uncalled == set(UNCALLED)
+
+
+def test_public_members_lists_methods_and_properties_only():
+    from qsca.sca_core import Configuration, Particle
+    assert sorted(public_members(Configuration)) == ["end", "is_empty",
+                                                     "site"]
+    assert sorted(public_members(Particle)) == [
+        "block_count", "block_len", "flat_bits", "word"]
+
+
+def test_no_private_name_is_imported_across_modules():
+    crossing = []
+    for path in sorted((ROOT / "src" / "qsca").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("qsca")):
+                crossing += [f"{path.name}: {node.module}.{alias.name}"
+                             for alias in node.names
+                             if alias.name.startswith("_")]
+    assert crossing == []

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gate_oracle import (
+    affine_image_by_qubit,
     apply_block_reset,
     apply_cn,
     apply_collective_cn,
     apply_not,
     basis_state,
     gate_by_gate,
+    word_image_by_gate,
 )
 from qsca.errors import DimensionTooLarge
 from qsca.qstate import (
@@ -28,6 +30,7 @@ from qsca.qstate import (
     emit_gatelist,
     square_zeros,
     uniform_superposition_nonnull,
+    word_image,
 )
 from qsca.quantize import WordMap
 from qsca.spin_chain import HamiltonianSum, to_dense
@@ -74,9 +77,9 @@ def random_state(rng, n):
 
 
 @st.composite
-def circuits(draw, max_qubits):
+def circuits(draw, max_qubits, min_qubits=1):
     """Random circuits over all four op kinds, both reset variants."""
-    n = draw(st.integers(1, max_qubits))
+    n = draw(st.integers(min_qubits, max_qubits))
     qubit = st.integers(1, n)
 
     @st.composite
@@ -98,9 +101,9 @@ def circuits(draw, max_qubits):
 
 
 @st.composite
-def permutation_runs(draw, max_qubits):
+def permutation_runs(draw, max_qubits, min_qubits=1):
     """Qubit count and a run of Not/Cn/CollectiveCn ops, no resets."""
-    circuit = draw(circuits(max_qubits))
+    circuit = draw(circuits(max_qubits, min_qubits))
     return circuit.n_qubits, tuple(op for op in circuit.ops
                                    if not isinstance(op, BlockReset))
 
@@ -127,6 +130,17 @@ def test_state_vector_validation():
     state = basis_state((1,))
     with pytest.raises(ValueError):
         state.amplitudes[0] = 5.0
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_state_vector_copies_its_input_once(dtype, traced_peak):
+    # one complex array of 2^20 amplitudes (16 MiB), not a conversion
+    # and then a copy of it
+    amp = np.zeros(2 ** 20, dtype=dtype)
+    state, peak = traced_peak(StateVector, 20, amp)
+    assert peak <= 16 * 2 ** 20 + 2 ** 16
+    amp[3] = 1.0
+    assert not state.amplitudes.any()
 
 
 def test_state_vector_value_equality():
@@ -396,6 +410,33 @@ def test_reversed_run_folds_to_the_inverse(case):
     there = affine_image(n, affine_fold(n, run), x)
     assert np.array_equal(
         affine_image(n, affine_fold(n, tuple(reversed(run))), there), x)
+
+
+def seeded_words(n, seed):
+    """Seeded int64 basis words of n qubits with 0, 2^n - 1 and -1."""
+    words = np.random.default_rng(seed).integers(0, 2 ** n, size=64,
+                                                  dtype=np.int64)
+    words[:3] = 0, 2 ** n - 1, -1
+    return words
+
+
+@settings(max_examples=100, deadline=None)
+@given(permutation_runs(max_qubits=63), st.integers(0, 2 ** 32 - 1))
+def test_affine_image_matches_the_per_qubit_loop(case, seed):
+    # both read only the n low bits of a word, so -1 maps as 2^n - 1
+    n, run = case
+    words, fold = seeded_words(n, seed), affine_fold(n, run)
+    assert np.array_equal(affine_image(n, fold, words),
+                          affine_image_by_qubit(n, fold, words))
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuits(max_qubits=63, min_qubits=13), st.integers(0, 2 ** 32 - 1))
+def test_word_image_matches_gate_by_gate_on_wide_registers(circuit, seed):
+    # above 12 qubits every NOT/CN run takes several table lookups
+    n, words = circuit.n_qubits, seeded_words(circuit.n_qubits, seed)
+    assert word_image(n, circuit.ops, words).tolist() \
+        == word_image_by_gate(n, circuit.ops, words.tolist())
 
 
 def test_ops_reject_qubits_below_one():

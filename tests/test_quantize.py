@@ -23,7 +23,7 @@ from qsca.quantize import (
     window_centers,
 )
 from qsca.sca_core import Configuration, Rule, step
-from rule_oracle import f_window, next_center
+from rule_oracle import f_window, next_center, window_len
 
 
 def word_bits(x, width):
@@ -33,7 +33,7 @@ def word_bits(x, width):
 def dyad_sum(r):
     """Independent build: sum of |f(x)><x| outer products."""
     rule = Rule(r)
-    width = rule.window_len
+    width = window_len(rule)
     dim = 2 ** width
     mat = np.zeros((dim, dim), dtype=np.int64)
     for x in range(1, dim):
@@ -107,7 +107,7 @@ def test_build_uf_matrix_radius_bounds():
 def test_window_centers_match_next_center():
     for r in range(1, 5):
         rule = Rule(r)
-        width = rule.window_len
+        width = window_len(rule)
         words = np.arange(2 ** width)
         want = [next_center(rule, word_bits(x, width)) for x in words]
         assert window_centers(words).tolist() == want
@@ -117,7 +117,7 @@ def test_equivariance_with_window_map():
     # applying the matrix to a word state gives the stepped word state
     for r in (1, 2, 3):
         rule = Rule(r)
-        width = rule.window_len
+        width = window_len(rule)
         mat = build_uf_matrix(r).matrix
         for x in range(1, 2 ** width):
             out = mat @ basis_state(word_bits(x, width)).amplitudes
@@ -232,7 +232,7 @@ def test_partition_covers_basis():
     for r in (1, 2, 3):
         part = partition_basis(r)
         rule = Rule(r)
-        width = rule.window_len
+        width = window_len(rule)
         words = set(part.invariant_words) | set(part.flipped_words)
         assert len(part.invariant_words) == 2 ** (2 * r)
         assert len(words) == 2 ** width

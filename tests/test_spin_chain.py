@@ -13,10 +13,10 @@ from qsca.spin_chain import (
     build_chain_hamiltonian,
     build_site_hamiltonian,
     emit_hamiltonian_terms,
+    exp_i_pi,
     generator_cn,
     generator_not,
-    matrix_exp_hermitian,
-    sum_product_gap,
+        sum_product_gap,
     to_dense,
 )
 
@@ -132,8 +132,7 @@ def sequential_site_product(n, r, variant):
 
 def sum_product_gap_oracle(n, r, variant):
     """The gaps from the sequential site product and one dense eigh."""
-    total = matrix_exp_hermitian(
-        to_dense(build_chain_hamiltonian(n, r, variant)), np.pi)
+    total = exp_i_pi(to_dense(build_chain_hamiltonian(n, r, variant)))
     product = sequential_site_product(n, r, variant)
     circuit = circuit_matrix(total_step(r, n, "unitary_circuit"))
     return (float(np.abs(total - product).max()),
@@ -316,24 +315,27 @@ def test_to_dense_linear():
 
 # -- exponentials -----------------------------------------------------------
 
-def test_matrix_exp_hermitian():
+def test_exp_i_pi():
     h = to_dense(build_chain_hamiltonian(3, 1))
-    assert np.abs(matrix_exp_hermitian(h, 0.0) - np.eye(8)).max() <= 1e-12
+    assert np.abs(exp_i_pi(h) - expm(1j * np.pi * h)).max() <= 1e-12
+    assert np.abs(exp_i_pi(np.zeros((8, 8))) - np.eye(8)).max() <= 1e-12
     rng = np.random.default_rng(9)
-    raw = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    herm = raw + raw.conj().T
-    assert np.abs(matrix_exp_hermitian(herm, 0.7)
-                  - expm(0.7j * herm)).max() <= 1e-9
+    raw = rng.standard_normal((8, 8))
+    sym = raw + raw.T
+    assert np.abs(exp_i_pi(sym) - expm(1j * np.pi * sym)).max() <= 1e-9
     with pytest.raises(NotHermitian):
-        matrix_exp_hermitian(raw, 1.0)
+        exp_i_pi(raw)
 
 
-def test_matrix_exp_hermitian_rejects_nan():
+def test_exp_i_pi_rejects_complex_and_non_finite():
     # eigh reads one triangle, so a NaN in the other one went unnoticed
     with pytest.raises(ValueError):
-        matrix_exp_hermitian(np.array([[1.0, np.nan], [0.0, 2.0]]), 1.0)
+        exp_i_pi(np.array([[1.0, np.nan], [0.0, 2.0]]))
     with pytest.raises(ValueError):
-        matrix_exp_hermitian(np.array([[np.inf, 0.0], [0.0, 2.0]]), 1.0)
+        exp_i_pi(np.array([[np.inf, 0.0], [0.0, 2.0]]))
+    # a Hermitian matrix with a nonzero imaginary part is not real
+    with pytest.raises(ValueError, match="complex"):
+        exp_i_pi(np.array([[1.0, 1j], [-1j, 1.0]]))
 
 
 @pytest.mark.parametrize("variant", ["literal", "verified"])
@@ -347,8 +349,7 @@ def test_closed_form_site_exponential(variant):
                 h = build_site_hamiltonian(i, r, n, variant)
                 got = apply_site_exponential(h, i, np.eye(2 ** n))
                 dense = to_dense(h)
-                assert np.abs(got - matrix_exp_hermitian(dense, np.pi)
-                              ).max() <= 1e-12
+                assert np.abs(got - exp_i_pi(dense)).max() <= 1e-12
                 assert np.abs(got - expm(1j * np.pi * dense)).max() <= 1e-12
 
 
@@ -380,7 +381,7 @@ def test_site_exponential_equals_site_circuit():
     from qsca.quantize import build_uf_circuit
     for (i, r, n) in ((2, 1, 4), (3, 2, 5)):
         h = to_dense(build_site_hamiltonian(i, r, n))
-        gate = matrix_exp_hermitian(h, np.pi)
+        gate = exp_i_pi(h)
         want = circuit_matrix(build_uf_circuit(r, i, n))
         assert np.abs(gate - want).max() <= 1e-10
 
@@ -490,7 +491,7 @@ def test_reflection_sector_exponential():
         sym = raw + raw.T
         h = sym + sym[np.ix_(rev, rev)]
         got = spin_chain._exp_i_pi_by_reflection(h)
-        assert np.abs(got - matrix_exp_hermitian(h, np.pi)).max() <= 1e-10
+        assert np.abs(got - exp_i_pi(h)).max() <= 1e-10
         assert np.abs(got - expm(1j * np.pi * h)).max() <= 1e-10
 
 
