@@ -1,7 +1,8 @@
 """Exception types shared across the package, the integer reader the
 text parsers share, and the limits and variant names the command line
 checks before it loads a library module.  It imports only `re`, so the
-parser is built without numpy."""
+parser is built without numpy.  `StepDivergedError` is a bare name that
+nothing raises any more."""
 
 from __future__ import annotations
 
@@ -21,26 +22,10 @@ class QscaError(Exception):
 
 
 class StepDivergedError(QscaError):
-    """A time step scanned past a safety bound without settling.
-
-    Nothing raises it any more: a finite row always maps to a finite row
-    (see `sca_core.step`), so the scan has no bound to pass.  The name
-    stays, also as `sca_core.StepDivergedError`, for callers that still
-    catch it.
-
-    Attributes:
-        sites_scanned: number of sites visited before giving up.
-        time_index: evolution step at which the divergence occurred,
-            or None when raised from a bare step() call.
-    """
-
-    def __init__(self, sites_scanned: int, time_index: int | None = None):
-        self.sites_scanned = sites_scanned
-        self.time_index = time_index
-        at = "" if time_index is None else f" at step {time_index}"
-        super().__init__(
-            f"update scan exceeded the safety bound after {sites_scanned} sites{at}"
-        )
+    """Nothing raises it: a finite row always maps to a finite row (see
+    `sca_core.step`), so a time step has no safety bound to pass.  The
+    name stays, also as `sca_core.StepDivergedError`, because callers
+    outside the package still catch it."""
 
 
 class RadiusError(QscaError):

@@ -14,10 +14,11 @@ the reset clears block m's bits, or, in the literal variant, annihilates
 the state when they are already clear.  So run_frt and
 stage_identity_check push register indices through each stage with
 `qstate.word_image`, the step circuit_matrix uses, never state vectors,
-and take registers up to the 63 qubits of an int64 index; the sweep pushes
-all its instances through each stage as one int64 array.  The records
-of run_frt hold the indices themselves; blocks are read from an index
-by shifts only to format a report.  The closed form every stage is
+and take registers up to the 63 qubits of an int64 index, which
+FrtStagePlan checks when it is built; the sweep pushes all its
+instances through each stage as one int64 array.  A run report holds
+the register index after each stage; blocks are read from an index by
+shifts only to format a report.  The closed form every stage is
 checked against is `sca_core.frt_pattern`, the function the classical
 recurrence check uses, applied to the array of particle words.
 """
@@ -31,13 +32,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionTooLarge
-from .qstate import BlockReset, CollectiveCn, GateOp, word_image
+from .qstate import (BlockReset, CollectiveCn, GateOp, check_word_width,
+                     word_image)
 from .sca_core import BasicString, Particle, format_block, frt_pattern
 
 __all__ = [
     "FrtStagePlan",
-    "FrtStageRecord",
     "FrtRunReport",
     "StageIdentityReport",
     "run_frt",
@@ -45,12 +45,10 @@ __all__ = [
     "emit_frt_report",
 ]
 
-_INDEX_QUBITS = 63  # register indices are int64
-
 
 @dataclass(frozen=True)
 class FrtStagePlan:
-    """Gate schedule of the propagation circuit."""
+    """Gate schedule of the propagation circuit, on at most 63 qubits."""
 
     L: int
     padding: int
@@ -59,14 +57,11 @@ class FrtStagePlan:
     def __post_init__(self):
         if self.L < 1 or self.padding < 1 or self.block_len < 1:
             raise ValueError("L, padding and block_len must be >= 1")
-
-    @property
-    def n_blocks(self) -> int:
-        return self.L + self.padding
+        check_word_width(self.n_qubits)
 
     @property
     def n_qubits(self) -> int:
-        return self.n_blocks * self.block_len
+        return (self.L + self.padding) * self.block_len
 
     def stage_ops(self, m: int, reset_variant: str = "extended"
                   ) -> tuple[GateOp, ...]:
@@ -85,13 +80,6 @@ class FrtStagePlan:
         return tuple(ops)
 
 
-def _check_width(n_qubits: int) -> None:
-    if n_qubits > _INDEX_QUBITS:
-        raise DimensionTooLarge(
-            f"register of {n_qubits} qubits exceeds the limit of "
-            f"{_INDEX_QUBITS}")
-
-
 def _track(plan: FrtStagePlan, x: np.ndarray, reset_variant: str):
     """Register indices x after each stage of plan; -1 marks annihilation."""
     for m in range(1, plan.padding + 1):
@@ -100,24 +88,16 @@ def _track(plan: FrtStagePlan, x: np.ndarray, reset_variant: str):
 
 
 @dataclass(frozen=True)
-class FrtStageRecord:
-    """Register contents after one stage (stage 0 is the input).
-
-    index is the register index of the basis state, block 1 most
-    significant, or None once the state is annihilated.
-    """
-
-    stage: int
-    index: int | None
-
-
-@dataclass(frozen=True)
 class FrtRunReport:
+    """indices[m] is the register index after stage m (stage 0 is the
+    input), block 1 most significant, or None once the state is
+    annihilated."""
+
     radius: int
     L: int
     padding: int
     reset_variant: str
-    records: tuple[FrtStageRecord, ...]
+    indices: tuple[int | None, ...]
     final_ok: bool
 
 
@@ -132,16 +112,13 @@ def run_frt(blocks: Sequence, padding: int,
     particle = Particle(0, tuple(map(BasicString, blocks)))
     word, L, w = particle.word, particle.block_count, particle.block_len
     plan = FrtStagePlan(L, padding, w)
-    _check_width(plan.n_qubits)
 
     start = word << (padding * w)
-    indices = [start] + [int(x[0]) for x in _track(
-        plan, np.array([start], dtype=np.int64), reset_variant)]
-    records = tuple(FrtStageRecord(m, index if index >= 0 else None)
-                    for m, index in enumerate(indices))
+    track = _track(plan, np.array([start], dtype=np.int64), reset_variant)
+    indices = (start, *(int(x[0]) if x[0] >= 0 else None for x in track))
     # translated by padding blocks, the particle fills the low L*w bits
-    return FrtRunReport(w - 1, L, padding, reset_variant, records,
-                        records[-1].index == word)
+    return FrtRunReport(w - 1, L, padding, reset_variant, indices,
+                        indices[-1] == word)
 
 
 @dataclass(frozen=True)
@@ -174,7 +151,6 @@ def stage_identity_check(L: int, r: int, padding: int | None = None,
         padding = L + 1
     w = r + 1
     plan = FrtStagePlan(L, padding, w)
-    _check_width(plan.n_qubits)
     n_words = 2 ** w
     ends = [range(1, n_words)] * min(L, 2)
     choices = ends[:1] + [range(n_words)] * max(L - 2, 0) + ends[1:]
@@ -205,15 +181,15 @@ def emit_frt_report(report: FrtRunReport) -> str:
     """Stage-by-stage block listing, one line per recorded state."""
     w, n_blocks = report.radius + 1, report.L + report.padding
     lines = []
-    for rec in report.records:
-        if rec.index is None:
+    for m, index in enumerate(report.indices):
+        if index is None:
             body = "(not a basis state)"
         else:
             body = " ".join(
-                format_block(rec.index >> (n_blocks - 1 - b) * w
+                format_block(index >> (n_blocks - 1 - b) * w
                              & ((1 << w) - 1), w)
                 for b in range(n_blocks))
-        lines.append(f"stage {rec.stage}: {body}")
+        lines.append(f"stage {m}: {body}")
     lines.append("final translated by {} blocks: {}".format(
         report.padding, "ok" if report.final_ok else "MISMATCH"))
     return "\n".join(lines) + "\n"

@@ -29,6 +29,8 @@ gather's input and output) for any other circuit.
 Every op sends a basis word to one word or to nothing (a literal reset
 of an already-zero block), so `word_image` pushes int64 words through a
 circuit: one `affine_image` per NOT/CN run and a block mask per reset.
+Both kernels refuse registers above 63 qubits (`check_word_width`),
+whose words do not fit an int64.
 circuit_matrix never runs states: it pushes the words 0..2^n-1 through
 `word_image` and scatters ones into a zeroed matrix, which is its whole
 peak memory apart from a few 2^n-entry word arrays.
@@ -67,6 +69,7 @@ __all__ = [
 ]
 
 _CHUNK_QUBITS = 12  # a gather writes 2^12 outputs per np.take
+_WORD_QUBITS = 63  # a basis word is an int64
 
 
 def _check_dense(entries: int, itemsize: int) -> None:
@@ -76,6 +79,13 @@ def _check_dense(entries: int, itemsize: int) -> None:
     if entries * itemsize > budget:
         raise DimensionTooLarge(f"{entries * itemsize} bytes exceeds the "
                                 f"dense budget of {budget >> 20} MiB")
+
+
+def check_word_width(n: int) -> None:
+    """Refuse registers whose basis words do not fit an int64."""
+    if n > _WORD_QUBITS:
+        raise DimensionTooLarge(f"register of {n} qubits exceeds the limit "
+                                f"of {_WORD_QUBITS}")
 
 
 def square_zeros(dim: int, dtype=float) -> np.ndarray:
@@ -96,7 +106,15 @@ class ArrayEq:
     """Value equality for frozen dataclasses with array fields, declared
     with eq=False: equal when the types match and every field is
     np.array_equal.  The hash agrees with it (+ 0 turns -0.0 into 0.0),
-    so the arrays must be read-only."""
+    so the arrays must be read-only: `_freeze` stores each one as a
+    read-only copy."""
+
+    def _freeze(self, name: str, dtype) -> np.ndarray:
+        """Replace field `name` by a read-only copy as dtype; return it."""
+        a = np.array(getattr(self, name), dtype=dtype)
+        a.flags.writeable = False
+        object.__setattr__(self, name, a)
+        return a
 
     def _values(self) -> list:
         return [getattr(self, f.name) for f in fields(self)]
@@ -122,12 +140,10 @@ class StateVector(ArrayEq):
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
-        amp = np.array(self.amplitudes, dtype=complex)
+        amp = self._freeze("amplitudes", complex)
         if amp.shape != (2 ** self.n_qubits,):
             raise ValueError(
                 f"expected {2 ** self.n_qubits} amplitudes, got {amp.shape}")
-        amp.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amp)
 
     @classmethod
     def _owning(cls, n_qubits: int, amplitudes: np.ndarray) -> "StateVector":
@@ -138,10 +154,6 @@ class StateVector(ArrayEq):
         object.__setattr__(state, "amplitudes", amplitudes)
         amplitudes.flags.writeable = False
         return state
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def uniform_superposition_nonnull(n_qubits: int) -> StateVector:
@@ -335,7 +347,8 @@ def affine_image(n: int, fold: tuple[tuple[int, ...], int],
                  x: np.ndarray) -> np.ndarray:
     """Images of the int64 basis indices x under a fold from affine_fold:
     the xor of one `_span` table entry per 12 bits of x, b folded into
-    the table of the lowest 12."""
+    the table of the lowest 12.  Above 63 qubits DimensionTooLarge."""
+    check_word_width(n)
     cols, b = fold
     lsb_first = cols[::-1]
 
@@ -355,7 +368,14 @@ def _is_reset(op: GateOp) -> bool:
 
 def word_image(n: int, ops: Iterable[GateOp], x: np.ndarray) -> np.ndarray:
     """Images of the int64 basis words x under ops, -1 where a literal
-    reset meets an already-zero block; a -1 in x stays -1."""
+    reset meets an already-zero block.
+
+    Each word lies in [0, 2^n) or is -1, and n is at most 63 (above,
+    DimensionTooLarge).  The words are not checked: any negative word
+    comes back as -1, and bits above n of the others are dropped by a
+    NOT/CN run but kept by a reset.
+    """
+    check_word_width(n)
     dead = x < 0
     for is_reset, run in groupby(ops, _is_reset):
         if not is_reset:

@@ -78,9 +78,7 @@ class WordMap(ArrayEq):
     image: np.ndarray
 
     def __post_init__(self):
-        image = np.array(self.image, dtype=np.int64)
-        image.flags.writeable = False
-        object.__setattr__(self, "image", image)
+        self._freeze("image", np.int64)
 
     @property
     def dimension(self) -> int:

@@ -154,15 +154,6 @@ class Configuration:
         """Site index of the last stored bit (origin - 1 when empty)."""
         return self.origin + len(self.bits) - 1
 
-    def site(self, n: int) -> int:
-        """Bit value at site n, 0 outside the stored range."""
-        if self.origin <= n <= self.end:
-            return self.bits[n - self.origin]
-        return 0
-
-
-EMPTY = Configuration(0, ())
-
 
 @lru_cache(maxsize=None)
 def _mark_table(r: int) -> tuple[int, ...]:

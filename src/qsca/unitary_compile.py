@@ -78,12 +78,6 @@ def _rotation_residual(u: np.ndarray) -> float:
     return float(np.max(residual, initial=0.0))
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = a.copy()
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class EmbeddedRotation(ArrayEq):
     """A 2x2 unitary acting on modes i < j of a larger space (0-based)."""
@@ -95,13 +89,12 @@ class EmbeddedRotation(ArrayEq):
     def __post_init__(self):
         if not 0 <= self.i < self.j:
             raise ValueError(f"need 0 <= i < j, got {self.i}, {self.j}")
-        u = np.asarray(self.u, dtype=complex)
+        u = self._freeze("u", complex)
         if u.shape != (2, 2):
             raise ValueError("rotation block must be 2x2")
         residual = _rotation_residual(u)
         if not residual <= 1e-12:
             raise NotUnitary(residual)
-        object.__setattr__(self, "u", _frozen(u))
 
 
 class _Rotations(Sequence):
@@ -134,7 +127,7 @@ class ReckPlan(ArrayEq):
 
     def __post_init__(self):
         n = self.dimension
-        phases = np.asarray(self.phases, dtype=complex)
+        phases = self._freeze("phases", complex)
         if phases.shape != (n,):
             raise ValueError("need one phase per mode")
         if not np.abs(np.abs(phases) - 1.0).max() <= 1e-12:
@@ -144,8 +137,8 @@ class ReckPlan(ArrayEq):
             raise ValueError("rotation modes must be an m x 2 array")
         if not np.issubdtype(modes.dtype, np.integer):
             raise ValueError("rotation modes must be integers")
-        modes = modes.astype(np.int64)
-        blocks = np.asarray(self.blocks, dtype=complex)
+        modes = self._freeze("modes", np.int64)
+        blocks = self._freeze("blocks", complex)
         if blocks.ndim != 3 or blocks.shape[1:] != (2, 2):
             raise ValueError("rotation blocks must be an m x 2 x 2 array")
         if len(blocks) != len(modes):
@@ -158,9 +151,6 @@ class ReckPlan(ArrayEq):
         residual = _rotation_residual(blocks)
         if not residual <= 1e-12:
             raise NotUnitary(residual)
-        object.__setattr__(self, "modes", _frozen(modes))
-        object.__setattr__(self, "blocks", _frozen(blocks))
-        object.__setattr__(self, "phases", _frozen(phases))
 
     @property
     def rotations(self) -> Sequence[EmbeddedRotation]:

@@ -4,8 +4,9 @@ The package runs the rule on whole rows and windows as int words; these
 functions restate it one window or one bit at a time, for the tests to
 compare against: `next_center` and `f_window` for the window rule,
 `render_particles` for particle segmentation, and `emit_configuration`
-for the configuration text format.  `window_len`, `shifted` and
-`particle_width` are the small derived quantities only the tests read.
+for the configuration text format.  `window_len`, `site`, `shifted`
+and `particle_width` are the small derived quantities only the tests
+read.
 """
 
 from qsca.sca_core import Configuration
@@ -14,6 +15,13 @@ from qsca.sca_core import Configuration
 def window_len(rule):
     """Cells in one window: r left neighbours, the center, r right."""
     return 2 * rule.radius + 1
+
+
+def site(config, n):
+    """Bit value of a row at site n, 0 outside the stored range."""
+    if config.origin <= n <= config.end:
+        return config.bits[n - config.origin]
+    return 0
 
 
 def shifted(config, k):

@@ -94,7 +94,11 @@ def test_parser_constants_have_one_home():
 
 def referenced_names():
     """Every name the library and the benchmark read: loaded names,
-    attributes and imported names, but no strings (so no `__all__`)."""
+    attributes and imported names, but no strings (so no `__all__`).
+
+    Attributes match by bare name, whatever the object: a member named
+    like a CLI option (`args.site`) or like another class's field
+    (`report.norm`) passes the guard without a real caller."""
     paths = sorted((ROOT / "src" / "qsca").glob("*.py")) + [
         p for p in sorted((ROOT / "perfbench").glob("*.py"))
         if not p.name.startswith("test_")]
@@ -139,8 +143,7 @@ def test_every_public_name_has_a_caller():
 
 def test_public_members_lists_methods_and_properties_only():
     from qsca.sca_core import Configuration, Particle
-    assert sorted(public_members(Configuration)) == ["end", "is_empty",
-                                                     "site"]
+    assert sorted(public_members(Configuration)) == ["end", "is_empty"]
     assert sorted(public_members(Particle)) == [
         "block_count", "block_len", "flat_bits", "word"]
 

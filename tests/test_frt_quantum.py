@@ -31,7 +31,7 @@ def blocks_of(words, width):
 
 def record_words(report, m):
     """Block words of the register after stage m, None if annihilated."""
-    index, w = report.records[m].index, report.radius + 1
+    index, w = report.indices[m], report.radius + 1
     if index is None:
         return None
     n_blocks = report.L + report.padding
@@ -97,16 +97,18 @@ def test_run_frt_sixty_qubits_matches_pattern():
     start = time.perf_counter()
     report = run_frt(blocks, padding)
     assert time.perf_counter() - start < 1.0
-    assert report.records[0].index == word << padding * w
+    assert report.indices[0] == word << padding * w
     for m in range(1, padding + 1):
         want = frt_pattern(word, m, L, w) << (padding - m) * w
-        assert report.records[m].index == want, m
+        assert report.indices[m] == want, m
     assert report.final_ok
 
 
 def test_stage_plan_validation():
     with pytest.raises(ValueError):
         FrtStagePlan(0, 1, 2)
+    with pytest.raises(DimensionTooLarge, match="64 qubits"):
+        FrtStagePlan(1, 31, 2)
     plan = FrtStagePlan(2, 2, 2)
     with pytest.raises(ValueError):
         plan.stage_ops(0)
@@ -116,7 +118,7 @@ def test_stage_plan_validation():
 
 def test_stage_plan_ops_golden():
     plan = FrtStagePlan(2, 2, 2)
-    assert plan.n_blocks == 4 and plan.n_qubits == 8
+    assert plan.n_qubits == 8
     assert plan.stage_ops(1) == (
         CollectiveCn(1, 3, 2), CollectiveCn(1, 5, 2),
         BlockReset(1, 2, "extended"))
@@ -157,15 +159,13 @@ def test_three_block_stage_goldens():
     assert record_words(report, 2) == (0, 0, a2 ^ a3, a2, a1 ^ a2, 0, 0)
     assert record_words(report, 3) == (0, 0, 0, a3, a1 ^ a3, a2 ^ a3, 0)
     assert record_words(report, 4) == (0, 0, 0, 0, a1, a2, a3)
-    assert report.records[4].index == 0b110110
+    assert report.indices[4] == 0b110110
     assert report.final_ok
 
 
 def test_input_record():
     report = run_frt([(1, 1), (0, 1)], 2)
-    first = report.records[0]
-    assert first.stage == 0
-    assert first.index == 0b1101_0000
+    assert report.indices[0] == 0b1101_0000
     assert record_words(report, 0) == (0b11, 0b01, 0, 0)
 
 
@@ -222,9 +222,9 @@ def test_run_frt_states_match_apply_circuit(L, r, padding, variant):
         report = run_frt(blocks_of(words, w), padding, reset_variant=variant)
         word = int("".join(format(x, f"0{w}b") for x in words), 2)
         start = word << padding * w
-        assert report.records[0].index == start
+        assert report.indices[0] == start
         for m, state in stage_states(plan, start, variant):
-            want = basis_vector(plan.n_qubits, report.records[m].index)
+            want = basis_vector(plan.n_qubits, report.indices[m])
             assert np.array_equal(state.amplitudes, want.amplitudes)
         # and all stages as one circuit
         whole = apply_circuit(basis_vector(plan.n_qubits, start),
@@ -249,8 +249,8 @@ def test_circuit_linear_on_superpositions():
 def test_literal_reset_annihilates_on_null_lead():
     # equal blocks make the stage-2 lead null, which the literal reset kills
     report = run_frt([(1, 1), (1, 1)], 2, reset_variant="literal")
-    assert report.records[1].index is not None
-    assert report.records[2].index is None
+    assert report.indices[1] is not None
+    assert report.indices[2] is None
     assert not report.final_ok
     states = dict(stage_states(FrtStagePlan(2, 2, 2), 0b1111_0000, "literal"))
     assert np.abs(states[1].amplitudes).max() == 1.0
@@ -262,8 +262,7 @@ def test_variants_agree_when_leads_stay_nonzero():
     ext = run_frt(blocks, 3, reset_variant="extended")
     lit = run_frt(blocks, 3, reset_variant="literal")
     assert ext.final_ok and lit.final_ok
-    for ra, rb in zip(ext.records, lit.records):
-        assert ra == rb
+    assert ext.indices == lit.indices
 
 
 # -- stage identity sweep ---------------------------------------------------

@@ -156,8 +156,8 @@ def test_uniform_superposition_nonnull():
     assert np.array_equal(uniform_superposition_nonnull(1).amplitudes, [0, 1])
     s2 = uniform_superposition_nonnull(2)
     assert np.allclose(s2.amplitudes, [0, 1, 1, 1] / np.sqrt(3))
-    assert uniform_superposition_nonnull(20).norm == pytest.approx(1.0,
-                                                                   abs=1e-12)
+    big = uniform_superposition_nonnull(20).amplitudes
+    assert np.linalg.norm(big) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- single gates against the index-arithmetic oracles ----------------------
@@ -268,7 +268,8 @@ def test_gates_are_linear_and_norm_preserving():
         right = a * apply_circuit(u, circuit).amplitudes \
             + b * apply_circuit(v, circuit).amplitudes
         assert np.abs(left - right).max() <= 1e-12
-        assert abs(apply_circuit(u, circuit).norm - 1.0) <= 1e-12
+        out = apply_circuit(u, circuit).amplitudes
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
         mat = circuit_matrix(circuit)
         assert np.abs(mat.conj().T @ mat - np.eye(16)).max() <= 1e-12
 
@@ -437,6 +438,17 @@ def test_word_image_matches_gate_by_gate_on_wide_registers(circuit, seed):
     n, words = circuit.n_qubits, seeded_words(circuit.n_qubits, seed)
     assert word_image(n, circuit.ops, words).tolist() \
         == word_image_by_gate(n, circuit.ops, words.tolist())
+
+
+def test_word_kernels_refuse_64_qubits():
+    # a 64-qubit word does not fit an int64
+    ops, words = (Not(1), Cn(1, 64)), np.array([0], dtype=np.int64)
+    with pytest.raises(DimensionTooLarge, match="64 qubits"):
+        word_image(64, ops, words)
+    with pytest.raises(DimensionTooLarge, match="64 qubits"):
+        affine_image(64, affine_fold(64, ops), words)
+    with pytest.raises(DimensionTooLarge, match="64 qubits"):
+        word_image(64, (BlockReset(1, 1),), words)
 
 
 def test_ops_reject_qubits_below_one():

@@ -23,7 +23,7 @@ from qsca.quantize import (
     window_centers,
 )
 from qsca.sca_core import Configuration, Rule, step
-from rule_oracle import f_window, next_center, window_len
+from rule_oracle import f_window, next_center, site, window_len
 
 
 def word_bits(x, width):
@@ -389,10 +389,10 @@ def test_total_step_isometry_matches_classical_scan():
     step_image = total_step(2, n, "partial_isometry").image
     for x in range(32):
         config = Configuration(4, word_bits(x, 5))
-        word = sum(config.site(s) << (n - s) for s in range(1, n + 1))
+        word = sum(site(config, s) << (n - s) for s in range(1, n + 1))
         image = int(step_image[word])
         stepped = step(rule, config)
-        want = sum(stepped.site(s) << (n - s) for s in range(1, n + 1))
+        want = sum(site(stepped, s) << (n - s) for s in range(1, n + 1))
         if not stepped.is_empty:
             assert stepped.origin >= 1 and stepped.end <= n
         assert image == want

@@ -13,7 +13,6 @@ from qsca.errors import ParseError
 from qsca.sca_core import (
     BasicString,
     Configuration,
-    EMPTY,
     FrtPrediction,
     FrtReport,
     FrtTimeCheck,
@@ -32,8 +31,10 @@ from qsca.sca_core import (
     step,
 )
 from rule_oracle import (emit_configuration, f_window, next_center,
-                         particle_width, render_particles, shifted,
+                         particle_width, render_particles, shifted, site,
                          window_len)
+
+EMPTY = Configuration(0, ())
 
 
 def reference_step(rule, config, extra=200):
@@ -46,8 +47,8 @@ def reference_step(rule, config, extra=200):
     new = {}
     for n in range(lo, hi + 1):
         window = [new.get(n - k, 0) for k in range(r, 0, -1)]
-        window.append(config.site(n))
-        window += [config.site(n + k) for k in range(1, r + 1)]
+        window.append(site(config, n))
+        window += [site(config, n + k) for k in range(1, r + 1)]
         if any(window):
             bit = 1
             for b in window:
@@ -73,8 +74,8 @@ def window_scan_step(rule, config):
     n = start
     while not (n > config.end and not any(recent)):
         assert n - start < bound, "the window scan diverged"
-        window = (*recent, config.site(n),
-                  *(config.site(n + j) for j in range(1, r + 1)))
+        window = (*recent, site(config, n),
+                  *(site(config, n + j) for j in range(1, r + 1)))
         bit = next_center(rule, window)
         out.append(bit)
         recent.append(bit)
@@ -90,10 +91,10 @@ def marks_step(rule, config):
     lo = config.origin - r
     row, last = [], lo - r - 1
     for n in range(lo, config.end + 1):
-        mark = n - last > r and any(config.site(n + j) for j in range(r + 1))
+        mark = n - last > r and any(site(config, n + j) for j in range(r + 1))
         if mark:
             last = n
-        row.append(config.site(n + r) ^ mark)
+        row.append(site(config, n + r) ^ mark)
     return Configuration(lo, tuple(row))
 
 
@@ -168,13 +169,13 @@ def tuple_parse_particles(rule, config):
     w = rule.block_len
     pos = config.origin
     while pos <= config.end:
-        while pos <= config.end and config.site(pos) == 0:
+        while pos <= config.end and site(config, pos) == 0:
             pos += 1
         if pos > config.end:
             break
         anchor, blocks = pos, []
         while True:
-            blk = TupleBlock(tuple(config.site(anchor + len(blocks) * w + j)
+            blk = TupleBlock(tuple(site(config, anchor + len(blocks) * w + j)
                                    for j in range(w)))
             if blk.is_null:
                 break
@@ -343,7 +344,7 @@ def test_configuration_trim():
     assert c.origin == 5
     assert c.bits == (1, 1)
     assert c.end == 6
-    assert c.site(5) == 1 and c.site(4) == 0 and c.site(100) == 0
+    assert site(c, 5) == 1 and site(c, 4) == 0 and site(c, 100) == 0
     assert Configuration(9, (0, 0)) == EMPTY
     assert shifted(c, 2).origin == 7
     with pytest.raises(ValueError):
