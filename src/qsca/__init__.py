@@ -84,7 +84,6 @@ _EXPORTS = {
         "stage_identity_check",
     ),
     "unitary_compile": (
-        "EmbeddedRotation",
         "ReckPlan",
         "emit_reck_plan",
         "reck_decompose",

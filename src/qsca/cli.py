@@ -59,6 +59,13 @@ def _radius(value: str) -> int:
     return r
 
 
+def _seed(value: str) -> int:
+    seed = _int(value)
+    if seed < 0:
+        raise argparse.ArgumentTypeError("seed must be non-negative")
+    return seed
+
+
 def _write(out: str | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -117,6 +124,8 @@ def cmd_uf(args) -> int:
 def cmd_circuit(args) -> int:
     from . import qstate, quantize
     if args.total is not None:
+        if args.site is not None or args.n_qubits is not None:
+            raise _UsageError("--total excludes --site and --n-qubits")
         circuit = quantize.total_step(args.radius, args.total,
                                       "unitary_circuit")
     else:
@@ -210,6 +219,10 @@ def cmd_parallelism(args) -> int:
 
 
 def cmd_reck(args) -> int:
+    if args.radius is None and args.dimension is None:
+        raise _UsageError("reck needs --radius or --dimension")
+    if args.radius is not None and args.dimension is not None:
+        raise _UsageError("reck takes --radius or --dimension, not both")
     import numpy as np
 
     from . import unitary_compile
@@ -376,7 +389,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("uf", help="transition matrix exports and checks")
     p.add_argument("action", choices=("export", "check", "blockform"))
     p.add_argument("--radius", type=_radius, required=True)
-    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_uf)
 
@@ -425,12 +438,12 @@ def build_parser() -> _Parser:
                    help="decompose the window-update circuit at this radius")
     p.add_argument("--dimension", type=_int,
                    help="decompose a seeded random unitary instead")
-    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_reck)
 
     p = sub.add_parser("check", help="run the verification suite")
-    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 
@@ -441,9 +454,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "reck" and args.radius is None \
-                and args.dimension is None:
-            raise _UsageError("reck needs --radius or --dimension")
         return args.func(args)
     except (_UsageError, ParseError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

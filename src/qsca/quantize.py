@@ -186,9 +186,10 @@ def check_partial_isometry(t_op: TransitionOperator,
     return IsometryReport(range_residual, support_residual, worst)
 
 
-@dataclass(frozen=True)
-class BasisPartition:
-    """Window word indices split into invariant and center-flipped classes.
+@dataclass(frozen=True, eq=False)
+class BasisPartition(ArrayEq):
+    """Window word indices split into invariant and center-flipped classes,
+    each a read-only int64 array.
 
     invariant_words are sorted ascending.  flipped_words are arranged so
     that column x lands on row pair-of-x along the antidiagonal: the
@@ -199,8 +200,12 @@ class BasisPartition:
     """
 
     radius: int
-    invariant_words: tuple[int, ...]
-    flipped_words: tuple[int, ...]
+    invariant_words: np.ndarray
+    flipped_words: np.ndarray
+
+    def __post_init__(self):
+        self._freeze("invariant_words", np.int64)
+        self._freeze("flipped_words", np.int64)
 
 
 def partition_basis(r: int) -> BasisPartition:
@@ -210,8 +215,7 @@ def partition_basis(r: int) -> BasisPartition:
     moved = image[1:] != words
     mids = words[moved & ((words & center) == 0)]
     flipped = np.concatenate(([0], mids, mids[::-1] ^ center, [center]))
-    return BasisPartition(r, tuple(words[~moved].tolist()),
-                          tuple(flipped.tolist()))
+    return BasisPartition(r, words[~moved], flipped)
 
 
 def _blocked_image(t_op: TransitionOperator,

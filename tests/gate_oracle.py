@@ -46,11 +46,10 @@ def stage_circuit(plan, reset_variant="extended"):
     return Circuit(plan.n_qubits, tuple(ops))
 
 
-def embedded(rotation, dimension):
-    """The rotation's 2x2 block on modes (i, j) of the identity."""
-    i, j = rotation.i, rotation.j
+def embedded(i, j, u, dimension):
+    """The 2x2 block u on modes (i, j) of the identity."""
     mat = np.eye(dimension, dtype=complex)
-    mat[np.ix_([i, j], [i, j])] = rotation.u
+    mat[np.ix_([i, j], [i, j])] = u
     return mat
 
 

@@ -60,6 +60,11 @@ CASES.update({
     "usage_bad_integer": ["parallelism", "--radius", "1_0"],
     "usage_reck_no_target": ["reck"],
     "usage_circuit_no_site": ["circuit", "--radius", "1"],
+    "usage_reck_radius_and_dimension": ["reck", "--radius", "1",
+                                        "--dimension", "2"],
+    "usage_circuit_site_and_total": ["circuit", "--radius", "1", "--site",
+                                     "2", "--n-qubits", "3", "--total", "4"],
+    "usage_check_negative_seed": ["check", "--seed", "-1"],
     "usage_bad_config": ["evolve", "inputs/bad_row.txt", "--radius", "1",
                          "--steps", "1"],
     "usage_missing_file": ["frt-classical", "inputs/absent.txt",

@@ -224,8 +224,12 @@ def test_partial_isometry_radius6_within_budget():
 
 def test_partition_radius1_order():
     part = partition_basis(1)
-    assert part.invariant_words == (1, 3, 4, 6)
-    assert part.flipped_words == (0, 5, 7, 2)
+    assert part.invariant_words.tolist() == [1, 3, 4, 6]
+    assert part.flipped_words.tolist() == [0, 5, 7, 2]
+    for words in (part.invariant_words, part.flipped_words):
+        assert words.dtype == np.int64 and not words.flags.writeable
+    assert part == partition_basis(1)
+    assert hash(part) == hash(partition_basis(1))
 
 
 def test_partition_covers_basis():
@@ -294,9 +298,9 @@ def test_block_form_verdict_matches_dense_target():
         flipped = part.flipped_words
         # the natural word order leaves U as it is; a rotated flipped
         # list misplaces every antidiagonal entry
-        natural = BasisPartition(r, tuple(range(k)), tuple(range(k, dim)))
+        natural = BasisPartition(r, range(k), range(k, dim))
         rotated = BasisPartition(r, part.invariant_words,
-                                 flipped[1:] + flipped[:1])
+                                 np.roll(flipped, -1))
         for partition, ok in ((part, True), (natural, False),
                               (rotated, False)):
             dense = np.array_equal(represent_blocked(t_op, partition),

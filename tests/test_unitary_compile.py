@@ -10,7 +10,6 @@ from qsca.errors import NotUnitary
 from qsca.qstate import circuit_matrix
 from qsca.quantize import build_uf_circuit, build_uf_matrix
 from qsca.unitary_compile import (
-    EmbeddedRotation,
     _rotation_residual,
     _run_starts,
     _unitarity_residual,
@@ -29,38 +28,29 @@ def haar_unitary(n, rng):
 
 # -- building blocks --------------------------------------------------------
 
-def test_embedded_rotation_validation():
-    with pytest.raises(ValueError):
-        EmbeddedRotation(2, 1, np.eye(2))
-    with pytest.raises(ValueError):
-        EmbeddedRotation(0, 1, np.eye(3))
-    with pytest.raises(NotUnitary):
-        EmbeddedRotation(0, 1, np.array([[1.0, 0.0], [0.0, 2.0]]))
-
-
 def test_embedded_rotation_golden():
-    swap = EmbeddedRotation(0, 2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     want = np.array([[0, 0, 1],
                      [0, 1, 0],
                      [1, 0, 0]], dtype=complex)
-    assert np.array_equal(embedded(swap, 3), want)
-    assert not swap.u.flags.writeable
+    assert np.array_equal(embedded(0, 2, swap, 3), want)
+    plan = ReckPlan(3, [(0, 2)], [swap], np.ones(3))
+    assert not plan.blocks.flags.writeable
+    assert np.array_equal(reck_reconstruct(plan), want)
 
 
 def test_rotation_and_plan_value_equality():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    rot = EmbeddedRotation(0, 1, swap)
-    assert rot == EmbeddedRotation(0, 1, swap.copy())
-    assert hash(rot) == hash(EmbeddedRotation(0, 1, swap.copy()))
-    assert rot != EmbeddedRotation(0, 2, swap)
-    assert rot != EmbeddedRotation(0, 1, np.eye(2))
-    assert rot != (0, 1, swap)
+    one = ReckPlan(3, [(0, 1)], [swap], np.ones(3))
+    assert one == ReckPlan(3, [(0, 1)], [swap.copy()], np.ones(3))
+    assert hash(one) == hash(ReckPlan(3, [(0, 1)], [swap.copy()], np.ones(3)))
+    assert one != ReckPlan(3, [(0, 2)], [swap], np.ones(3))
+    assert one != ReckPlan(3, [(0, 1)], [np.eye(2)], np.ones(3))
+    assert one != (3, one.modes, one.blocks, one.phases)
     plan = reck_decompose(swap)
     same = reck_decompose(swap)
     assert plan == same and hash(plan) == hash(same)
     assert len({plan, same, reck_decompose(np.eye(2))}) == 2
-    assert plan.rotations[0] == EmbeddedRotation(*plan.modes[0].tolist(),
-                                                 plan.blocks[0])
     # signed zeros compare equal, so they hash equal too
     blocks = plan.blocks.copy()
     blocks[blocks == 0] = complex(-0.0, -0.0)
@@ -71,17 +61,17 @@ def test_rotation_and_plan_value_equality():
 
 
 def plan_of(n, rotations, phases):
-    """A plan from `EmbeddedRotation` objects, in order."""
+    """A plan from (i, j, u) triples, in order."""
     return ReckPlan(n,
-                    np.array([(r.i, r.j) for r in rotations],
+                    np.array([(i, j) for i, j, _ in rotations],
                              dtype=np.int64).reshape(-1, 2),
-                    np.array([r.u for r in rotations],
+                    np.array([u for _, _, u in rotations],
                              dtype=complex).reshape(-1, 2, 2),
                     phases)
 
 
 def test_plan_validation():
-    rot = EmbeddedRotation(0, 1, np.eye(2))
+    rot = (0, 1, np.eye(2))
     with pytest.raises(ValueError):
         plan_of(3, (), np.ones(2))
     with pytest.raises(ValueError):
@@ -90,7 +80,8 @@ def test_plan_validation():
         plan_of(2, (rot, rot), np.ones(2))
     with pytest.raises(ValueError):
         plan_of(1, (rot,), np.ones(1))
-    # the per-rotation gates of EmbeddedRotation, on the arrays at once
+    # each rotation's gates, 0 <= i < j < n and a unitary block, checked
+    # on the arrays at once
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     for modes in ([(1, 0)], [(1, 1)], [(-1, 1)], [(0, 3)]):
         with pytest.raises(ValueError):
@@ -109,6 +100,7 @@ def test_plan_validation():
     for modes, blocks in (([0, 1, 1, 2], [swap, swap]),
                           ([(0, 1), (1, 2)], swap.ravel().tolist() * 2),
                           ([(0, 1)], [swap.ravel()]),
+                          ([(0, 1)], [np.eye(3)]),
                           ([(0.0, 1.0)], [swap]),
                           ([(0.5, 1.0)], [swap]),
                           ([], [])):
@@ -120,38 +112,42 @@ def test_plan_validation():
 
 def test_plan_arrays_and_rotation_views():
     rng = np.random.default_rng(3)
-    rots = [EmbeddedRotation(0, 2, haar_unitary(2, rng)),
-            EmbeddedRotation(1, 3, haar_unitary(2, rng)),
-            EmbeddedRotation(0, 1, haar_unitary(2, rng))]
+    rots = [(0, 2, haar_unitary(2, rng)),
+            (1, 3, haar_unitary(2, rng)),
+            (0, 1, haar_unitary(2, rng))]
     plan = plan_of(4, rots, np.ones(4))
     assert plan.modes.dtype == np.int64 and plan.modes.shape == (3, 2)
     assert plan.blocks.shape == (3, 2, 2)
     for a in (plan.modes, plan.blocks, plan.phases):
         assert not a.flags.writeable
-    assert len(plan.rotations) == 3
-    for k in (0, 1, 2, -1, -3):
-        view = plan.rotations[k]
-        assert (view.i, view.j) == (rots[k].i, rots[k].j)
-        assert np.array_equal(view.u, rots[k].u)
-    assert [(r.i, r.j) for r in reversed(plan.rotations)] == \
-        [(0, 1), (1, 3), (0, 2)]
-    with pytest.raises(IndexError):
-        plan.rotations[3]
+    assert plan.rotations is plan.modes
+    for k, (i, j, u) in enumerate(rots):
+        assert plan.modes[k].tolist() == [i, j]
+        assert np.array_equal(plan.blocks[k], u)
 
 
 # -- decomposition ----------------------------------------------------------
 
 def test_identity_needs_no_rotations():
     plan = reck_decompose(np.eye(4))
-    assert len(plan.rotations) == 0 and plan.modes.shape == (0, 2)
+    assert plan.modes.shape == (0, 2)
     assert np.array_equal(plan.phases, np.ones(4))
     assert np.array_equal(reck_reconstruct(plan), np.eye(4))
+
+
+def test_empty_plan():
+    plan = reck_decompose(np.zeros((0, 0)))
+    assert plan == ReckPlan(0, np.empty((0, 2), dtype=np.int64),
+                            np.empty((0, 2, 2)), np.empty(0))
+    assert reck_reconstruct(plan).shape == (0, 0)
+    with pytest.raises(ValueError):
+        ReckPlan(0, [(0, 1)], [np.eye(2)], np.empty(0))
 
 
 def test_permutation_gives_short_plan():
     perm = np.eye(4)[[1, 2, 3, 0]]
     plan = reck_decompose(perm)
-    assert len(plan.rotations) == 3
+    assert len(plan.modes) == 3
     assert np.abs(reck_reconstruct(plan) - perm).max() <= 1e-12
 
 
@@ -170,7 +166,7 @@ def test_round_trip_random():
     for n in (2, 3, 5, 8, 13):
         u = haar_unitary(n, rng)
         plan = reck_decompose(u)
-        assert len(plan.rotations) <= n * (n - 1) // 2
+        assert len(plan.modes) <= n * (n - 1) // 2
         assert np.abs(reck_reconstruct(plan) - u).max() <= 1e-12
 
 
@@ -272,14 +268,14 @@ def test_decompose_n128_within_budget():
     elapsed = time.perf_counter() - start
     print(f"reck_decompose n=128: {elapsed:.3f} s")
     assert elapsed < 1.0
-    assert len(plan.rotations) == 128 * 127 // 2
+    assert len(plan.modes) == 128 * 127 // 2
 
 
 def embedded_product(plan):
     """Oracle: the plan multiplied out with dense embedded n x n matrices."""
     mat = np.diag(plan.phases).astype(complex)
-    for rot in reversed(plan.rotations):
-        mat = embedded(rot, plan.dimension) @ mat
+    for (i, j), u in reversed(list(zip(plan.modes.tolist(), plan.blocks))):
+        mat = embedded(i, j, u, plan.dimension) @ mat
     return mat
 
 
@@ -288,7 +284,7 @@ def random_plan(n, count, rng):
     rotations = []
     for _ in range(count):
         i, j = sorted(rng.choice(n, size=2, replace=False))
-        rotations.append(EmbeddedRotation(int(i), int(j), haar_unitary(2, rng)))
+        rotations.append((int(i), int(j), haar_unitary(2, rng)))
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
     return plan_of(n, rotations, phases)
 
@@ -306,7 +302,7 @@ def test_reconstruct_matches_embedded_product(n, fill, seed):
 def test_reconstruct_matches_embedded_product_permutations(perm):
     target = np.eye(len(perm))[list(perm)]
     plan = reck_decompose(target)
-    assert len(plan.rotations) < len(perm)
+    assert len(plan.modes) < len(perm)
     out = reck_reconstruct(plan)
     assert np.abs(out - embedded_product(plan)).max() <= 1e-12
     assert np.abs(out - target).max() <= 1e-12
@@ -331,7 +327,7 @@ def shared_pivot_plans(draw):
         i = int(rng.integers(0, n - 1))
         partners = rng.integers(i + 1, n, size=int(rng.integers(1, n)))
         for j in partners[:n * (n - 1) // 2 - len(rotations)]:
-            rotations.append(EmbeddedRotation(i, int(j), haar_unitary(2, rng)))
+            rotations.append((i, int(j), haar_unitary(2, rng)))
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
     return plan_of(n, rotations, phases)
 
@@ -361,7 +357,7 @@ def test_rejects_nan():
     with pytest.raises(ValueError):
         reck_decompose(u)
     with pytest.raises(ValueError):
-        EmbeddedRotation(0, 1, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        ReckPlan(2, [(0, 1)], [[[np.nan, 0.0], [0.0, 1.0]]], np.ones(2))
     with pytest.raises(ValueError):
         plan_of(2, (), np.array([np.nan, 1.0]))
 
@@ -385,7 +381,7 @@ def test_rotation_residual_closed_form():
             with pytest.raises(ValueError):
                 _rotation_residual(u)
             with pytest.raises(ValueError):
-                EmbeddedRotation(0, 1, u)
+                ReckPlan(2, [(0, 1)], [u], np.ones(2))
 
 
 def test_partial_products_stay_unitary():
@@ -393,8 +389,8 @@ def test_partial_products_stay_unitary():
     u = haar_unitary(6, rng)
     plan = reck_decompose(u)
     partial = np.diag(plan.phases).astype(complex)
-    for rot in reversed(plan.rotations):
-        partial = embedded(rot, 6) @ partial
+    for (i, j), u in reversed(list(zip(plan.modes.tolist(), plan.blocks))):
+        partial = embedded(i, j, u, 6) @ partial
         gram = partial.conj().T @ partial
         assert np.abs(gram - np.eye(6)).max() <= 1e-12
 
@@ -453,7 +449,7 @@ def test_emit_golden():
     assert emit_reck_plan(plan) == "P 1 1 0\nP 2 -1 0\n"
     # a rotation by 0.3 rad; 17 significant digits, signed zeros kept
     c, sn = 0.95533648912560598, 0.29552020666133955
-    plan = plan_of(2, [EmbeddedRotation(0, 1, np.array([[c, -sn], [sn, c]]))],
+    plan = plan_of(2, [(0, 1, np.array([[c, -sn], [sn, c]]))],
                    np.array([1j, complex(-1.0, -0.0)]))
     assert emit_reck_plan(plan) == (
         "R 1 2 0.95533648912560598 0 -0.29552020666133955 0 "
