@@ -92,6 +92,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_uf(args) -> int:
+    if args.seed is not None and args.action != "check":
+        raise _UsageError(f"uf {args.action} takes no --seed")
     import numpy as np
 
     from . import quantize
@@ -101,7 +103,7 @@ def cmd_uf(args) -> int:
         return 0
     if args.action == "check":
         report = quantize.check_partial_isometry(
-            t_op, rng=np.random.default_rng(args.seed))
+            t_op, rng=np.random.default_rng(args.seed or 0))
         _write(args.out,
                "range residual {}\nsupport residual {}\n"
                "norm deviation {:.3e}\n".format(
@@ -389,7 +391,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("uf", help="transition matrix exports and checks")
     p.add_argument("action", choices=("export", "check", "blockform"))
     p.add_argument("--radius", type=_radius, required=True)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed, help="uf check only; default 0")
     p.add_argument("--out")
     p.set_defaults(func=cmd_uf)
 

@@ -8,29 +8,27 @@ and the block reset that funnels a block onto its all-zero word.  The
 reset comes in two variants: `literal` sums dyads over the nonzero block
 words only (and therefore annihilates a component whose block is already
 zero), `extended` sums over all words (fixing the zero block).  Neither
-variant preserves the norm, which is why unit norm is not an invariant
-of StateVector.
+variant preserves the norm.
 
 NOT, CN and the collective CN are affine maps x -> Ax ^ b of the basis
 index over GF(2) (Aaronson & Gottesman, PRA 70, 052328 (2004)).
 `affine_fold` folds a run of them into one (A, b); `affine_image` maps
 basis indices through a fold, one table lookup per 12 index bits, without
-any state vector.  A circuit runs on a state as one gather through the
-inverse map per maximal run of such gates, plus the reset kernel for
-each reset.  Every gate in a run is its own inverse (the pairwise CNs of
-a collective CN act on disjoint qubits and commute), so the inverse map
-is the fold of the run reversed.  The gather writes 2^12 outputs at a
-time: the inverse image of index (h << 12) | l is high[h] ^ low[l],
-where low folds the 12 least significant qubits (carrying b) and high
-the rest, so no 2^n index array is built.  apply_circuit's peak memory
-is its output state for a single run, and at most two new states (a
-gather's input and output) for any other circuit.
+any state vector.  A state runs only such circuits: apply_circuit moves
+the amplitudes by one gather through the inverse map, and a circuit
+holding a reset raises TypeError before any 2^n array is made.  Every
+gate is its own inverse (the pairwise CNs of a collective CN act on
+disjoint qubits and commute), so the inverse map is the fold of the
+circuit reversed.  The gather writes 2^12 outputs at a time: the inverse
+image of index (h << 12) | l is high[h] ^ low[l], where low folds the 12
+least significant qubits (carrying b) and high the rest, so no 2^n index
+array is built and the output state is apply_circuit's peak memory.
 
 Every op sends a basis word to one word or to nothing (a literal reset
 of an already-zero block), so `word_image` pushes int64 words through a
-circuit: one `affine_image` per NOT/CN run and a block mask per reset.
-Both kernels refuse registers above 63 qubits (`check_word_width`),
-whose words do not fit an int64.
+circuit, resets included: one `affine_image` per NOT/CN run and a block
+mask per reset.  Both kernels refuse registers above 63 qubits
+(`check_word_width`), whose words do not fit an int64.
 circuit_matrix never runs states: it pushes the words 0..2^n-1 through
 `word_image` and scatters ones into a zeroed matrix, which is its whole
 peak memory apart from a few 2^n-entry word arrays.
@@ -268,19 +266,6 @@ class Circuit:
                     f"op {op!r} out of range for {self.n_qubits} qubits")
 
 
-def _reset_inplace(buf: np.ndarray, op: BlockReset) -> None:
-    """Funnel op's block onto its all-zero word, in place: add the block
-    words into the zero word's slice one at a time, ascending (from word 1
-    for `literal`), then zero the rest.  buf is (2^n)-by-anything."""
-    view = buf.reshape(2 ** (op.block - 1), 2 ** op.block_len, -1)
-    total = view[:, 0]
-    if op.variant == "literal":
-        total[...] = 0
-    for word in range(1, 2 ** op.block_len):
-        total += view[:, word]
-    view[:, 1:] = 0
-
-
 def affine_fold(n: int, ops: Iterable[GateOp]) -> tuple[tuple[int, ...], int]:
     """Fold a run of NOT/CN/CollectiveCn ops into x -> Ax ^ b over GF(2).
 
@@ -288,7 +273,7 @@ def affine_fold(n: int, ops: Iterable[GateOp]) -> tuple[tuple[int, ...], int]:
     of the index bit of qubit j, and b the image of index 0.  The fold
     keeps one integer row mask per output qubit, so it costs O(1) per
     two-qubit gate and O(n^2) to turn the rows into columns.  An op that
-    reaches past qubit n raises ValueError.
+    reaches past qubit n raises ValueError, and a BlockReset TypeError.
     """
     rows = [1 << (n - q) for q in range(1, n + 1)]
     b = 0
@@ -389,32 +374,16 @@ def word_image(n: int, ops: Iterable[GateOp], x: np.ndarray) -> np.ndarray:
     return np.where(dead, -1, x)
 
 
-def _apply_ops(n: int, amp: np.ndarray, ops: Sequence[GateOp]) -> np.ndarray:
-    """Run ops over the state amp without writing to it: one chunked
-    gather per NOT/CN run, resets in place on a state of our own."""
-    buf = amp
-    for is_reset, run in groupby(ops, _is_reset):
-        if not is_reset:
-            buf = _gather(n, buf, affine_fold(n, reversed(tuple(run))))
-            continue
-        if buf is amp:
-            buf = amp.copy()
-        for op in run:
-            _reset_inplace(buf, op)
-    return buf
-
-
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """The state after the circuit, bit-identical to running its ops one
-    at a time.  Peak memory: the output state and O(2^12) indices for one
-    NOT/CN run; a circuit with more ops holds up to two new states at
-    once (one gather's input and output)."""
-    if circuit.n_qubits != state.n_qubits:
-        raise ValueError(
-            f"circuit on {circuit.n_qubits} qubits, state on {state.n_qubits}")
-    return StateVector._owning(
-        state.n_qubits, _apply_ops(state.n_qubits, state.amplitudes,
-                                   circuit.ops))
+    """The state after a NOT/CN/CollectiveCn circuit, bit-identical to
+    running its ops one at a time: one gather through the fold of the ops
+    reversed.  Peak memory is the output state and O(2^12) indices.  A
+    BlockReset raises TypeError before any 2^n array is made."""
+    n = state.n_qubits
+    if circuit.n_qubits != n:
+        raise ValueError(f"circuit on {circuit.n_qubits} qubits, state on {n}")
+    fold = affine_fold(n, reversed(circuit.ops))
+    return StateVector._owning(n, _gather(n, state.amplitudes, fold))
 
 
 def circuit_matrix(circuit: Circuit) -> np.ndarray:

@@ -251,4 +251,4 @@ def emit_reck_plan(plan: ReckPlan) -> str:
         lines.append(f"R {i + 1} {j + 1} {vals}")
     for k, ph in enumerate(plan.phases.tolist()):
         lines.append(f"P {k + 1} {ph.real:.17g} {ph.imag:.17g}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + ("\n" if lines else "")

@@ -3,9 +3,10 @@
 Each gate runs on a copy of the state, one gate at a time, with no
 fold.  NOT and CN are slice-swapping kernels that read their array
 argument as (2^n)-by-anything; NOT writes out of place and CN works in
-place.  The reset is the sum of its dyads over an index gather, so it
-shares no code with the package's reset kernel.  The tests compare
-`apply_circuit` and `circuit_matrix` against `gate_by_gate`.
+place.  The reset is the sum of its dyads over an index gather; the
+package runs resets only on basis words.  The tests compare
+`apply_circuit` (NOT/CN circuits) and `circuit_matrix` (resets too)
+against `gate_by_gate`.
 
 `word_image_by_gate` pushes basis words through a circuit as Python ints,
 one gate at a time, for `word_image`; `affine_image_by_qubit` maps words

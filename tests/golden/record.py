@@ -65,6 +65,7 @@ CASES.update({
     "usage_circuit_site_and_total": ["circuit", "--radius", "1", "--site",
                                      "2", "--n-qubits", "3", "--total", "4"],
     "usage_check_negative_seed": ["check", "--seed", "-1"],
+    "usage_uf_export_seed": ["uf", "export", "--radius", "1", "--seed", "1"],
     "usage_bad_config": ["evolve", "inputs/bad_row.txt", "--radius", "1",
                          "--steps", "1"],
     "usage_missing_file": ["frt-classical", "inputs/absent.txt",

@@ -118,6 +118,16 @@ def test_uf_blockform(capsys):
     assert len(lines) == 10  # header + 8 matrix rows + verdict
 
 
+@pytest.mark.parametrize("action", ["export", "blockform"])
+def test_uf_seed_is_for_check_only(capsys, action):
+    # export and blockform draw nothing, so a seed there is a usage error
+    assert run(capsys, "uf", action, "--radius", "1", "--seed", "0") == (
+        1, "", f"error: uf {action} takes no --seed\n")
+    # ... and check without --seed draws as with --seed 0
+    assert run(capsys, "uf", "check", "--radius", "3") \
+        == run(capsys, "uf", "check", "--radius", "3", "--seed", "0")
+
+
 def test_uf_blockform_refuses_csv_before_building(capsys, monkeypatch):
     def not_built(*args):
         raise AssertionError("the blocked matrix was built")

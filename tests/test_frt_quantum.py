@@ -16,10 +16,8 @@ from qsca.frt_quantum import (
 from qsca.sca_core import frt_pattern
 from qsca.qstate import (
     BlockReset,
-    Circuit,
     CollectiveCn,
     StateVector,
-    apply_circuit,
 )
 
 
@@ -48,11 +46,10 @@ def basis_vector(n_qubits, index):
 
 
 def stage_states(plan, start, variant):
-    """States after each stage, through apply_circuit on the stage circuits."""
+    """States after each stage, the stage ops run one gate at a time."""
     state = basis_vector(plan.n_qubits, start)
     for m in range(1, plan.padding + 1):
-        state = apply_circuit(
-            state, Circuit(plan.n_qubits, plan.stage_ops(m, variant)))
+        state = gate_by_gate(state, plan.stage_ops(m, variant))
         yield m, state
 
 
@@ -131,10 +128,7 @@ def test_stage_plan_ops_golden():
 
 
 def test_frt_stage_matches_gate_by_gate():
-    rng = np.random.default_rng(31)
     w, n_blocks = 2, 5
-    amp = rng.standard_normal(2 ** 10) + 1j * rng.standard_normal(2 ** 10)
-    state = StateVector(10, amp)
     for variant in ("literal", "extended"):
         for L in (1, 2, 3):
             plan = FrtStagePlan(L, n_blocks - L, w)
@@ -144,10 +138,6 @@ def test_frt_stage_matches_gate_by_gate():
                        for k in range(1, L + 1)]
                 ops.append(BlockReset(start, w, variant))
                 assert plan.stage_ops(m, variant) == tuple(ops)
-                got = apply_circuit(
-                    state, Circuit(10, plan.stage_ops(m, variant)))
-                assert np.array_equal(got.amplitudes,
-                                      gate_by_gate(state, ops).amplitudes)
 
 
 # -- stage traces -----------------------------------------------------------
@@ -208,7 +198,7 @@ def test_run_matches_word_oracle():
                 assert record_words(report, m) == current
 
 
-# -- index tracking against the state-vector executor -----------------------
+# -- index tracking against the gate-by-gate states -------------------------
 
 @pytest.mark.parametrize("L, r, padding",
                          [(1, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)])
@@ -227,8 +217,8 @@ def test_run_frt_states_match_apply_circuit(L, r, padding, variant):
             want = basis_vector(plan.n_qubits, report.indices[m])
             assert np.array_equal(state.amplitudes, want.amplitudes)
         # and all stages as one circuit
-        whole = apply_circuit(basis_vector(plan.n_qubits, start),
-                              stage_circuit(plan, variant))
+        whole = gate_by_gate(basis_vector(plan.n_qubits, start),
+                             stage_circuit(plan, variant).ops)
         assert np.array_equal(whole.amplitudes, state.amplitudes)
 
 
@@ -238,9 +228,9 @@ def test_circuit_linear_on_superpositions():
     a = basis_vector(6, 0b10_00_00)
     b = basis_vector(6, 0b11_00_00)
     mixed = StateVector(6, (a.amplitudes + b.amplitudes) / np.sqrt(2))
-    out = apply_circuit(mixed, circuit)
-    want = (apply_circuit(a, circuit).amplitudes
-            + apply_circuit(b, circuit).amplitudes) / np.sqrt(2)
+    out = gate_by_gate(mixed, circuit.ops)
+    want = (gate_by_gate(a, circuit.ops).amplitudes
+            + gate_by_gate(b, circuit.ops).amplitudes) / np.sqrt(2)
     assert np.abs(out.amplitudes - want).max() <= 1e-12
 
 

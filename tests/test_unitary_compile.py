@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gate_oracle import embedded
@@ -436,6 +436,7 @@ def read_reck_plan(text):
 
 @settings(max_examples=80, deadline=None)
 @given(plan=_plan_kinds())
+@example(plan=reck_decompose(np.zeros((0, 0))))
 def test_text_round_trip_exact(plan):
     back = read_reck_plan(emit_reck_plan(plan))
     assert back == plan and hash(back) == hash(plan)
@@ -447,6 +448,8 @@ def test_text_round_trip_exact(plan):
 def test_emit_golden():
     plan = plan_of(2, (), np.array([1.0, -1.0]))
     assert emit_reck_plan(plan) == "P 1 1 0\nP 2 -1 0\n"
+    # the empty plan has no lines, like an empty gate list
+    assert emit_reck_plan(reck_decompose(np.zeros((0, 0)))) == ""
     # a rotation by 0.3 rad; 17 significant digits, signed zeros kept
     c, sn = 0.95533648912560598, 0.29552020666133955
     plan = plan_of(2, [(0, 1, np.array([[c, -sn], [sn, c]]))],
