@@ -184,16 +184,14 @@ def cmd_frt_classical(args) -> int:
     return 0 if all_ok else 2
 
 
-def _parse_blocks(text: str, width: int) -> list[tuple[int, ...]]:
-    blocks = []
-    for token in text.split():
-        if token == "O":
-            blocks.append((0,) * width)
-            continue
+def _parse_blocks(text: str, width: int) -> list[str]:
+    """The blocks of the text as width binary digits each, `O` as zeros."""
+    blocks = ["0" * width if token == "O" else token
+              for token in text.split()]
+    for token in blocks:
         if set(token) - {"0", "1"} or len(token) != width:
             raise ParseError(
                 f"block {token!r} is not {width} binary digits")
-        blocks.append(tuple(int(c) for c in token))
     if not blocks:
         raise ParseError("no blocks given")
     return blocks
@@ -225,6 +223,8 @@ def cmd_reck(args) -> int:
         raise _UsageError("reck needs --radius or --dimension")
     if args.radius is not None and args.dimension is not None:
         raise _UsageError("reck takes --radius or --dimension, not both")
+    if args.radius is not None and args.seed is not None:
+        raise _UsageError("reck --radius takes no --seed")
     import numpy as np
 
     from . import unitary_compile
@@ -237,7 +237,7 @@ def cmd_reck(args) -> int:
         raise DimensionTooLarge(
             f"{modes} modes exceeds the mesh limit of {MAX_DENSE_DIMENSION}")
     if args.dimension is not None:
-        target = _haar(np.random.default_rng(args.seed), args.dimension)
+        target = _haar(np.random.default_rng(args.seed or 0), args.dimension)
     else:
         from . import qstate, quantize
         circuit = quantize.build_uf_circuit(
@@ -440,7 +440,7 @@ def build_parser() -> _Parser:
                    help="decompose the window-update circuit at this radius")
     p.add_argument("--dimension", type=_int,
                    help="decompose a seeded random unitary instead")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed, help="--dimension only; default 0")
     p.add_argument("--out")
     p.set_defaults(func=cmd_reck)
 

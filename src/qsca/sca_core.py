@@ -52,7 +52,6 @@ __all__ = [
     "step",
     "evolve",
     "parse_particles",
-    "as_word",
     "format_block",
     "frt_pattern",
     "frt_predict",
@@ -251,11 +250,6 @@ def evolve(rule: Rule, config: Configuration, steps: int
     return rows
 
 
-def as_word(bits: Iterable[int]) -> int:
-    """The bits read as a binary number, the first bit most significant."""
-    return int(_digits(bits) or "0", 2)
-
-
 def format_block(word: int, width: int) -> str:
     """A block word as its width binary digits, `O` for the null block."""
     if not 0 <= word < 1 << width:
@@ -265,20 +259,20 @@ def format_block(word: int, width: int) -> str:
 
 @dataclass(frozen=True)
 class BasicString:
-    """An (r+1)-bit block; the building unit of particles."""
+    """An (r+1)-bit block, the building unit of particles; `word` holds
+    its bits as an int, the first bit most significant."""
 
     bits: tuple[int, ...]
+    word: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", _bit_tuple(_digits(self.bits)))
-
-    @property
-    def word(self) -> int:
-        return as_word(self.bits)
+        digits = _digits(self.bits)
+        object.__setattr__(self, "bits", _bit_tuple(digits))
+        object.__setattr__(self, "word", int(digits or "0", 2))
 
     @property
     def is_null(self) -> bool:
-        return not any(self.bits)
+        return not self.word
 
     def __str__(self) -> str:
         return format_block(self.word, len(self.bits))
@@ -308,13 +302,12 @@ class Particle:
     def block_len(self) -> int:
         return len(self.blocks[0].bits)
 
-    @property
-    def flat_bits(self) -> tuple[int, ...]:
-        return tuple(b for blk in self.blocks for b in blk.bits)
-
     @cached_property
     def word(self) -> int:
-        return as_word(self.flat_bits)
+        w, word = self.block_len, 0
+        for blk in self.blocks:
+            word = word << w | blk.word
+        return word
 
 
 def parse_particles(rule: Rule, config: Configuration) -> list[Particle]:

@@ -66,6 +66,7 @@ CASES.update({
                                      "2", "--n-qubits", "3", "--total", "4"],
     "usage_check_negative_seed": ["check", "--seed", "-1"],
     "usage_uf_export_seed": ["uf", "export", "--radius", "1", "--seed", "1"],
+    "usage_reck_radius_seed": ["reck", "--radius", "1", "--seed", "5"],
     "usage_bad_config": ["evolve", "inputs/bad_row.txt", "--radius", "1",
                          "--steps", "1"],
     "usage_missing_file": ["frt-classical", "inputs/absent.txt",

@@ -3,10 +3,11 @@
 The package runs the rule on whole rows and windows as int words; these
 functions restate it one window or one bit at a time, for the tests to
 compare against: `next_center` and `f_window` for the window rule,
-`render_particles` for particle segmentation, and `emit_configuration`
-for the configuration text format.  `window_len`, `site`, `shifted`
-and `particle_width` are the small derived quantities only the tests
-read.
+`render_particles` for particle segmentation, `bits_word` and
+`flat_bits` for the words of rows, blocks and particles, and
+`emit_configuration` for the configuration text format.  `window_len`,
+`site`, `shifted` and `particle_width` are the small derived quantities
+only the tests read.
 """
 
 from qsca.sca_core import Configuration
@@ -27,6 +28,20 @@ def site(config, n):
 def shifted(config, k):
     """The row moved k sites to the right, rebuilt from its word."""
     return Configuration(config.origin + k, format(config.word, "b"))
+
+
+def bits_word(bits):
+    """The bits read as a binary number, the first bit most significant,
+    one bit at a time; 0 for no bits."""
+    word = 0
+    for b in bits:
+        word = 2 * word + b
+    return word
+
+
+def flat_bits(particle):
+    """The bits of a particle, its blocks' bits in order."""
+    return tuple(b for blk in particle.blocks for b in blk.bits)
 
 
 def particle_width(particle):
@@ -78,7 +93,7 @@ def render_particles(particles):
     bits = [0] * (placed[-1].start_site + particle_width(placed[-1]) - lo)
     for p in placed:
         start = p.start_site - lo
-        bits[start:start + particle_width(p)] = p.flat_bits
+        bits[start:start + particle_width(p)] = flat_bits(p)
     return Configuration(lo, tuple(bits))
 
 

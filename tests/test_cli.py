@@ -128,6 +128,18 @@ def test_uf_seed_is_for_check_only(capsys, action):
         == run(capsys, "uf", "check", "--radius", "3", "--seed", "0")
 
 
+def test_reck_seed_is_for_dimension_only(capsys):
+    # the window circuit draws nothing, so a seed there is a usage error
+    for seed in ("0", "5"):
+        assert run(capsys, "reck", "--radius", "1", "--seed", seed) == (
+            1, "", "error: reck --radius takes no --seed\n")
+    # ... and --dimension without --seed draws as with --seed 0
+    assert run(capsys, "reck", "--dimension", "8") \
+        == run(capsys, "reck", "--dimension", "8", "--seed", "0")
+    assert run(capsys, "reck", "--dimension", "8") \
+        != run(capsys, "reck", "--dimension", "8", "--seed", "1")
+
+
 def test_uf_blockform_refuses_csv_before_building(capsys, monkeypatch):
     def not_built(*args):
         raise AssertionError("the blocked matrix was built")
@@ -416,8 +428,11 @@ def test_parse_blocks_raises_only_parse_error(text, width):
         blocks = _parse_blocks(text, width)
     except ParseError:
         return
-    assert blocks and all(len(b) == width and set(b) <= {0, 1}
-                          for b in blocks)
+    # the validated digit strings, `O` as zeros
+    assert blocks == ["0" * width if token == "O" else token
+                      for token in text.split()]
+    assert all(type(b) is str and len(b) == width and set(b) <= {"0", "1"}
+               for b in blocks)
 
 
 @pytest.mark.parametrize("argv, text, where", [

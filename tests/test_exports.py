@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import pkgutil
 from functools import cached_property
 from pathlib import Path
@@ -12,14 +13,15 @@ import qsca
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(qsca.__path__))
 ROOT = Path(__file__).resolve().parents[1]
+TESTS = ROOT / "tests"
 
 # public names with no reference outside the tests yet, and why they stay
 UNCALLED = {
     "spin_chain.build_site_hamiltonian":
-        "the matrix-free chain (ROADMAP item 5) builds the site product "
+        "the matrix-free chain (ROADMAP item 10) builds the site product "
         "from it",
     "spin_chain.apply_site_exponential":
-        "the matrix-free chain (ROADMAP item 5) applies the site product "
+        "the matrix-free chain (ROADMAP item 10) applies the site product "
         "to seeded states with it",
 }
 
@@ -141,11 +143,94 @@ def test_every_public_name_has_a_caller():
     assert uncalled == set(UNCALLED)
 
 
+# src/qsca functions and methods that no golden CLI case enters: the
+# benchmark workload that runs each one, or None, and why it stays
+UNTRACED = {
+    "qsca.quantize.WordMap.tocsc": (
+        "uf-operator", "its chain-step units read the step as scipy CSC"),
+    "qsca.unitary_compile.ReckPlan.rotations": (
+        "uf-operator", "its mesh units count the rotations of a plan"),
+    "qsca.qstate.apply_circuit": (
+        "block-propagation", "it runs its random NOT/CN circuit on a state"),
+    "qsca.qstate._gather": (
+        "block-propagation", "apply_circuit permutes the amplitudes with it"),
+    "qsca.qstate.StateVector.__post_init__": (
+        "block-propagation", "it builds its input state with the public "
+        "constructor; commands build states without re-checking them"),
+    "qsca.spin_chain.sum_product_gap": (
+        "uf-operator", "its sum-product units compare the two gaps"),
+    "qsca.spin_chain._site_blocks": (
+        "uf-operator", "sum_product_gap takes each site exponential's "
+        "2x2 blocks from it"),
+    "qsca.spin_chain._site_product": (
+        "uf-operator", "sum_product_gap multiplies the site exponentials "
+        "with it"),
+    "qsca.spin_chain._reflection": (
+        "uf-operator", "sum_product_gap splits the words into the two "
+        "reflection sectors with it"),
+    "qsca.spin_chain._exp_i_pi_by_reflection": (
+        "uf-operator", "sum_product_gap exponentiates H sector by sector "
+        "with it"),
+    "qsca.spin_chain.build_site_hamiltonian": (
+        None, UNCALLED["spin_chain.build_site_hamiltonian"]),
+    "qsca.spin_chain.apply_site_exponential": (
+        None, UNCALLED["spin_chain.apply_site_exponential"]),
+    "qsca.qstate.ArrayEq.__eq__": (
+        None, "the README states value equality of the array-holding types"),
+    "qsca.qstate.ArrayEq.__hash__": (
+        None, "the README states a hash that agrees with that equality"),
+    "qsca.qstate.ArrayEq._values": (
+        None, "ArrayEq's equality and hash read the fields through it"),
+    "qsca.__dir__": (
+        None, "dir(qsca) lists the lazily loaded names through it"),
+    "qsca.errors.NotHermitian.__init__": (
+        None, "exp_i_pi refuses a non-Hermitian matrix, which no command "
+        "builds; the tests pass one"),
+    "qsca.errors.NotUnitary.__init__": (
+        None, "the Reck decomposition refuses a non-unitary target, which "
+        "no command builds; the tests pass one"),
+}
+
+
+def traced_misses(fresh_python, *workloads):
+    """The src/qsca functions that the golden corpus, or one pass of each
+    workload, never enters (tests/trace_reach.py, a fresh interpreter)."""
+    res = fresh_python(
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(TESTS)!r})\n"
+        "from trace_reach import untraced\n"
+        "names = untraced(sys.argv[1:])\n"
+        "print(json.dumps(names))\n", *workloads)
+    assert res.returncode == 0, res.stderr
+    return set(json.loads(res.stdout.splitlines()[-1]))
+
+
+def test_golden_corpus_enters_all_but_the_untraced_list(fresh_python):
+    # unlike the bare-name guard, a trace cannot be passed by a member
+    # that only shares its name with something a command reads; an entry
+    # that a golden case starts to enter leaves the list
+    assert traced_misses(fresh_python) == set(UNTRACED)
+    assert all(reason.strip() for _, reason in UNTRACED.values())
+
+
+def test_untraced_workload_entries_run_in_their_workload(fresh_python):
+    # the entries kept for a benchmark workload are entered by one
+    # in-process pass of it, and that pass fails no check
+    by_workload = {}
+    for name, (workload, _) in UNTRACED.items():
+        if workload is not None:
+            by_workload.setdefault(workload, set()).add(name)
+    assert sorted(by_workload) == ["block-propagation", "uf-operator"]
+    for workload, names in by_workload.items():
+        assert names.isdisjoint(traced_misses(fresh_python, workload)), \
+            workload
+
+
 def test_public_members_lists_methods_and_properties_only():
     from qsca.sca_core import Configuration, Particle
     assert sorted(public_members(Configuration)) == ["end", "is_empty"]
     assert sorted(public_members(Particle)) == [
-        "block_count", "block_len", "flat_bits", "word"]
+        "block_count", "block_len", "word"]
 
 
 def test_no_private_name_is_imported_across_modules():

@@ -127,7 +127,7 @@ def test_stage_plan_ops_golden():
     assert circuit.ops == plan.stage_ops(1) + plan.stage_ops(2)
 
 
-def test_frt_stage_matches_gate_by_gate():
+def test_stage_ops_are_cns_then_reset():
     w, n_blocks = 2, 5
     for variant in ("literal", "extended"):
         for L in (1, 2, 3):
@@ -203,7 +203,7 @@ def test_run_matches_word_oracle():
 @pytest.mark.parametrize("L, r, padding",
                          [(1, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)])
 @pytest.mark.parametrize("variant", ["literal", "extended"])
-def test_run_frt_states_match_apply_circuit(L, r, padding, variant):
+def test_run_frt_indices_match_gate_by_gate_states(L, r, padding, variant):
     w = r + 1
     plan = FrtStagePlan(L, padding, w)
     ends = [range(1, 2 ** w)] * min(L, 2)
@@ -216,10 +216,11 @@ def test_run_frt_states_match_apply_circuit(L, r, padding, variant):
         for m, state in stage_states(plan, start, variant):
             want = basis_vector(plan.n_qubits, report.indices[m])
             assert np.array_equal(state.amplitudes, want.amplitudes)
-        # and all stages as one circuit
+        # and all stages as one circuit against run_frt's last index
         whole = gate_by_gate(basis_vector(plan.n_qubits, start),
                              stage_circuit(plan, variant).ops)
-        assert np.array_equal(whole.amplitudes, state.amplitudes)
+        want = basis_vector(plan.n_qubits, report.indices[-1])
+        assert np.array_equal(whole.amplitudes, want.amplitudes)
 
 
 def test_circuit_linear_on_superpositions():

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qsca.errors import DimensionTooLarge, RadiusError
 from qsca.qstate import Cn, Not, circuit_matrix, square_zeros
 from qsca.quantize import (
     BasisPartition,
+    IsometryReport,
     TransitionOperator,
     WordMap,
     block_form_ok,
@@ -153,6 +155,13 @@ def test_partial_isometry_detects_corruption():
         report = check_partial_isometry(corrupted)
         assert not report.ok
         assert report.range_residual > 0 or report.support_residual > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_isometry_report_rejects_nan_deviation(bad):
+    # a tolerance gate must not pass a deviation that compares false
+    assert IsometryReport(0, 0, 0.0).ok
+    assert not IsometryReport(0, 0, bad).ok
 
 
 def dense_isometry_report(t_op, samples=20):
@@ -454,6 +463,16 @@ def test_parallelism_radius2():
     assert report.max_deviation <= 1e-12
     assert abs(report.norm - 1.0) <= 1e-12
     assert report.ok
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_parallelism_report_rejects_nan(bad):
+    # a NaN (or infinite) deviation or norm fails the gate
+    report = parallelism_demo(1)
+    assert report.ok
+    assert not replace(report, max_deviation=bad).ok
+    assert not replace(report, norm=bad).ok
+    assert not replace(report, max_deviation=bad, norm=bad).ok
 
 
 def test_parallelism_image_misses_only_preimage_word():

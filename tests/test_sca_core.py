@@ -2,7 +2,7 @@ import itertools
 import random
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from qsca.sca_core import (
     FrtTimeCheck,
     Particle,
     Rule,
-    as_word,
     ascii_diagram,
     evolve,
     format_block,
@@ -30,9 +29,9 @@ from qsca.sca_core import (
     pbm_diagram,
     step,
 )
-from rule_oracle import (emit_configuration, f_window, next_center,
-                         particle_width, render_particles, shifted, site,
-                         window_len)
+from rule_oracle import (bits_word, emit_configuration, f_window,
+                         flat_bits, next_center, particle_width,
+                         render_particles, shifted, site, window_len)
 
 EMPTY = Configuration(0, ())
 
@@ -235,7 +234,7 @@ def assert_reports_equal(report, oracle):
     assert pred.return_times == want.return_times
     assert pred.period == want.period
     assert pred.predicted_blocks == tuple(
-        as_word(b for blk in pattern for b in blk.bits)
+        bits_word(b for blk in pattern for b in blk.bits)
         for pattern in want.predicted_blocks)
     assert report.condition_held == oracle.condition_held
     assert report.failed_at == oracle.failed_at
@@ -317,8 +316,6 @@ def test_basic_string_rejects_non_bits():
         BasicString((2, 0))
     with pytest.raises(ValueError):
         BasicString("012")
-    with pytest.raises(ValueError):
-        as_word((1, 2))
 
 
 def test_format_block_rejects_words_wider_than_the_block():
@@ -433,7 +430,7 @@ def test_step_rows_equal_validated_rows(r, origin, bits):
         assert out.bits[0] == out.bits[-1] == 1
     else:
         assert out.origin == 0
-    assert out.word == as_word(out.bits)
+    assert out.word == bits_word(out.bits)
     assert shifted(out, 3) == Configuration(out.origin + 3, out.bits)
 
 
@@ -511,6 +508,37 @@ def test_basic_string():
     assert str(a) == "101" and str(BasicString((0, 1, 1))) == "011"
     assert str(BasicString((0, 0, 0))) == "O"
     assert BasicString((0, 0, 0)).is_null and not a.is_null
+    # the word is stored once, out of the constructor, equality and repr
+    assert [(f.name, f.init, f.compare) for f in fields(BasicString)] == [
+        ("bits", True, True), ("word", False, False)]
+    assert repr(a) == "BasicString(bits=(1, 0, 1))"
+    with pytest.raises(FrozenInstanceError):
+        a.word = 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=st.integers(1, 7), data=st.data())
+def test_stored_words_match_digits(w, data):
+    # both stored words against the digits: a block from a tuple or a
+    # digit string, and a particle of such blocks, first and last nonzero
+    block = st.lists(st.integers(0, 1), min_size=w, max_size=w)
+    end = block.filter(any)
+    ends = data.draw(st.lists(end, min_size=1, max_size=2))
+    inner = data.draw(st.lists(block, max_size=3)) if len(ends) == 2 else []
+    rows = ends[:1] + inner + ends[1:]
+    blocks = []
+    for bits in rows:
+        digits = "".join(map(str, bits))
+        blk = BasicString(tuple(bits))
+        assert blk == BasicString(digits) and \
+            hash(blk) == hash(BasicString(digits))
+        assert blk.word == BasicString(digits).word == bits_word(bits)
+        assert blk.is_null == (not any(bits)) and str(blk) == (
+            digits if any(bits) else "O")
+        blocks.append(blk)
+    particle = Particle(0, tuple(blocks))
+    assert particle.word == bits_word(b for bits in rows for b in bits)
+    assert particle.word == int("".join(map(str, sum(rows, []))), 2)
 
 
 def test_particle_invariants():
@@ -523,7 +551,7 @@ def test_particle_invariants():
     p = Particle(4, (BasicString((1, 0)), BasicString((0, 1))))
     assert p.block_count == 2
     assert particle_width(p) == 4
-    assert p.flat_bits == (1, 0, 0, 1)
+    assert flat_bits(p) == (1, 0, 0, 1)
     assert p.word == 0b1001 and p.block_len == 2
 
 
