@@ -437,7 +437,9 @@ def frt_check(rule: Rule, particle: Particle, horizon: int | None = None
     feet = ((1 << n) - 1) // ((1 << w) - 1)  # a 1 at the foot of each block
     start = particle.start_site
     origin, row = _trim(start, word, n)
-    rows = [(origin, row)]  # rows[t] is the trimmed row after t steps
+    # rows[t] is the trimmed row after t steps, kept up to the period,
+    # the last return time; the detector still runs to the horizon
+    rows = [(origin, row)]
     failed_at = None
     for t in range(1, horizon + 1):
         origin, row = _step_word(r, origin, row)
@@ -448,7 +450,8 @@ def frt_check(rule: Rule, particle: Particle, horizon: int | None = None
         if spare < 0 or top & feet != feet:
             failed_at = t
             break
-        rows.append((origin, row))
+        if t <= pred.period:
+            rows.append((origin, row))
     checks = []
     for k, (t, pattern) in enumerate(
             zip(pred.return_times, pred.predicted_blocks + (word,))):

@@ -57,7 +57,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import GENERATOR_VARIANTS, DimensionTooLarge, NotHermitian
-from .qstate import Not, square_zeros, word_image
+from .qstate import Not, check_word_width, square_zeros, word_image
 from .quantize import build_uf_circuit, total_step
 
 __all__ = [
@@ -122,8 +122,10 @@ class HamiltonianSum:
     @cached_property
     def masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The terms as read-only int64 x masks, int64 z masks and float
-        coefficients, in term order; site s is bit n_sites - s."""
+        coefficients, in term order; site s is bit n_sites - s.  Above 63
+        sites a mask does not fit an int64: DimensionTooLarge."""
         n = self.n_sites
+        check_word_width(n)
         return _mask_arrays([
             (sum(1 << (n - s) for s, op in t.factors if op == "X"),
              sum(1 << (n - s) for s, op in t.factors if op == "Z"),

@@ -24,12 +24,13 @@ broadcast update of them, O(1) numpy calls instead of O(n).
 
 A plan is its arrays: rotation k acts on the mode pair `modes[k]`
 (m x 2) with the 2x2 block `blocks[k]` (m x 2 x 2), and all rotations
-are validated in one vectorized pass.  Reconstruction splits the plan
-into maximal runs of consecutive rotations that share the pivot and
-have distinct partners.  Applied in reverse, a run is the affine
-recurrence x <- u00 x + u01 w_k on the pivot row, which an inclusive
-odd-even scan evaluates in O(K n) work with no division, so a plan
-need not come from `reck_decompose`.
+are validated in one vectorized pass.  A plan is a Reck mesh: its
+rotations come in nulling order, pivots never decreasing and, within
+one pivot, partners strictly decreasing, which is the order
+`reck_decompose` emits.  Reconstruction applies the run of each pivot,
+last pivot first.  Applied in reverse, a run is the affine recurrence
+x <- u00 x + u01 w_k on the pivot row, which an inclusive odd-even scan
+evaluates in O(K n) work with no division.
 
 Mode indices are 0-based in code; the text format is 1-based like every
 other format in this package.
@@ -81,7 +82,10 @@ class ReckPlan(ArrayEq):
     """Rotations applied in order, then the phase diagonal.
 
     Rotation k acts on modes `modes[k]` = (i, j), 0-based, with the 2x2
-    block `blocks[k]`; all three arrays are read-only copies.
+    block `blocks[k]`; all three arrays are read-only copies.  The
+    rotations must be in nulling order (pivots i never decrease, and
+    partners j strictly decrease within one pivot), so each mode pair
+    occurs at most once.
     """
 
     dimension: int
@@ -107,11 +111,13 @@ class ReckPlan(ArrayEq):
             raise ValueError("rotation blocks must be an m x 2 x 2 array")
         if len(blocks) != len(modes):
             raise ValueError("need one 2x2 block per rotation")
-        if len(modes) > n * (n - 1) // 2:
-            raise ValueError("too many rotations for the dimension")
         i, j = modes.T
         if not ((0 <= i) & (i < j) & (j < n)).all():
             raise ValueError(f"rotation modes must satisfy 0 <= i < j < {n}")
+        di, dj = np.diff(i), np.diff(j)
+        if not ((di > 0) | ((di == 0) & (dj < 0))).all():
+            raise ValueError("rotations must be in nulling order: pivots "
+                             "ascending, partners descending within a pivot")
         residual = _rotation_residual(blocks)
         if not residual <= 1e-12:
             raise NotUnitary(residual)
@@ -178,18 +184,6 @@ def reck_decompose(u: np.ndarray) -> ReckPlan:
                     diag / np.abs(diag))
 
 
-def _run_starts(modes: np.ndarray) -> list[int]:
-    """Starts of the maximal runs of consecutive rotations that share the
-    pivot i and have distinct partners j."""
-    starts, pivot, seen = [], -1, set()
-    for k, (i, j) in enumerate(modes.tolist()):
-        if i != pivot or j in seen:
-            starts.append(k)
-            pivot, seen = i, set()
-        seen.add(j)
-    return starts
-
-
 def _affine_scan(alpha: np.ndarray, x: np.ndarray) -> None:
     """In place, x[k] <- alpha[k] x[k-1] + x[k] for k = 1, 2, ... in
     order, by odd-even reduction: fold each pair (2m, 2m+1) into row
@@ -220,21 +214,18 @@ def _apply_run(mat: np.ndarray, modes: np.ndarray, blocks: np.ndarray) -> None:
 def reck_reconstruct(plan: ReckPlan) -> np.ndarray:
     """Multiply the plan back out: rotations in listed order, phases last.
 
-    Each run of K rotations sharing a pivot is applied as one scan of
-    O(K n) work in O(log K) numpy calls, so a plan of n(n-1)/2
-    rotations costs O(n^3), like one 2x2 update per rotation.  A run
-    only touches the columns where its rows can be nonzero; for a plan
-    from `reck_decompose` that is columns c.. for pivot c.
+    The run of K rotations on pivot c is applied as one scan of O(K n)
+    work in O(log K) numpy calls, so a plan of n(n-1)/2 rotations costs
+    O(n^3), like one 2x2 update per rotation.  Runs go last pivot first,
+    so every row the run of pivot c meets is still zero left of column
+    c, and the run only touches columns c..
     """
     mat = np.diag(plan.phases).astype(complex)
-    first = np.arange(plan.dimension)     # row r is zero left of first[r]
-    starts = _run_starts(plan.modes)
-    for lo, hi in reversed(list(zip(starts, starts[1:] + [len(plan.modes)]))):
-        modes = plan.modes[lo:hi]
-        rows = np.append(modes[:, 1], modes[0, 0])
-        c = first[rows].min()
-        first[rows] = c
-        _apply_run(mat[:, c:], modes, plan.blocks[lo:hi])
+    pivots = plan.modes[:, 0]
+    starts = np.flatnonzero(np.diff(pivots, prepend=-1)).tolist()
+    for lo, hi in reversed(list(zip(starts, starts[1:] + [len(pivots)]))):
+        _apply_run(mat[:, pivots[lo]:], plan.modes[lo:hi],
+                   plan.blocks[lo:hi])
     return mat
 
 

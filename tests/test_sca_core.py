@@ -660,6 +660,18 @@ def test_frt_check_horizon_too_small():
         frt_check(Rule(2), Particle(0, (BasicString((1, 1, 0)),)), horizon=3)
 
 
+def test_frt_check_memory_does_not_grow_with_horizon(traced_peak):
+    # particle 110 at r = 2 returns at t = 2 and 4 (the period); the
+    # detector runs on to the horizon, but only the rows up to the period
+    # are kept, so 20,000 steps hold a few rows, not 20,000
+    rule, particle = Rule(2), Particle(0, (BasicString((1, 1, 0)),))
+    report, peak = traced_peak(frt_check, rule, particle, 20_000)
+    assert peak < 256 * 1024
+    assert report.condition_held
+    assert_reports_equal(report, tuple_frt_check(
+        rule, tuple_particle(particle), 20_000))
+
+
 def test_frt_check_detector_failure_marks_not_applicable():
     # the blocks render as 111, which decays immediately at r=1, so the
     # two-block detector fails on the first step

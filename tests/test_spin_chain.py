@@ -304,6 +304,9 @@ def test_to_dense_basics():
     assert np.array_equal(to_dense(zz), 0.5 * np.kron(Z, X))
     with pytest.raises(DimensionTooLarge):
         to_dense(HamiltonianSum(15, 1, ()))
+    # at 64 sites the masks themselves overflow an int64: refused first
+    with pytest.raises(DimensionTooLarge):
+        to_dense(build_chain_hamiltonian(64, 1))
 
 
 def test_to_dense_linear():
