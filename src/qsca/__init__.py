@@ -51,7 +51,6 @@ _EXPORTS = {
         "apply_circuit",
         "circuit_matrix",
         "emit_gatelist",
-        "uniform_superposition_nonnull",
     ),
     "quantize": (
         "BasisPartition",

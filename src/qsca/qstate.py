@@ -33,9 +33,9 @@ circuit_matrix never runs states: it pushes the words 0..2^n-1 through
 `word_image` and scatters ones into a zeroed matrix, which is its whole
 peak memory apart from a few 2^n-entry word arrays.
 
-Every dense matrix and state passes one size check, `_check_dense`,
-before its first 2^n-sized array: at most the 256 MiB of a complex
-MAX_DENSE_DIMENSION-square matrix (12 qubits; 24 for a state).
+Every dense matrix passes one size check, `_check_dense`, before its
+first 2^n-sized array: at most the 256 MiB of a complex
+MAX_DENSE_DIMENSION-square matrix.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ __all__ = [
     "affine_fold",
     "affine_image",
     "word_image",
-    "uniform_superposition_nonnull",
     "emit_gatelist",
 ]
 
@@ -152,21 +151,6 @@ class StateVector(ArrayEq):
         object.__setattr__(state, "amplitudes", amplitudes)
         amplitudes.flags.writeable = False
         return state
-
-
-def uniform_superposition_nonnull(n_qubits: int) -> StateVector:
-    """Unit-norm equal superposition of every nonzero basis label.
-
-    The coefficient is 1/sqrt(2^n - 1); normalizing over the number of
-    participating labels keeps the total probability at 1.
-    """
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
-    dim = 2 ** n_qubits
-    _check_dense(dim, np.dtype(complex).itemsize)
-    amp = np.full(dim, 1.0 / np.sqrt(dim - 1), dtype=complex)
-    amp[0] = 0.0
-    return StateVector._owning(n_qubits, amp)
 
 
 # -- gate descriptions ------------------------------------------------------

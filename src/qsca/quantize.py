@@ -30,8 +30,7 @@ import numpy as np
 
 from .errors import (MAX_DENSE_DIMENSION, MAX_RADIUS, DimensionTooLarge,
                      RadiusError)
-from .qstate import (ArrayEq, Circuit, Cn, Not, square_zeros,
-                     uniform_superposition_nonnull)
+from .qstate import ArrayEq, Circuit, Cn, Not, square_zeros
 
 __all__ = [
     "MAX_RADIUS",
@@ -340,9 +339,14 @@ class ParallelismReport:
 
 
 def parallelism_demo(r: int) -> ParallelismReport:
+    """Apply U once to psi, the equal superposition of every nonzero
+    window word with amplitude 1/sqrt(2^(2r+1) - 1).  The target carries
+    that amplitude on every word except the one missing from U's image."""
     t_op = build_uf_matrix(r)
-    out = t_op.apply(uniform_superposition_nonnull(2 * r + 1).amplitudes)
     expected = 1.0 / np.sqrt(t_op.dimension - 1)
+    psi = np.full(t_op.dimension, expected, dtype=complex)
+    psi[t_op.null_index] = 0.0
+    out = t_op.apply(psi)
     target = np.full(t_op.dimension, expected, dtype=complex)
     target[t_op.preimage_index] = 0.0
     return ParallelismReport(

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +279,19 @@ def test_parallelism(capsys):
     assert code == 0
     assert "image words 31\n" in out
     assert f"amplitude {1 / np.sqrt(31):.17g}\n" in out
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_parallelism_builds_no_state_vector(capsys, monkeypatch, r):
+    # psi is a plain amplitude array handed to U.apply: no StateVector is
+    # made, and the output is the recorded one
+    def not_built(*args):
+        raise AssertionError("a StateVector was built")
+    monkeypatch.setattr(qstate.StateVector, "_owning", classmethod(not_built))
+    monkeypatch.setattr(qstate.StateVector, "__post_init__", not_built)
+    golden = Path(__file__).parent / "golden" / "out" / f"parallelism_r{r}.out"
+    assert run(capsys, "parallelism", "--radius", str(r)) \
+        == (0, golden.read_text(), "")
 
 
 def plan_line_counts(out):

@@ -154,6 +154,8 @@ UNTRACED = {
         "block-propagation", "it runs its random NOT/CN circuit on a state"),
     "qsca.qstate._gather": (
         "block-propagation", "apply_circuit permutes the amplitudes with it"),
+    "qsca.qstate.StateVector._owning": (
+        "block-propagation", "apply_circuit wraps its output state with it"),
     "qsca.qstate.StateVector.__post_init__": (
         "block-propagation", "it builds its input state with the public "
         "constructor; commands build states without re-checking them"),

@@ -30,7 +30,6 @@ from qsca.qstate import (
     circuit_matrix,
     emit_gatelist,
     square_zeros,
-    uniform_superposition_nonnull,
     word_image,
 )
 from qsca.quantize import WordMap
@@ -151,14 +150,6 @@ def test_state_vector_value_equality():
     assert a != (a.n_qubits, a.amplitudes)
     signed = StateVector(2, [-0.0, -0.0, 1.0, complex(0.0, -0.0)])
     assert signed == a and hash(signed) == hash(a)
-
-
-def test_uniform_superposition_nonnull():
-    assert np.array_equal(uniform_superposition_nonnull(1).amplitudes, [0, 1])
-    s2 = uniform_superposition_nonnull(2)
-    assert np.allclose(s2.amplitudes, [0, 1, 1, 1] / np.sqrt(3))
-    big = uniform_superposition_nonnull(20).amplitudes
-    assert np.linalg.norm(big) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- single gates against the index-arithmetic oracles ----------------------
@@ -580,9 +571,7 @@ def test_circuit_matrix_dimension_limit():
     lambda: WordMap(1, np.full(16385, -1)).matrix,
     lambda: circuit_matrix(Circuit(13, (Not(1),))),
     lambda: to_dense(HamiltonianSum(13, 1, ())),
-    lambda: uniform_superposition_nonnull(25),
-], ids=["square_zeros", "WordMap.matrix", "circuit_matrix", "to_dense",
-        "state"])
+], ids=["square_zeros", "WordMap.matrix", "circuit_matrix", "to_dense"])
 def test_dense_budget_refuses_before_allocating(build, traced_peak):
     # each is just over the 256 MiB dense budget; the check runs before
     # any 2^n-sized array is built
@@ -591,13 +580,6 @@ def test_dense_budget_refuses_before_allocating(build, traced_peak):
             build()
     _, peak = traced_peak(refused)
     assert peak < 2 ** 20
-
-
-def test_state_width_limit():
-    # a 29-qubit state is 8 GiB: refused before it is allocated
-    for n in (29, 50):
-        with pytest.raises(DimensionTooLarge):
-            uniform_superposition_nonnull(n)
 
 
 # -- text formats -----------------------------------------------------------
