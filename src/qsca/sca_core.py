@@ -16,9 +16,9 @@ A step is the old row shifted r sites left, xor greedy marks at least
 r + 1 sites apart (proof at `step`), and that is how it runs: on the row
 as one Python int, site `origin` most significant (`Configuration.word`).
 The mark candidates are the row or'ed with r shifted copies of itself,
-the marks are picked a byte at a time from a 256-entry table per radius,
+the marks are picked by one regular-expression pass over its digits,
 and the shifted row is xor'ed with them, so a step costs O(len + r):
-O(len / 8) Python iterations and O(log r) whole-row int operations.
+one linear scan in C and O(log r) whole-row int operations.
 `evolve` chains the words and builds each row's bits tuple once, and
 the diagrams format each row from its word.  The module loads no numpy.
 
@@ -34,8 +34,9 @@ gives the pattern after k returns with bit operators alone, for
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -155,44 +156,23 @@ class Configuration:
 
 
 @lru_cache(maxsize=None)
-def _mark_table(r: int) -> tuple[int, ...]:
-    """Greedy marks r + 1 apart within one byte of candidates.
-
-    Entry c holds the marks the greedy pick sets in the candidate byte c,
-    read from its top bit, and above bit 8 how many sites past the byte
-    its last mark still blocks.  The byte's top candidate is always
-    marked; the rest is the entry of the candidates more than r below it.
-    """
-    table = [0] * 256
-    for byte in range(1, 256):
-        top = byte.bit_length() - 1
-        rest = byte & (1 << max(top - r, 0)) - 1
-        table[byte] = (1 << top | table[rest] if rest
-                       else 1 << top | max(r - top, 0) << 8)
-    return tuple(table)
+def _mark_pass(r: int):
+    """The substitution that keeps each candidate 1 it meets and blanks
+    the r sites after it, which that mark blocks."""
+    return partial(re.compile(f"1[01]{{{r}}}").sub, "1" + "0" * r)
 
 
 def _marks(r: int, cands: int, width: int) -> int:
     """The greedy marks r + 1 apart over a width-bit candidate word.
 
-    Reads the word a byte at a time from its top; the state carried
-    between bytes is the number of sites the last mark still blocks, so
-    the cost is O(width) whatever the number of marks.
+    One substitution pass over the word's digits from the top: it
+    resumes after each match, so each 1 it keeps is the first candidate
+    at least r + 1 sites past the previous mark, and the r padding
+    zeros let a candidate in the last r sites match.  The scan never
+    backtracks, so the cost is O(width) whatever the number of marks.
     """
-    table = _mark_table(r)
-    pad = -width % 8
-    data = (cands << pad).to_bytes((width + pad) // 8, "big")
-    out = bytearray(len(data))
-    blocked = 0
-    for i, byte in enumerate(data):
-        if blocked >= 8:
-            blocked -= 8
-        elif entry := table[byte & 255 >> blocked]:
-            out[i] = entry & 255
-            blocked = entry >> 8
-        else:
-            blocked = 0
-    return int.from_bytes(out, "big") >> pad
+    digits = _mark_pass(r)(format(cands, f"0{width}b") + "0" * r)
+    return int(digits[:width], 2)
 
 
 def _step_word(r: int, origin: int, word: int) -> tuple[int, int]:
@@ -224,10 +204,10 @@ def step(rule: Rule, config: Configuration) -> Configuration:
 
     That is how the step runs, on the row word of len + r bits from r
     sites left of the support: the candidates are the word or'ed with r
-    shifted copies of itself, the marks are picked a byte at a time from
-    a 256-entry table per radius, and the word shifted left by r is
-    xor'ed with them.  A step costs O(len + r): O(len / 8) Python
-    iterations and O(log r) whole-row int operations.
+    shifted copies of itself, the marks are picked by one `re.sub` pass
+    over its digits, and the word shifted left by r is xor'ed with them.
+    A step costs O(len + r): one linear scan in C and O(log r) whole-row
+    int operations.
     """
     return Configuration._of_word(
         *_step_word(rule.radius, config.origin, config.word))

@@ -371,36 +371,35 @@ def _site_product(n: int, blocks: list[tuple[np.ndarray, ...]]
     return prod.reshape(2 ** n, 2 ** n)
 
 
-def _reflection(n: int) -> tuple[np.ndarray, ...]:
-    """Words with their n bits reversed, the words w < reverse(w), their
-    reverses and the palindromes."""
-    words = np.arange(2 ** n)
-    rev = np.zeros_like(words)
-    for b in range(n):
-        rev |= ((words >> b) & 1) << (n - 1 - b)
-    lower = np.flatnonzero(words < rev)
-    return rev, lower, rev[lower], np.flatnonzero(words == rev)
-
-
 def _exp_i_pi_by_reflection(h: np.ndarray) -> np.ndarray:
     """exp(i pi h) for a real symmetric h on 2^n words that commutes
-    exactly with the bit reversal of the words.
+    exactly with the bit reversal R of the words.
 
     On the pairs w < R(w) the symmetric sector has the basis
     (e_w + e_Rw)/sqrt2, the antisymmetric one (e_w - e_Rw)/sqrt2, and the
     palindromes join the symmetric sector as e_w; h is block diagonal on
-    the two, and each block is exponentiated by `exp_i_pi`.
+    the two, and each block is exponentiated by `exp_i_pi`.  Both blocks
+    are slices of one copy of h ordered as the p words w < R(w), their
+    reverses, then the palindromes.
     """
     _check_real_symmetric(h)
-    rev, lower, upper, fixed = _reflection(len(h).bit_length() - 1)
+    n = len(h).bit_length() - 1
+    words = np.arange(2 ** n)
+    rev = np.zeros_like(words)
+    for b in range(n):
+        rev |= ((words >> b) & 1) << (n - 1 - b)
     if not np.array_equal(h[np.ix_(rev, rev)], h):
         raise ValueError("matrix does not commute with the reflection")
-    same, cross = h[np.ix_(lower, lower)], h[np.ix_(lower, upper)]
-    edge = np.sqrt(2) * h[np.ix_(fixed, lower)]
-    sym = exp_i_pi(np.block([[same + cross, edge.T],
-                             [edge, h[np.ix_(fixed, fixed)]]]))
-    anti = exp_i_pi(same - cross)
+    lower = np.flatnonzero(words < rev)
+    upper, fixed = rev[lower], np.flatnonzero(words == rev)
     p = len(lower)
+    order = np.concatenate([lower, upper, fixed])
+    g = h[np.ix_(order, order)]
+    same, cross = g[:p, :p], g[:p, p:2 * p]
+    edge = np.sqrt(2) * g[2 * p:, :p]
+    sym = exp_i_pi(np.block([[same + cross, edge.T],
+                             [edge, g[2 * p:, 2 * p:]]]))
+    anti = exp_i_pi(same - cross)
     plus, minus = (sym[:p, :p] + anti) / 2, (sym[:p, :p] - anti) / 2
     out = np.empty(h.shape, dtype=complex)
     out[np.ix_(lower, lower)] = out[np.ix_(upper, upper)] = plus

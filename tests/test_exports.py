@@ -167,9 +167,6 @@ UNTRACED = {
     "qsca.spin_chain._site_product": (
         "uf-operator", "sum_product_gap multiplies the site exponentials "
         "with it"),
-    "qsca.spin_chain._reflection": (
-        "uf-operator", "sum_product_gap splits the words into the two "
-        "reflection sectors with it"),
     "qsca.spin_chain._exp_i_pi_by_reflection": (
         "uf-operator", "sum_product_gap exponentiates H sector by sector "
         "with it"),

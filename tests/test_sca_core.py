@@ -456,8 +456,9 @@ def test_word_step_at_wide_radii(r, origin, bits):
 
 
 def test_step_is_linear_in_the_row_length():
-    # a mark may block sites in the next byte or several bytes on; a
-    # whole-row int operation per mark would make a step O(len^2 / r)
+    # the marks come from one regular-expression scan that resumes after
+    # each match; a whole-row int operation per mark would make a step
+    # O(len^2 / r)
     rng = random.Random(2024)
     config = Configuration(-7, tuple(rng.getrandbits(1)
                                      for _ in range(200_000)))

@@ -487,15 +487,23 @@ def test_to_dense_sums_shared_x_masks_in_term_order():
 
 
 def test_reflection_sector_exponential():
+    # random reflection-symmetric matrices and every chain Hamiltonian at
+    # n = 1..8 sites, n = 8 being the size sum_product_gap runs
     rng = np.random.default_rng(23)
-    for n in (1, 2, 5):
+    cases = []
+    for n in range(1, 9):
         rev = reversed_words(n)
         raw = rng.standard_normal((2 ** n, 2 ** n))
         sym = raw + raw.T
-        h = sym + sym[np.ix_(rev, rev)]
+        cases.append(sym + sym[np.ix_(rev, rev)])
+        cases.extend(to_dense(build_chain_hamiltonian(n, r, variant))
+                     for r in range(1, 5)
+                     for variant in ("verified", "literal"))
+    for h in cases:
         got = spin_chain._exp_i_pi_by_reflection(h)
-        assert np.abs(got - exp_i_pi(h)).max() <= 1e-10
-        assert np.abs(got - expm(1j * np.pi * h)).max() <= 1e-10
+        assert np.abs(got - exp_i_pi(h)).max() <= 1e-12
+        if len(h) <= 2 ** 6:
+            assert np.abs(got - expm(1j * np.pi * h)).max() <= 1e-10
 
 
 def test_reflection_sector_exponential_rejects():
