@@ -9,7 +9,8 @@ unitaries).
 
 The namespace is lazy (PEP 562): `import qsca` loads no submodule, and
 a public name or a submodule name loads its submodule on first access.
-So the classical layer, `sca_core`, runs without importing numpy.
+So the classical layer, `sca_core`, and the gate set, `gates`, run
+without importing numpy.
 """
 
 from importlib import import_module
@@ -41,22 +42,24 @@ _EXPORTS = {
         "pbm_diagram",
         "step",
     ),
-    "qstate": (
+    "gates": (
         "BlockReset",
         "Circuit",
         "CollectiveCn",
         "Cn",
         "Not",
+        "build_uf_circuit",
+        "emit_gatelist",
+    ),
+    "qstate": (
         "StateVector",
         "apply_circuit",
         "circuit_matrix",
-        "emit_gatelist",
     ),
     "quantize": (
         "BasisPartition",
         "TransitionOperator",
         "WordMap",
-        "build_uf_circuit",
         "build_uf_matrix",
         "check_partial_isometry",
         "parallelism_demo",

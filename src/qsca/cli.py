@@ -10,8 +10,8 @@ Exit codes: 0 all requested checks passed, 1 usage or input errors,
 from one generator seeded by --seed, so identical invocations produce
 byte-identical output.
 
-Each command imports only the modules it runs, so `evolve` and
-`frt-classical` never load numpy.
+Each command imports only the modules it runs, so `evolve`,
+`frt-classical`, `frt-quantum` and `circuit` never load numpy.
 """
 
 from __future__ import annotations
@@ -124,18 +124,17 @@ def cmd_uf(args) -> int:
 
 
 def cmd_circuit(args) -> int:
-    from . import qstate, quantize
+    from . import gates
     if args.total is not None:
         if args.site is not None or args.n_qubits is not None:
             raise _UsageError("--total excludes --site and --n-qubits")
-        circuit = quantize.total_step(args.radius, args.total,
-                                      "unitary_circuit")
+        circuit = gates.chain_circuit(args.radius, args.total)
     else:
         if args.site is None or args.n_qubits is None:
             raise _UsageError("need --site and --n-qubits, or --total")
-        circuit = quantize.build_uf_circuit(args.radius, args.site,
-                                            args.n_qubits)
-    _write(args.out, qstate.emit_gatelist(circuit))
+        circuit = gates.build_uf_circuit(args.radius, args.site,
+                                         args.n_qubits)
+    _write(args.out, gates.emit_gatelist(circuit))
     return 0
 
 
@@ -239,8 +238,8 @@ def cmd_reck(args) -> int:
     if args.dimension is not None:
         target = _haar(np.random.default_rng(args.seed or 0), args.dimension)
     else:
-        from . import qstate, quantize
-        circuit = quantize.build_uf_circuit(
+        from . import gates, qstate
+        circuit = gates.build_uf_circuit(
             args.radius, args.radius + 1, 2 * args.radius + 1)
         target = qstate.circuit_matrix(circuit)
     plan = unitary_compile.reck_decompose(target)
@@ -261,8 +260,8 @@ def _haar(rng, dim: int):
 def cmd_check(args) -> int:
     import numpy as np
 
-    from . import (frt_quantum, qstate, quantize, sca_core, spin_chain,
-                   unitary_compile)
+    from . import (frt_quantum, gates, qstate, quantize, sca_core,
+                   spin_chain, unitary_compile)
     rng = np.random.default_rng(args.seed)
     lines = []
 
@@ -296,7 +295,7 @@ def cmd_check(args) -> int:
     # U on every nonzero word
     for r in (1, 2, 3):
         n = 2 * r + 1
-        circuit = quantize.build_uf_circuit(r, r + 1, n)
+        circuit = gates.build_uf_circuit(r, r + 1, n)
         image = qstate.word_image(n, circuit.ops, np.arange(2 ** n))
         record(f"circuit factorization r={r}", np.array_equal(
             image[1:], quantize.build_uf_matrix(r).image[1:]))
@@ -362,7 +361,7 @@ def cmd_check(args) -> int:
 
     # mesh decomposition round trips: random unitaries, the r=1 circuit
     targets = [_haar(rng, dim) for dim in (2, 4, 8)]
-    targets.append(qstate.circuit_matrix(quantize.build_uf_circuit(1, 2, 3)))
+    targets.append(qstate.circuit_matrix(gates.build_uf_circuit(1, 2, 3)))
     record("mesh decomposition round trip", all(
         np.abs(unitary_compile.reck_reconstruct(
             unitary_compile.reck_decompose(t)) - t).max() <= 1e-9

@@ -9,18 +9,19 @@ walks the particle to the far end: after p stages the state is exactly
 the input translated by p blocks.
 
 A basis input stays a basis state: each stage's CN cascade is one
-affine map of the register index over GF(2) (qstate.affine_fold) and
+affine map of the register index over GF(2) (`gates.affine_fold`) and
 the reset clears block m's bits, or, in the literal variant, annihilates
-the state when they are already clear.  So run_frt and
-stage_identity_check push register indices through each stage with
-`qstate.word_image`, the step circuit_matrix uses, never state vectors,
-and take registers up to the 63 qubits of an int64 index, which
-FrtStagePlan checks when it is built; the sweep pushes all its
-instances through each stage as one int64 array.  A run report holds
-the register index after each stage; blocks are read from an index by
-shifts only to format a report.  The closed form every stage is
-checked against is `sca_core.frt_pattern`, the function the classical
-recurrence check uses, applied to the array of particle words.
+the state when they are already clear.  So run_frt pushes the register
+index through each stage as one Python int (`gates.int_image`), and
+stage_identity_check pushes all its instances as one int64 array
+(`qstate.word_image`, imported with numpy inside it, so `qsca
+frt-quantum` loads no numpy); neither builds a state vector.  Both take
+registers up to the 63 qubits of an int64 index, which FrtStagePlan
+checks when it is built.  A run report holds the register index after
+each stage; blocks are read from an index by shifts only to format a
+report.  The closed form every stage is checked against is
+`sca_core.frt_pattern`, the function the classical recurrence check
+uses, applied to the array of particle words.
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .qstate import (BlockReset, CollectiveCn, GateOp, check_word_width,
-                     word_image)
+from .gates import (BlockReset, CollectiveCn, GateOp, check_word_width,
+                    int_image)
 from .sca_core import BasicString, Particle, format_block, frt_pattern
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FrtStagePlan",
@@ -80,13 +82,6 @@ class FrtStagePlan:
         return tuple(ops)
 
 
-def _track(plan: FrtStagePlan, x: np.ndarray, reset_variant: str):
-    """Register indices x after each stage of plan; -1 marks annihilation."""
-    for m in range(1, plan.padding + 1):
-        x = word_image(plan.n_qubits, plan.stage_ops(m, reset_variant), x)
-        yield x
-
-
 @dataclass(frozen=True)
 class FrtRunReport:
     """indices[m] is the register index after stage m (stage 0 is the
@@ -113,11 +108,13 @@ def run_frt(blocks: Sequence, padding: int,
     word, L, w = particle.word, particle.block_count, particle.block_len
     plan = FrtStagePlan(L, padding, w)
 
-    start = word << (padding * w)
-    track = _track(plan, np.array([start], dtype=np.int64), reset_variant)
-    indices = (start, *(int(x[0]) if x[0] >= 0 else None for x in track))
+    indices = [word << (padding * w)]
+    for m in range(1, padding + 1):
+        x = indices[-1]
+        indices.append(None if x is None else int_image(
+            plan.n_qubits, plan.stage_ops(m, reset_variant), x))
     # translated by padding blocks, the particle fills the low L*w bits
-    return FrtRunReport(w - 1, L, padding, reset_variant, indices,
+    return FrtRunReport(w - 1, L, padding, reset_variant, tuple(indices),
                         indices[-1] == word)
 
 
@@ -147,6 +144,9 @@ def stage_identity_check(L: int, r: int, padding: int | None = None,
     otherwise draws seeded random ones (first and last blocks nonzero).
     The register may be up to 63 qubits.
     """
+    import numpy as np
+
+    from .qstate import word_image
     if padding is None:
         padding = L + 1
     w = r + 1
@@ -165,8 +165,9 @@ def stage_identity_check(L: int, r: int, padding: int | None = None,
     words = np.array(instances, dtype=np.int64).reshape(-1, L)
     particles = (words << w * np.arange(L - 1, -1, -1)).sum(axis=1)
     bad = np.zeros((len(words), padding), dtype=bool)
-    track = _track(plan, particles << padding * w, "extended")
-    for m, x in enumerate(track, start=1):
+    x = particles << padding * w
+    for m in range(1, padding + 1):
+        x = word_image(plan.n_qubits, plan.stage_ops(m), x)
         want = frt_pattern(particles, m, L, w) << (padding - m) * w
         bad[:, m - 1] = x != want
     first = None

@@ -1,37 +1,26 @@
-"""State-vector simulator for the automaton's gate set.
+"""State-vector simulator and word kernels for the automaton's gate set.
 
-States live on n qubits with qubit 1 the most significant index bit, so
-the basis label read left to right is the binary expansion of the array
-index.  The gate set is deliberately small: NOT, controlled-NOT, the
-collective controlled-NOT acting qubit-wise between two equal blocks,
-and the block reset that funnels a block onto its all-zero word.  The
-reset comes in two variants: `literal` sums dyads over the nonzero block
-words only (and therefore annihilates a component whose block is already
-zero), `extended` sums over all words (fixing the zero block).  Neither
-variant preserves the norm.
-
-NOT, CN and the collective CN are affine maps x -> Ax ^ b of the basis
-index over GF(2) (Aaronson & Gottesman, PRA 70, 052328 (2004)).
-`affine_fold` folds a run of them into one (A, b); `affine_image` maps
-basis indices through a fold, one table lookup per 12 index bits, without
-any state vector.  A state runs only such circuits: apply_circuit moves
-the amplitudes by one gather through the inverse map, and a circuit
-holding a reset raises TypeError before any 2^n array is made.  Every
-gate is its own inverse (the pairwise CNs of a collective CN act on
-disjoint qubits and commute), so the inverse map is the fold of the
-circuit reversed.  The gather writes 2^12 outputs at a time: the inverse
-image of index (h << 12) | l is high[h] ^ low[l], where low folds the 12
-least significant qubits (carrying b) and high the rest, so no 2^n index
+The gate set, `Circuit`, the GF(2) fold `affine_fold` and the one-word
+image `int_image` live in the numpy-free `qsca.gates`; this module runs
+them on arrays, qubit 1 the most significant index bit.  `affine_image`
+maps int64 basis indices through a fold, one table lookup per 12 index
+bits.  A state runs only NOT/CN circuits: apply_circuit moves the
+amplitudes by one gather through the inverse map, and a circuit holding
+a reset raises TypeError before any 2^n array is made.  Every gate is
+its own inverse (the pairwise CNs of a collective CN act on disjoint
+qubits and commute), so the inverse map is the fold of the circuit
+reversed.  The gather writes 2^12 outputs at a time: the inverse image
+of index (h << 12) | l is high[h] ^ low[l], where low folds the 12 least
+significant qubits (carrying b) and high the rest, so no 2^n index
 array is built and the output state is apply_circuit's peak memory.
 
-Every op sends a basis word to one word or to nothing (a literal reset
-of an already-zero block), so `word_image` pushes int64 words through a
-circuit, resets included: one `affine_image` per NOT/CN run and a block
-mask per reset.  Both kernels refuse registers above 63 qubits
-(`check_word_width`), whose words do not fit an int64.
-circuit_matrix never runs states: it pushes the words 0..2^n-1 through
-`word_image` and scatters ones into a zeroed matrix, which is its whole
-peak memory apart from a few 2^n-entry word arrays.
+`word_image` pushes int64 basis words through a circuit, resets
+included: one `affine_image` per NOT/CN run and `BlockReset.mask` per
+reset, -1 where a literal reset meets a zero block.  Both kernels refuse
+registers above 63 qubits (`check_word_width`).  circuit_matrix never
+runs states: it pushes the words 0..2^n-1 through `word_image` and
+scatters ones into a zeroed matrix, its whole peak memory apart from a
+few 2^n-entry word arrays.
 
 Every dense matrix passes one size check, `_check_dense`, before its
 first 2^n-sized array: at most the 256 MiB of a complex
@@ -42,31 +31,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import groupby
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import MAX_DENSE_DIMENSION, RESET_VARIANTS, DimensionTooLarge
+from .errors import MAX_DENSE_DIMENSION, DimensionTooLarge
+# Not and Cn stay readable here, where the benchmark builds its circuits
+from .gates import (BlockReset, Circuit, Cn, GateOp, Not, affine_fold,
+                    check_word_width)
 
 __all__ = [
     "ArrayEq",
     "StateVector",
-    "Not",
-    "Cn",
-    "CollectiveCn",
-    "BlockReset",
-    "GateOp",
-    "Circuit",
     "apply_circuit",
     "circuit_matrix",
-    "affine_fold",
     "affine_image",
     "word_image",
-    "emit_gatelist",
 ]
 
 _CHUNK_QUBITS = 12  # a gather writes 2^12 outputs per np.take
-_WORD_QUBITS = 63  # a basis word is an int64
 
 
 def _check_dense(entries: int, itemsize: int) -> None:
@@ -76,13 +59,6 @@ def _check_dense(entries: int, itemsize: int) -> None:
     if entries * itemsize > budget:
         raise DimensionTooLarge(f"{entries * itemsize} bytes exceeds the "
                                 f"dense budget of {budget >> 20} MiB")
-
-
-def check_word_width(n: int) -> None:
-    """Refuse registers whose basis words do not fit an int64."""
-    if n > _WORD_QUBITS:
-        raise DimensionTooLarge(f"register of {n} qubits exceeds the limit "
-                                f"of {_WORD_QUBITS}")
 
 
 def square_zeros(dim: int, dtype=float) -> np.ndarray:
@@ -153,136 +129,6 @@ class StateVector(ArrayEq):
         return state
 
 
-# -- gate descriptions ------------------------------------------------------
-
-def _check_first_qubit(op, *qubits: int) -> None:
-    if min(qubits) < 1:
-        raise ValueError(f"op {op!r} out of range, qubits start at 1")
-
-
-@dataclass(frozen=True)
-class Not:
-    q: int
-
-    def __post_init__(self):
-        _check_first_qubit(self, self.q)
-
-
-@dataclass(frozen=True)
-class Cn:
-    control: int
-    target: int
-
-    def __post_init__(self):
-        _check_first_qubit(self, self.control, self.target)
-        if self.control == self.target:
-            raise ValueError("control and target must differ")
-
-
-@dataclass(frozen=True)
-class CollectiveCn:
-    """Qubit-wise controlled-NOT between two disjoint equal-length blocks."""
-
-    control_block: int
-    target_block: int
-    block_len: int
-
-    def __post_init__(self):
-        _check_first_qubit(self, self.control_block, self.target_block)
-        if self.block_len < 1:
-            raise ValueError("block_len must be >= 1")
-        c, t, w = self.control_block, self.target_block, self.block_len
-        if c < t + w and t < c + w:
-            raise ValueError("blocks overlap")
-
-
-@dataclass(frozen=True)
-class BlockReset:
-    """Funnel one block onto its all-zero word.
-
-    variant `literal` accumulates the nonzero block words only and
-    annihilates components whose block is already zero; `extended` also
-    keeps those components.
-    """
-
-    block: int
-    block_len: int
-    variant: str = "extended"
-
-    def __post_init__(self):
-        _check_first_qubit(self, self.block)
-        if self.block_len < 1:
-            raise ValueError("block_len must be >= 1")
-        if self.variant not in RESET_VARIANTS:
-            raise ValueError(f"variant must be one of {RESET_VARIANTS}")
-
-
-GateOp = Union[Not, Cn, CollectiveCn, BlockReset]
-
-
-def _top_qubit(op: GateOp) -> int:
-    """The highest qubit an op touches."""
-    if isinstance(op, Not):
-        return op.q
-    if isinstance(op, Cn):
-        return max(op.control, op.target)
-    if isinstance(op, CollectiveCn):
-        return max(op.control_block, op.target_block) + op.block_len - 1
-    if isinstance(op, BlockReset):
-        return op.block + op.block_len - 1
-    raise TypeError(f"not a gate op: {op!r}")
-
-
-@dataclass(frozen=True)
-class Circuit:
-    """Ordered gate list; ops are applied first to last."""
-
-    n_qubits: int
-    ops: tuple[GateOp, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
-        if self.n_qubits < 1:
-            raise ValueError("circuit needs at least one qubit")
-        for op in self.ops:
-            if _top_qubit(op) > self.n_qubits:
-                raise ValueError(
-                    f"op {op!r} out of range for {self.n_qubits} qubits")
-
-
-def affine_fold(n: int, ops: Iterable[GateOp]) -> tuple[tuple[int, ...], int]:
-    """Fold a run of NOT/CN/CollectiveCn ops into x -> Ax ^ b over GF(2).
-
-    Returns (cols, b) on basis indices: cols[j - 1] is the image under A
-    of the index bit of qubit j, and b the image of index 0.  The fold
-    keeps one integer row mask per output qubit, so it costs O(1) per
-    two-qubit gate and O(n^2) to turn the rows into columns.  An op that
-    reaches past qubit n raises ValueError, and a BlockReset TypeError.
-    """
-    rows = [1 << (n - q) for q in range(1, n + 1)]
-    b = 0
-    for op in ops:
-        if isinstance(op, BlockReset):
-            raise TypeError(f"not a NOT/CN op: {op!r}")
-        if _top_qubit(op) > n:
-            raise ValueError(f"op {op!r} out of range for {n} qubits")
-        if isinstance(op, Not):
-            b ^= 1 << (n - op.q)
-            pairs = ()
-        elif isinstance(op, Cn):
-            pairs = ((op.control, op.target),)
-        else:
-            pairs = ((op.control_block + k, op.target_block + k)
-                     for k in range(op.block_len))
-        for c, t in pairs:
-            rows[t - 1] ^= rows[c - 1]
-            b ^= ((b >> (n - c)) & 1) << (n - t)
-    cols = tuple(
-        sum(((rows[q - 1] >> (n - j)) & 1) << (n - q) for q in range(1, n + 1))
-        for j in range(1, n + 1))
-    return cols, b
-
-
 def _span(cols: Sequence[int], b: int) -> np.ndarray:
     """b xor'ed with every subset of cols: entry i takes cols[k] for each
     set bit k of i.  Built by doubling."""
@@ -351,7 +197,7 @@ def word_image(n: int, ops: Iterable[GateOp], x: np.ndarray) -> np.ndarray:
             x = affine_image(n, affine_fold(n, run), x)
             continue
         for op in run:
-            mask = (2 ** op.block_len - 1) << (n + 1 - op.block - op.block_len)
+            mask = op.mask(n)
             if op.variant == "literal":
                 dead |= (x & mask) == 0
             x = x & ~mask
@@ -383,27 +229,3 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
     mat = np.zeros((dim, dim), dtype=complex)
     mat[image[cols], cols] = 1
     return mat
-
-
-# -- text formats -----------------------------------------------------------
-# One op per line, 1-based qubit indices:
-#   X <q>
-#   CN <control> <target>
-#   CCN <control_block_start> <target_block_start> <len>
-#   RESET <block_start> <len> <literal|extended>
-
-def emit_gatelist(circuit: Circuit) -> str:
-    lines = []
-    for op in circuit.ops:
-        if isinstance(op, Not):
-            lines.append(f"X {op.q}")
-        elif isinstance(op, Cn):
-            lines.append(f"CN {op.control} {op.target}")
-        elif isinstance(op, CollectiveCn):
-            lines.append(
-                f"CCN {op.control_block} {op.target_block} {op.block_len}")
-        elif isinstance(op, BlockReset):
-            lines.append(f"RESET {op.block} {op.block_len} {op.variant}")
-        else:
-            raise TypeError(f"not a gate op: {op!r}")
-    return "\n".join(lines) + ("\n" if lines else "")

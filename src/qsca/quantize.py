@@ -10,9 +10,11 @@ word missing from its image, so this module stores U as that word map,
 filled by the rule kernel `window_centers` that the whole-chain step
 shares, and checks the isometry identities from preimage counts.  It
 also produces the basis ordering that brings U to the block form
-diag(identity, antidiagonal(1,...,1,0)), the NOT/controlled-NOT circuit
-on the window, the whole-chain step in its unitary-circuit and
-partial-isometry readings, and the one-shot superposition update.
+diag(identity, antidiagonal(1,...,1,0)), the whole-chain step in its
+partial-isometry reading, and the one-shot superposition update.  The
+NOT/controlled-NOT circuit of the window rule, `build_uf_circuit`, and
+its concatenation over a chain, `chain_circuit`, live in the numpy-free
+`qsca.gates`.
 
 MAX_RADIUS stays at 6 (dimension 2^13 = 8192).  The dense paths do not
 bound it: each refuses more than the dense budget (`qstate.square_zeros`,
@@ -28,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (MAX_DENSE_DIMENSION, MAX_RADIUS, DimensionTooLarge,
-                     RadiusError)
-from .qstate import ArrayEq, Circuit, Cn, Not, square_zeros
+from .errors import MAX_DENSE_DIMENSION, MAX_RADIUS, DimensionTooLarge
+# build_uf_circuit stays readable here, where the benchmark reads it
+from .gates import build_uf_circuit, check_radius
+from .qstate import ArrayEq, square_zeros
 
 __all__ = [
     "MAX_RADIUS",
@@ -45,18 +48,12 @@ __all__ = [
     "partition_basis",
     "represent_blocked",
     "block_form_ok",
-    "build_uf_circuit",
     "total_step",
     "parallelism_demo",
     "emit_matrix_triplets",
     "check_csv_dimension",
     "emit_matrix_csv",
 ]
-
-
-def _check_radius(r: int) -> None:
-    if not 1 <= r <= MAX_RADIUS:
-        raise RadiusError(f"radius must be in 1..{MAX_RADIUS}, got {r}")
 
 
 def window_centers(windows: np.ndarray) -> np.ndarray:
@@ -125,7 +122,7 @@ class TransitionOperator(WordMap):
 
 def build_uf_matrix(r: int) -> TransitionOperator:
     """U from the window rule applied to every word at once."""
-    _check_radius(r)
+    check_radius(r)
     words = np.arange(2 ** (2 * r + 1), dtype=np.int64)
     image = (words & ~(1 << r)) | (window_centers(words) << r)
     image[0] = -1
@@ -247,36 +244,12 @@ def block_form_ok(t_op: TransitionOperator,
     return np.array_equal(_blocked_image(t_op, partition), want)
 
 
-def build_uf_circuit(r: int, site: int, n_qubits: int) -> Circuit:
-    """Window update at one site as gates: neighbor CNs, then NOT.
+def total_step(r: int, n_sites: int, mode: str) -> WordMap:
+    """Whole-chain step over n_sites >= 1 cells; mode must be
+    "partial_isometry" (the unitary-circuit reading is
+    `gates.chain_circuit`).
 
-    Controls run over the r left then r right neighbors (nearest-last on
-    the left, nearest-first on the right); out-of-range controls are
-    dropped since a fixed-zero control never fires.
-    """
-    _check_radius(r)
-    if not 1 <= site <= n_qubits:
-        raise ValueError(f"site {site} out of range for {n_qubits} qubits")
-    ops: list = []
-    for k in range(r, 0, -1):
-        if site - k >= 1:
-            ops.append(Cn(site - k, site))
-    for k in range(1, r + 1):
-        if site + k <= n_qubits:
-            ops.append(Cn(site + k, site))
-    ops.append(Not(site))
-    return Circuit(n_qubits, tuple(ops))
-
-
-def total_step(r: int, n_sites: int, mode: str) -> Circuit | WordMap:
-    """Whole-chain step over n_sites >= 1 cells.
-
-    unitary_circuit: the concatenation of the per-site circuits for
-    sites 1..n_sites (boundary-truncated).  Genuinely unitary, but it
-    disagrees with the automaton on components containing null windows;
-    in particular the vacuum is not fixed (the unconditional NOTs fire).
-
-    partial_isometry: the `WordMap` of the composition of per-site
+    The result is the `WordMap` of the composition of per-site
     factors C_i (I - P_i) + P_i, where P_i projects onto the components
     whose site-i window reads all zero.  On basis states this
     is exactly the classical bounded-lattice step (cells outside the
@@ -291,14 +264,9 @@ def total_step(r: int, n_sites: int, mode: str) -> Circuit | WordMap:
     are the Fibonacci numbers, 987 at n = 14, where 13,226 of the 16,384
     words have no preimage.
     """
-    _check_radius(r)
+    check_radius(r)
     if n_sites < 1:
         raise ValueError(f"n_sites must be at least 1, got {n_sites}")
-    if mode == "unitary_circuit":
-        ops: list = []
-        for site in range(1, n_sites + 1):
-            ops.extend(build_uf_circuit(r, site, n_sites).ops)
-        return Circuit(n_sites, tuple(ops))
     if mode != "partial_isometry":
         raise ValueError(f"unknown mode {mode!r}")
     if n_sites > 14:

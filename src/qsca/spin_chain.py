@@ -57,8 +57,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import GENERATOR_VARIANTS, DimensionTooLarge, NotHermitian
-from .qstate import Not, check_word_width, square_zeros, word_image
-from .quantize import build_uf_circuit, total_step
+from .gates import Not, build_uf_circuit, chain_circuit, check_word_width
+from .qstate import square_zeros, word_image
 
 __all__ = [
     "GENERATOR_VARIANTS",
@@ -439,7 +439,7 @@ def sum_product_gap(n_sites: int, r: int,
             f"gap evaluation supports up to 8 sites, got {n_sites}")
     if n_sites < 1:
         raise ValueError("need at least one site")
-    circuit = total_step(r, n_sites, "unitary_circuit")
+    circuit = chain_circuit(r, n_sites)
     sites = [_site_rows(i, r, n_sites, variant)
              for i in range(1, n_sites + 1)]
     product = _site_product(n_sites, [

@@ -19,14 +19,8 @@ and a mesh rotation as a dense matrix.
 
 import numpy as np
 
-from qsca.qstate import (
-    BlockReset,
-    Circuit,
-    CollectiveCn,
-    Cn,
-    Not,
-    StateVector,
-)
+from qsca.gates import BlockReset, Circuit, CollectiveCn, Cn, Not
+from qsca.qstate import StateVector
 
 
 def basis_state(bits):

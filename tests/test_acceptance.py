@@ -13,15 +13,9 @@ import numpy as np
 
 from gate_oracle import basis_state
 from qsca.frt_quantum import stage_identity_check
-from qsca.qstate import (
-    Circuit,
-    Cn,
-    Not,
-    apply_circuit,
-    circuit_matrix,
-)
+from qsca.gates import Circuit, Cn, Not, build_uf_circuit
+from qsca.qstate import apply_circuit, circuit_matrix
 from qsca.quantize import (
-    build_uf_circuit,
     build_uf_matrix,
     check_partial_isometry,
     parallelism_demo,

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsca import qstate, quantize
+from qsca import frt_quantum, qstate, quantize, sca_core
 from qsca.cli import _parse_blocks, build_parser, main
 from qsca.errors import ParseError
+from qsca.gates import int_image
+from qsca.sca_core import frt_pattern
 
 
 @pytest.fixture
@@ -215,6 +217,18 @@ def test_frt_classical_golden(capsys, config):
         "  t=4 pattern 2: not applicable\n")
 
 
+def test_frt_classical_fails_on_a_wrong_prediction(capsys, config,
+                                                  monkeypatch):
+    # a held particle whose predicted return pattern is off by one bit
+    def shifted(word, k, L, w):
+        return frt_pattern(word, k, L, w) ^ 1
+    monkeypatch.setattr(sca_core, "frt_pattern", shifted)
+    code, out, _ = run(capsys, "frt-classical", config("origin=0\n110\n"),
+                       "--radius", "2")
+    assert code == 2
+    assert "  condition held\n  t=2 pattern 0: MISMATCH\n" in out
+
+
 def test_frt_classical_empty(capsys, config):
     code, out, _ = run(capsys, "frt-classical", config("origin=0\n000\n"),
                        "--radius", "1")
@@ -244,6 +258,19 @@ def test_frt_quantum_literal_annihilation(capsys, config):
                        "--variant", "literal")
     assert code == 2
     assert "(not a basis state)" in out
+
+
+def test_frt_quantum_fails_on_a_dropped_bit(capsys, config, monkeypatch):
+    # every stage drops the register's last bit, which is clear until
+    # the particle lands in the last block
+    monkeypatch.setattr(frt_quantum, "int_image",
+                        lambda n, ops, x: int_image(n, ops, x) & ~1)
+    code, out, _ = run(capsys, "frt-quantum",
+                       "--blocks", config("11 01\n"),
+                       "--radius", "1", "--padding", "3")
+    assert code == 2
+    assert out.endswith("stage 3: O O O 11 O\n"
+                        "final translated by 3 blocks: MISMATCH\n")
 
 
 def test_frt_quantum_bad_block(capsys, config):
@@ -503,16 +530,19 @@ def test_cli_import_leaves_scipy_unloaded(fresh_python):
       "--format", "pbm"), "sca_core"),
     (("frt-classical", "{row}", "--radius", "2"), "sca_core"),
     (("check", "--seed", "1"), "numpy frt_quantum qstate quantize sca_core "
-     "spin_chain unitary_compile"),
-    (("uf", "check", "--radius", "4"), "numpy qstate quantize"),
+     "spin_chain unitary_compile gates"),
+    (("uf", "check", "--radius", "4"), "numpy qstate quantize gates"),
     (("frt-quantum", "--blocks", "{blocks}", "--radius", "2",
-      "--padding", "4"), "numpy frt_quantum qstate sca_core"),
-    (("reck", "--dimension", "64"), "numpy qstate unitary_compile"),
+      "--padding", "4"), "frt_quantum sca_core gates"),
+    (("reck", "--dimension", "64"), "numpy qstate unitary_compile gates"),
+    (("circuit", "--radius", "2", "--site", "3", "--n-qubits", "6"),
+     "gates"),
+    (("circuit", "--radius", "1", "--total", "20"), "gates"),
 ])
 def test_commands_load_only_their_modules(fresh_python, config, argv,
                                           loaded):
-    # the five benchmarked cold commands, and the two classical ones,
-    # which run without numpy
+    # the five benchmarked cold commands, and the four that run without
+    # numpy: the classical ones, frt-quantum and circuit
     files = {"row": config("origin=0\n" + "10110" * 24 + "\n"),
              "blocks": config("101 011 110\n", "particle.blocks")}
     code, modules = probe(fresh_python, *(a.format(**files) for a in argv))

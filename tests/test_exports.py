@@ -27,7 +27,7 @@ UNCALLED = {
 
 
 def test_every_module_is_listed():
-    assert "frt_quantum" in MODULES and "qstate" in MODULES
+    assert {"frt_quantum", "gates", "qstate"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -82,12 +82,27 @@ def test_package_import_loads_no_submodule(fresh_python):
     assert res.stdout == "[]\n"
 
 
+def test_submodule_names_load_their_module(fresh_python):
+    # qsca.<submodule> goes through the package's __getattr__, which
+    # imports the module and returns it; gates loads no numpy
+    res = fresh_python(
+        "import sys, qsca\n"
+        "loaded = lambda: sorted(m for m in sys.modules\n"
+        "                        if m.startswith('qsca.') or m == 'numpy')\n"
+        "print(loaded(), 'gates' in vars(qsca))\n"
+        "print(qsca.gates is sys.modules['qsca.gates'], loaded())\n"
+        "print(qsca.frt_quantum is sys.modules['qsca.frt_quantum'])\n")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "[] False", "True ['qsca.errors', 'qsca.gates']", "True"]
+
+
 def test_parser_constants_have_one_home():
     # the command line reads them from errors, without numpy
-    from qsca import errors, qstate, quantize, spin_chain
+    from qsca import errors, gates, quantize, spin_chain
     assert quantize.MAX_RADIUS is errors.MAX_RADIUS
     assert spin_chain.GENERATOR_VARIANTS is errors.GENERATOR_VARIANTS
-    assert qstate.RESET_VARIANTS is errors.RESET_VARIANTS
+    assert gates.RESET_VARIANTS is errors.RESET_VARIANTS
     # one dense budget for the CSV export and `reck --dimension`
     quantize.check_csv_dimension(4096)
     with pytest.raises(errors.DimensionTooLarge):

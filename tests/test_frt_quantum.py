@@ -14,11 +14,8 @@ from qsca.frt_quantum import (
     stage_identity_check,
 )
 from qsca.sca_core import frt_pattern
-from qsca.qstate import (
-    BlockReset,
-    CollectiveCn,
-    StateVector,
-)
+from qsca.gates import BlockReset, CollectiveCn
+from qsca.qstate import StateVector
 
 
 def blocks_of(words, width):

@@ -1,5 +1,6 @@
 import re
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,18 +18,21 @@ from gate_oracle import (
     word_image_by_gate,
 )
 from qsca.errors import DimensionTooLarge
-from qsca.qstate import (
+from qsca.gates import (
     BlockReset,
     Circuit,
     CollectiveCn,
     Cn,
     Not,
-    StateVector,
     affine_fold,
+    emit_gatelist,
+    int_image,
+)
+from qsca.qstate import (
+    StateVector,
     affine_image,
     apply_circuit,
     circuit_matrix,
-    emit_gatelist,
     square_zeros,
     word_image,
 )
@@ -127,6 +131,8 @@ def test_basis_states_orthonormal():
 def test_state_vector_validation():
     with pytest.raises(ValueError):
         StateVector(2, np.zeros(3, dtype=complex))
+    with pytest.raises(ValueError, match="at least one qubit"):
+        StateVector(0, np.ones(1, dtype=complex))
     state = basis_state((1,))
     with pytest.raises(ValueError):
         state.amplitudes[0] = 5.0
@@ -435,6 +441,18 @@ def test_word_image_matches_gate_by_gate_on_wide_registers(circuit, seed):
         == word_image_by_gate(n, circuit.ops, words.tolist())
 
 
+@settings(max_examples=200, deadline=None)
+@given(circuits(max_qubits=63), st.integers(0, 2 ** 32 - 1))
+def test_int_image_matches_word_image(circuit, seed):
+    # the one-word stepper of frt-quantum against the array kernel, with
+    # None for the -1 of an annihilated word
+    n, words = circuit.n_qubits, seeded_words(circuit.n_qubits, seed)
+    words = words[words >= 0]
+    want = word_image(n, circuit.ops, words).tolist()
+    assert [int_image(n, circuit.ops, x) for x in words.tolist()] \
+        == [None if y < 0 else y for y in want]
+
+
 def test_word_kernels_refuse_64_qubits():
     # a 64-qubit word does not fit an int64
     ops, words = (Not(1), Cn(1, 64)), np.array([0], dtype=np.int64)
@@ -452,6 +470,21 @@ def test_ops_reject_qubits_below_one():
                  lambda: BlockReset(0, 2), lambda: BlockReset(-1, 1)):
         with pytest.raises(ValueError, match="qubits start at 1"):
             make()
+
+
+def test_block_ops_reject_empty_blocks():
+    for make in (lambda: CollectiveCn(1, 3, 0), lambda: BlockReset(1, 0)):
+        with pytest.raises(ValueError, match="block_len must be >= 1"):
+            make()
+
+
+def test_non_ops_raise_type_error():
+    # a circuit checks each op's top qubit; the emitter meets a non-op
+    # only in an object that skipped that check
+    with pytest.raises(TypeError, match="not a gate op: 'X 1'"):
+        Circuit(1, (Not(1), "X 1"))
+    with pytest.raises(TypeError, match="not a gate op: 'X 1'"):
+        emit_gatelist(SimpleNamespace(ops=(Not(1), "X 1")))
 
 
 def test_affine_fold_rejects_qubits_above_n():

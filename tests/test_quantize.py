@@ -6,14 +6,14 @@ import pytest
 
 from gate_oracle import basis_state
 from qsca.errors import DimensionTooLarge, RadiusError
-from qsca.qstate import Cn, Not, circuit_matrix, square_zeros
+from qsca.gates import Cn, Not, build_uf_circuit, chain_circuit
+from qsca.qstate import circuit_matrix, square_zeros
 from qsca.quantize import (
     BasisPartition,
     IsometryReport,
     TransitionOperator,
     WordMap,
     block_form_ok,
-    build_uf_circuit,
     build_uf_matrix,
     check_partial_isometry,
     emit_matrix_csv,
@@ -369,7 +369,7 @@ def test_total_step_shift_covariant_subcircuits():
 
 
 def test_total_step_circuit_concatenates_sites():
-    circuit = total_step(2, 6, "unitary_circuit")
+    circuit = chain_circuit(2, 6)
     want = []
     for site in range(1, 7):
         want.extend(build_uf_circuit(2, site, 6).ops)
@@ -381,7 +381,7 @@ def test_total_step_circuit_vacuum_image():
     # NOT fires unless an earlier new 1 sits within reach, leaving a 1
     # every r+1 sites
     for r, n in ((1, 5), (2, 5), (2, 7)):
-        circuit = total_step(r, n, "unitary_circuit")
+        circuit = chain_circuit(r, n)
         out = circuit_matrix(circuit) @ basis_state((0,) * n).amplitudes
         got = word_bits(int(np.flatnonzero(out)[0]), n)
         assert got == play_gates(n, circuit.ops, (0,) * n)
@@ -446,10 +446,15 @@ def test_total_step_validation():
         total_step(2, 6, "both")
     with pytest.raises(DimensionTooLarge):
         total_step(2, 15, "partial_isometry")
-    for mode in ("unitary_circuit", "partial_isometry"):
-        for n_sites in (0, -1):
-            with pytest.raises(ValueError, match="n_sites"):
-                total_step(2, n_sites, mode)
+    with pytest.raises(ValueError, match="unknown mode"):
+        total_step(2, 6, "unitary_circuit")
+    for n_sites in (0, -1):
+        with pytest.raises(ValueError, match="n_sites"):
+            total_step(2, n_sites, "partial_isometry")
+        with pytest.raises(ValueError, match="n_sites"):
+            chain_circuit(2, n_sites)
+    with pytest.raises(RadiusError):
+        chain_circuit(0, 6)
 
 
 # -- superposition update ---------------------------------------------------

@@ -4,8 +4,8 @@ from scipy.linalg import expm
 
 from qsca import spin_chain
 from qsca.errors import DimensionTooLarge, NotHermitian, RadiusError
+from qsca.gates import chain_circuit
 from qsca.qstate import circuit_matrix, square_zeros
-from qsca.quantize import total_step
 from qsca.spin_chain import (
     HamiltonianSum,
     PauliTerm,
@@ -134,7 +134,7 @@ def sum_product_gap_oracle(n, r, variant):
     """The gaps from the sequential site product and one dense eigh."""
     total = exp_i_pi(to_dense(build_chain_hamiltonian(n, r, variant)))
     product = sequential_site_product(n, r, variant)
-    circuit = circuit_matrix(total_step(r, n, "unitary_circuit"))
+    circuit = circuit_matrix(chain_circuit(r, n))
     return (float(np.abs(total - product).max()),
             float(np.abs(product - circuit).max()))
 
@@ -381,7 +381,7 @@ def test_closed_form_site_exponential_rejects_other_forms():
 def test_site_exponential_equals_site_circuit():
     # the verified site generator commutes term by term, so its
     # exponential is exactly the per-site gate product
-    from qsca.quantize import build_uf_circuit
+    from qsca.gates import build_uf_circuit
     for (i, r, n) in ((2, 1, 4), (3, 2, 5)):
         h = to_dense(build_site_hamiltonian(i, r, n))
         gate = exp_i_pi(h)
@@ -431,7 +431,7 @@ def test_sum_product_gap_argument_errors():
 def test_sum_product_gap_size_checked_before_allocation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("allocated before the size check")
-    monkeypatch.setattr(spin_chain, "total_step", refuse)
+    monkeypatch.setattr(spin_chain, "chain_circuit", refuse)
     monkeypatch.setattr(spin_chain, "_site_rows", refuse)
     with pytest.raises(DimensionTooLarge):
         sum_product_gap(40, 2)
