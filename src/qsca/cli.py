@@ -296,7 +296,7 @@ def cmd_check(args) -> int:
     for r in (1, 2, 3):
         n = 2 * r + 1
         circuit = gates.build_uf_circuit(r, r + 1, n)
-        image = qstate.word_image(n, circuit.ops, np.arange(2 ** n))
+        image = gates.word_image(n, circuit.ops, np.arange(2 ** n))
         record(f"circuit factorization r={r}", np.array_equal(
             image[1:], quantize.build_uf_matrix(r).image[1:]))
 

@@ -8,13 +8,13 @@ becomes |O, B^C1, ..., B^CL⟩.  Running one stage per padding block
 walks the particle to the far end: after p stages the state is exactly
 the input translated by p blocks.
 
-A basis input stays a basis state: each stage's CN cascade is one
-affine map of the register index over GF(2) (`gates.affine_fold`) and
-the reset clears block m's bits, or, in the literal variant, annihilates
-the state when they are already clear.  So run_frt pushes the register
-index through each stage as one Python int (`gates.int_image`), and
-stage_identity_check pushes all its instances as one int64 array
-(`qstate.word_image`, imported with numpy inside it, so `qsca
+A basis input stays a basis state: each collective CN xors block m's
+bits onto another block of the register index, and the reset clears
+block m's bits, or, in the literal variant, annihilates the state when
+they are already clear.  So both drivers push the register index
+through each stage with `gates.word_image`: run_frt as one Python int,
+where -1 marks the annihilated state, and stage_identity_check all its
+instances as one int64 array (with numpy imported inside it, so `qsca
 frt-quantum` loads no numpy); neither builds a state vector.  Both take
 registers up to the 63 qubits of an int64 index, which FrtStagePlan
 checks when it is built.  A run report holds the register index after
@@ -32,7 +32,7 @@ from math import prod
 from typing import TYPE_CHECKING, Sequence
 
 from .gates import (BlockReset, CollectiveCn, GateOp, check_word_width,
-                    int_image)
+                    word_image)
 from .sca_core import BasicString, Particle, format_block, frt_pattern
 
 if TYPE_CHECKING:
@@ -108,11 +108,11 @@ def run_frt(blocks: Sequence, padding: int,
     word, L, w = particle.word, particle.block_count, particle.block_len
     plan = FrtStagePlan(L, padding, w)
 
-    indices = [word << (padding * w)]
+    x = word << padding * w
+    indices = [x]
     for m in range(1, padding + 1):
-        x = indices[-1]
-        indices.append(None if x is None else int_image(
-            plan.n_qubits, plan.stage_ops(m, reset_variant), x))
+        x = word_image(plan.n_qubits, plan.stage_ops(m, reset_variant), x)
+        indices.append(None if x < 0 else x)
     # translated by padding blocks, the particle fills the low L*w bits
     return FrtRunReport(w - 1, L, padding, reset_variant, tuple(indices),
                         indices[-1] == word)
@@ -145,8 +145,6 @@ def stage_identity_check(L: int, r: int, padding: int | None = None,
     The register may be up to 63 qubits.
     """
     import numpy as np
-
-    from .qstate import word_image
     if padding is None:
         padding = L + 1
     w = r + 1

@@ -1,18 +1,21 @@
-"""The automaton's gate set, its GF(2) fold and the window circuits.
+"""The automaton's gate set, its one word kernel and the window circuits.
 
-Qubit 1 is the most significant bit of a basis index.  `int_image`
-pushes one Python int through a circuit, as `qstate.word_image` does on
-int64 arrays.  No numpy is imported, so `circuit` and `frt-quantum`
-start without it.
+Qubit 1 is the most significant bit of a basis index.  `word_image`
+pushes basis words through a circuit one op at a time, each op one
+whole-word step on a Python int or an int64 array alike; `affine_fold`
+folds a NOT/CN run into one GF(2) map for `qstate.apply_circuit`.  No
+numpy is imported, so `circuit` and `frt-quantum` start without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 from .errors import MAX_RADIUS, RESET_VARIANTS, DimensionTooLarge, RadiusError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Not",
@@ -22,7 +25,7 @@ __all__ = [
     "GateOp",
     "Circuit",
     "affine_fold",
-    "int_image",
+    "word_image",
     "build_uf_circuit",
     "chain_circuit",
     "emit_gatelist",
@@ -147,7 +150,8 @@ class Circuit:
 
 
 def affine_fold(n: int, ops: Iterable[GateOp]) -> tuple[tuple[int, ...], int]:
-    """Fold a run of NOT/CN/CollectiveCn ops into x -> Ax ^ b over GF(2).
+    """Fold a run of NOT/CN/CollectiveCn ops into x -> Ax ^ b over GF(2),
+    the map `qstate.apply_circuit` gathers a state through.
 
     Returns (cols, b) on basis indices: cols[j - 1] is the image under A
     of the index bit of qubit j, and b the image of index 0.  The fold
@@ -179,24 +183,36 @@ def affine_fold(n: int, ops: Iterable[GateOp]) -> tuple[tuple[int, ...], int]:
     return cols, b
 
 
-def int_image(n: int, ops: Iterable[GateOp], x: int) -> int | None:
-    """The image of basis word x under ops, None where a literal reset
-    meets an already-zero block: `qstate.word_image` on one Python int.
+def word_image(n: int, ops: Iterable[GateOp], x: int | np.ndarray
+               ) -> int | np.ndarray:
+    """The images of basis words x, one Python int or an int64 array,
+    under ops: each op is one whole-word step, so x is touched only by
+    ^ >> << & | * and comparisons, and no numpy is imported.
 
-    Bits of x above n are dropped by a NOT/CN run but kept by a reset.
+    A literal reset that meets a zero block ors -1 into the word: no op
+    on at most 63 qubits touches the sign bit, so every negative word
+    comes back as -1, the mark of an annihilated one.  Bits above n pass
+    through unchanged.  Above 63 qubits DimensionTooLarge; an op past
+    qubit n raises ValueError, a non-op TypeError.
     """
-    for is_reset, run in groupby(ops, lambda op: isinstance(op, BlockReset)):
-        if is_reset:
-            for op in run:
-                if op.variant == "literal" and not x & op.mask(n):
-                    return None
-                x &= ~op.mask(n)
-            continue
-        cols, y = affine_fold(n, run)
-        for k, col in enumerate(reversed(cols)):
-            y ^= col if x >> k & 1 else 0
-        x = y
-    return x
+    check_word_width(n)
+    for op in ops:
+        if _top_qubit(op) > n:
+            raise ValueError(f"op {op!r} out of range for {n} qubits")
+        if isinstance(op, Not):
+            x = x ^ 1 << (n - op.q)
+        elif isinstance(op, Cn):
+            x = x ^ (x >> (n - op.control) & 1) << (n - op.target)
+        elif isinstance(op, CollectiveCn):
+            low = n + 1 - op.block_len  # block at q ends at bit low - q
+            block = x >> (low - op.control_block) & (1 << op.block_len) - 1
+            x = x ^ block << (low - op.target_block)
+        else:
+            mask = op.mask(n)
+            if op.variant == "literal":
+                x = x | ((x & mask) == 0) * -1
+            x = x & ~mask
+    return x | (x < 0) * -1
 
 
 # -- the window rule as gates -----------------------------------------------

@@ -1,26 +1,21 @@
-"""State-vector simulator and word kernels for the automaton's gate set.
+"""State-vector simulator for the automaton's gate set.
 
-The gate set, `Circuit`, the GF(2) fold `affine_fold` and the one-word
-image `int_image` live in the numpy-free `qsca.gates`; this module runs
-them on arrays, qubit 1 the most significant index bit.  `affine_image`
-maps int64 basis indices through a fold, one table lookup per 12 index
-bits.  A state runs only NOT/CN circuits: apply_circuit moves the
-amplitudes by one gather through the inverse map, and a circuit holding
-a reset raises TypeError before any 2^n array is made.  Every gate is
-its own inverse (the pairwise CNs of a collective CN act on disjoint
-qubits and commute), so the inverse map is the fold of the circuit
-reversed.  The gather writes 2^12 outputs at a time: the inverse image
-of index (h << 12) | l is high[h] ^ low[l], where low folds the 12 least
+The gate set, `Circuit`, the word kernel `word_image` and the GF(2)
+fold `affine_fold` live in the numpy-free `qsca.gates`; this module runs
+circuits on states, qubit 1 the most significant index bit.  A state
+runs only NOT/CN circuits: apply_circuit moves the amplitudes by one
+gather through the inverse map, and a circuit holding a reset raises
+TypeError before any 2^n array is made.  Every gate is its own inverse
+(the pairwise CNs of a collective CN act on disjoint qubits and
+commute), so the inverse map is the fold of the circuit reversed.  The
+gather writes 2^12 outputs at a time: the inverse image of index
+(h << 12) | l is high[h] ^ low[l], where low folds the 12 least
 significant qubits (carrying b) and high the rest, so no 2^n index
 array is built and the output state is apply_circuit's peak memory.
 
-`word_image` pushes int64 basis words through a circuit, resets
-included: one `affine_image` per NOT/CN run and `BlockReset.mask` per
-reset, -1 where a literal reset meets a zero block.  Both kernels refuse
-registers above 63 qubits (`check_word_width`).  circuit_matrix never
-runs states: it pushes the words 0..2^n-1 through `word_image` and
-scatters ones into a zeroed matrix, its whole peak memory apart from a
-few 2^n-entry word arrays.
+circuit_matrix never runs states: it pushes the words 0..2^n-1 through
+`word_image` as one int64 array and scatters ones into a zeroed matrix,
+its whole peak memory apart from a few 2^n-entry word arrays.
 
 Every dense matrix passes one size check, `_check_dense`, before its
 first 2^n-sized array: at most the 256 MiB of a complex
@@ -30,23 +25,19 @@ MAX_DENSE_DIMENSION-square matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import MAX_DENSE_DIMENSION, DimensionTooLarge
 # Not and Cn stay readable here, where the benchmark builds its circuits
-from .gates import (BlockReset, Circuit, Cn, GateOp, Not, affine_fold,
-                    check_word_width)
+from .gates import Circuit, Cn, Not, affine_fold, word_image
 
 __all__ = [
     "ArrayEq",
     "StateVector",
     "apply_circuit",
     "circuit_matrix",
-    "affine_image",
-    "word_image",
 ]
 
 _CHUNK_QUBITS = 12  # a gather writes 2^12 outputs per np.take
@@ -156,52 +147,6 @@ def _gather(n: int, src: np.ndarray,
         # every index is in range, and "clip" writes to out unbuffered
         np.take(src, idx, out=rows[h], mode="clip")
     return out
-
-
-def affine_image(n: int, fold: tuple[tuple[int, ...], int],
-                 x: np.ndarray) -> np.ndarray:
-    """Images of the int64 basis indices x under a fold from affine_fold:
-    the xor of one `_span` table entry per 12 bits of x, b folded into
-    the table of the lowest 12.  Above 63 qubits DimensionTooLarge."""
-    check_word_width(n)
-    cols, b = fold
-    lsb_first = cols[::-1]
-
-    def lookup(lo: int, base: int) -> np.ndarray:
-        table = _span(lsb_first[lo:lo + _CHUNK_QUBITS], base)
-        return table.take((x >> lo) & (len(table) - 1))
-
-    y = lookup(0, b)
-    for lo in range(_CHUNK_QUBITS, n, _CHUNK_QUBITS):
-        y ^= lookup(lo, 0)
-    return y
-
-
-def _is_reset(op: GateOp) -> bool:
-    return isinstance(op, BlockReset)
-
-
-def word_image(n: int, ops: Iterable[GateOp], x: np.ndarray) -> np.ndarray:
-    """Images of the int64 basis words x under ops, -1 where a literal
-    reset meets an already-zero block.
-
-    Each word lies in [0, 2^n) or is -1, and n is at most 63 (above,
-    DimensionTooLarge).  The words are not checked: any negative word
-    comes back as -1, and bits above n of the others are dropped by a
-    NOT/CN run but kept by a reset.
-    """
-    check_word_width(n)
-    dead = x < 0
-    for is_reset, run in groupby(ops, _is_reset):
-        if not is_reset:
-            x = affine_image(n, affine_fold(n, run), x)
-            continue
-        for op in run:
-            mask = op.mask(n)
-            if op.variant == "literal":
-                dead |= (x & mask) == 0
-            x = x & ~mask
-    return np.where(dead, -1, x)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:

@@ -57,8 +57,9 @@ from typing import Iterable
 import numpy as np
 
 from .errors import GENERATOR_VARIANTS, DimensionTooLarge, NotHermitian
-from .gates import Not, build_uf_circuit, chain_circuit, check_word_width
-from .qstate import square_zeros, word_image
+from .gates import (Not, build_uf_circuit, chain_circuit, check_word_width,
+                    word_image)
+from .qstate import square_zeros
 
 __all__ = [
     "GENERATOR_VARIANTS",

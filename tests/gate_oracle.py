@@ -10,7 +10,7 @@ against `gate_by_gate`.
 
 `word_image_by_gate` pushes basis words through a circuit as Python ints,
 one gate at a time, for `word_image`; `affine_image_by_qubit` maps words
-through a fold one qubit at a time, for `affine_image`.
+through a fold of `affine_fold` one qubit at a time.
 
 The other references build what the package never builds itself: a
 basis state from its bits, the propagation circuit as one gate list,

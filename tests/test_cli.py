@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsca import frt_quantum, qstate, quantize, sca_core
+from qsca import (frt_quantum, gates, qstate, quantize, sca_core,
+                  unitary_compile)
 from qsca.cli import _parse_blocks, build_parser, main
 from qsca.errors import ParseError
-from qsca.gates import int_image
 from qsca.sca_core import frt_pattern
 
 
@@ -103,6 +103,25 @@ def test_uf_check(capsys):
     assert code == 0
     assert "range residual 0\n" in out
     assert "support residual 0\n" in out
+
+
+@pytest.fixture
+def swapped_images(monkeypatch):
+    """build_uf_matrix with the images of words 0 and 1 swapped: the
+    null word gets an image and word 1 loses its own."""
+    build = quantize.build_uf_matrix
+
+    def swapped(r):
+        image = build(r).image.copy()
+        image[[0, 1]] = image[[1, 0]]
+        return quantize.TransitionOperator(r, image)
+    monkeypatch.setattr(quantize, "build_uf_matrix", swapped)
+
+
+def test_uf_check_fails_on_swapped_images(capsys, swapped_images):
+    code, out, _ = run(capsys, "uf", "check", "--radius", "2")
+    assert code == 2
+    assert out.startswith("range residual 0\nsupport residual 1\n")
 
 
 def test_uf_check_radius_limit(capsys):
@@ -263,8 +282,9 @@ def test_frt_quantum_literal_annihilation(capsys, config):
 def test_frt_quantum_fails_on_a_dropped_bit(capsys, config, monkeypatch):
     # every stage drops the register's last bit, which is clear until
     # the particle lands in the last block
-    monkeypatch.setattr(frt_quantum, "int_image",
-                        lambda n, ops, x: int_image(n, ops, x) & ~1)
+    word_image = frt_quantum.word_image
+    monkeypatch.setattr(frt_quantum, "word_image",
+                        lambda n, ops, x: word_image(n, ops, x) & ~1)
     code, out, _ = run(capsys, "frt-quantum",
                        "--blocks", config("11 01\n"),
                        "--radius", "1", "--padding", "3")
@@ -306,6 +326,13 @@ def test_parallelism(capsys):
     assert code == 0
     assert "image words 31\n" in out
     assert f"amplitude {1 / np.sqrt(31):.17g}\n" in out
+
+
+def test_parallelism_fails_on_swapped_images(capsys, swapped_images):
+    # word 1's amplitude is lost, and the null word's zero takes its place
+    code, out, _ = run(capsys, "parallelism", "--radius", "2")
+    assert code == 2
+    assert "image words 30\n" in out and "max deviation 1.796e-01\n" in out
 
 
 @pytest.mark.parametrize("r", range(1, 7))
@@ -379,6 +406,15 @@ def test_reck_radius_limit(capsys, monkeypatch, radius, built):
     assert err == "error: 8192 modes exceeds the mesh limit of 4096\n"
 
 
+def test_reck_fails_on_a_perturbed_reconstruction(capsys, monkeypatch):
+    # the plan is written either way; the exit code carries the verdict
+    _, plan, _ = run(capsys, "reck", "--radius", "1")
+    reconstruct = unitary_compile.reck_reconstruct
+    monkeypatch.setattr(unitary_compile, "reck_reconstruct",
+                        lambda plan: reconstruct(plan) + 1e-6)
+    assert run(capsys, "reck", "--radius", "1") == (2, plan, "")
+
+
 def test_reck_needs_target(capsys):
     code, _, err = run(capsys, "reck")
     assert code == 1 and "reck" in err
@@ -430,6 +466,19 @@ def test_check_builds_no_dense_u(capsys, monkeypatch):
     monkeypatch.setattr(qstate, "circuit_matrix", recorded)
     assert run(capsys, "check", "--seed", "0") == (0, CHECK_SEED0, "")
     assert dense_circuits == [3]
+
+
+def test_check_fails_on_a_dropped_bit(capsys, monkeypatch):
+    # the word kernel drops every image's last bit where check calls it;
+    # frt_quantum holds its own reference, loaded before the patch
+    word_image = gates.word_image
+    monkeypatch.setattr(gates, "word_image",
+                        lambda n, ops, x: word_image(n, ops, x) & ~1)
+    failed = CHECK_SEED0.replace("20 checks, 0 failed", "20 checks, 3 failed")
+    for r in (1, 2, 3):
+        failed = failed.replace(f"ok   circuit factorization r={r}",
+                                f"FAIL circuit factorization r={r}")
+    assert run(capsys, "check", "--seed", "0") == (2, failed, "")
 
 
 def test_check_deterministic(capsys):

@@ -169,6 +169,12 @@ UNTRACED = {
         "block-propagation", "it runs its random NOT/CN circuit on a state"),
     "qsca.qstate._gather": (
         "block-propagation", "apply_circuit permutes the amplitudes with it"),
+    "qsca.qstate._span": (
+        "block-propagation", "apply_circuit's gather, its only caller, "
+        "builds its index tables with it"),
+    "qsca.gates.affine_fold": (
+        "block-propagation", "apply_circuit's gather, its only caller, "
+        "reads the inverse map from it"),
     "qsca.qstate.StateVector._owning": (
         "block-propagation", "apply_circuit wraps its output state with it"),
     "qsca.qstate.StateVector.__post_init__": (

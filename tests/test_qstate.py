@@ -26,16 +26,10 @@ from qsca.gates import (
     Not,
     affine_fold,
     emit_gatelist,
-    int_image,
-)
-from qsca.qstate import (
-    StateVector,
-    affine_image,
-    apply_circuit,
-    circuit_matrix,
-    square_zeros,
     word_image,
 )
+from qsca.qstate import (StateVector, apply_circuit, circuit_matrix,
+                         square_zeros)
 from qsca.quantize import WordMap
 from qsca.spin_chain import HamiltonianSum, to_dense
 
@@ -409,9 +403,9 @@ def test_reversed_run_folds_to_the_inverse(case):
     # touch disjoint qubits), so the reversed run undoes the run
     n, run = case
     x = np.arange(2 ** n, dtype=np.int64)
-    there = affine_image(n, affine_fold(n, run), x)
-    assert np.array_equal(
-        affine_image(n, affine_fold(n, tuple(reversed(run))), there), x)
+    there = word_image(n, run, x)
+    assert np.array_equal(affine_image_by_qubit(
+        n, affine_fold(n, tuple(reversed(run))), there), x)
 
 
 def seeded_words(n, seed):
@@ -424,18 +418,20 @@ def seeded_words(n, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(permutation_runs(max_qubits=63), st.integers(0, 2 ** 32 - 1))
-def test_affine_image_matches_the_per_qubit_loop(case, seed):
-    # both read only the n low bits of a word, so -1 maps as 2^n - 1
+def test_affine_fold_matches_word_image(case, seed):
+    # the fold read one qubit at a time against the op-by-op kernel, on
+    # words in [0, 2^n): the fold reads -1 as 2^n - 1
     n, run = case
-    words, fold = seeded_words(n, seed), affine_fold(n, run)
-    assert np.array_equal(affine_image(n, fold, words),
-                          affine_image_by_qubit(n, fold, words))
+    words = seeded_words(n, seed)
+    words = words[words >= 0]
+    assert np.array_equal(affine_image_by_qubit(n, affine_fold(n, run), words),
+                          word_image(n, run, words))
 
 
 @settings(max_examples=100, deadline=None)
 @given(circuits(max_qubits=63, min_qubits=13), st.integers(0, 2 ** 32 - 1))
 def test_word_image_matches_gate_by_gate_on_wide_registers(circuit, seed):
-    # above 12 qubits every NOT/CN run takes several table lookups
+    # registers too wide for the dense oracles, against the per-gate loop
     n, words = circuit.n_qubits, seeded_words(circuit.n_qubits, seed)
     assert word_image(n, circuit.ops, words).tolist() \
         == word_image_by_gate(n, circuit.ops, words.tolist())
@@ -443,25 +439,22 @@ def test_word_image_matches_gate_by_gate_on_wide_registers(circuit, seed):
 
 @settings(max_examples=200, deadline=None)
 @given(circuits(max_qubits=63), st.integers(0, 2 ** 32 - 1))
-def test_int_image_matches_word_image(circuit, seed):
-    # the one-word stepper of frt-quantum against the array kernel, with
-    # None for the -1 of an annihilated word
+def test_word_image_on_ints_matches_arrays(circuit, seed):
+    # frt-quantum pushes one Python int, the stage check an int64 array
     n, words = circuit.n_qubits, seeded_words(circuit.n_qubits, seed)
-    words = words[words >= 0]
-    want = word_image(n, circuit.ops, words).tolist()
-    assert [int_image(n, circuit.ops, x) for x in words.tolist()] \
-        == [None if y < 0 else y for y in want]
+    images = [word_image(n, circuit.ops, x) for x in words.tolist()]
+    assert all(type(y) is int for y in images)
+    assert images == word_image(n, circuit.ops, words).tolist()
 
 
 def test_word_kernels_refuse_64_qubits():
     # a 64-qubit word does not fit an int64
     ops, words = (Not(1), Cn(1, 64)), np.array([0], dtype=np.int64)
-    with pytest.raises(DimensionTooLarge, match="64 qubits"):
-        word_image(64, ops, words)
-    with pytest.raises(DimensionTooLarge, match="64 qubits"):
-        affine_image(64, affine_fold(64, ops), words)
-    with pytest.raises(DimensionTooLarge, match="64 qubits"):
-        word_image(64, (BlockReset(1, 1),), words)
+    for x in (words, 0):
+        with pytest.raises(DimensionTooLarge, match="64 qubits"):
+            word_image(64, ops, x)
+        with pytest.raises(DimensionTooLarge, match="64 qubits"):
+            word_image(64, (BlockReset(1, 1),), x)
 
 
 def test_ops_reject_qubits_below_one():
@@ -479,10 +472,12 @@ def test_block_ops_reject_empty_blocks():
 
 
 def test_non_ops_raise_type_error():
-    # a circuit checks each op's top qubit; the emitter meets a non-op
-    # only in an object that skipped that check
+    # a circuit and the word kernel check each op's top qubit; the
+    # emitter meets a non-op only in an object that skipped that check
     with pytest.raises(TypeError, match="not a gate op: 'X 1'"):
         Circuit(1, (Not(1), "X 1"))
+    with pytest.raises(TypeError, match="not a gate op: 'X 1'"):
+        word_image(1, (Not(1), "X 1"), 0)
     with pytest.raises(TypeError, match="not a gate op: 'X 1'"):
         emit_gatelist(SimpleNamespace(ops=(Not(1), "X 1")))
 
@@ -497,6 +492,18 @@ def test_affine_fold_rejects_qubits_above_n():
         assert repr(op) in str(info.value)
     # ... and the top qubit itself is in range
     assert affine_fold(3, [Not(3), Cn(1, 3)]) == ((5, 2, 1), 1)
+
+
+def test_word_image_rejects_qubits_above_n():
+    # each op reaches qubit 4 of a 3-qubit register
+    for op in (Not(4), Cn(1, 4), CollectiveCn(3, 1, 2), BlockReset(3, 2)):
+        with pytest.raises(ValueError, match="out of range for 3 qubits"):
+            word_image(3, [Not(1), op], 0)
+    # ... and the top qubit itself is in range
+    ops = (Not(3), Cn(1, 3), BlockReset(2, 2, "literal"))
+    assert [word_image(3, ops, x) for x in (0b110, 0b001)] == [0b100, -1]
+    # bits above n pass through
+    assert word_image(3, ops, 0b1110) == 0b1100
 
 
 def test_apply_circuit_20_qubits_within_budget():
@@ -519,8 +526,8 @@ def test_apply_circuit_20_qubits_within_budget():
     print(f"apply_circuit, 1000 NOT/CN gates on 20 qubits: {best:.3f} s")
     assert best < 0.5
     # amplitude x lands on the forward image of x
-    images = affine_image(n, affine_fold(n, ops),
-                          np.arange(2 ** n, dtype=np.int64))
+    images = affine_image_by_qubit(n, affine_fold(n, ops),
+                                   np.arange(2 ** n, dtype=np.int64))
     assert np.array_equal(out.amplitudes[images], state.amplitudes)
 
 
@@ -578,8 +585,8 @@ def test_apply_circuit_peak_memory(traced_peak):
     out, peak = traced_peak(apply_circuit, state, one_run)
     # the output state and O(2^12) indices, no 2^n index array
     assert peak <= state.amplitudes.nbytes + 2 ** 20
-    images = affine_image(n, affine_fold(n, one_run.ops),
-                          np.arange(2 ** n, dtype=np.int64))
+    images = affine_image_by_qubit(n, affine_fold(n, one_run.ops),
+                                   np.arange(2 ** n, dtype=np.int64))
     assert np.array_equal(out.amplitudes[images], state.amplitudes)
 
 
