@@ -26,11 +26,11 @@ uses, applied to the array of particle words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 from typing import TYPE_CHECKING, Sequence
 
+from .errors import Frozen
 from .gates import (BlockReset, CollectiveCn, GateOp, check_word_width,
                     word_image)
 from .sca_core import BasicString, Particle, format_block, frt_pattern
@@ -48,17 +48,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FrtStagePlan:
+class FrtStagePlan(Frozen):
     """Gate schedule of the propagation circuit, on at most 63 qubits."""
 
-    L: int
-    padding: int
-    block_len: int
-
-    def __post_init__(self):
-        if self.L < 1 or self.padding < 1 or self.block_len < 1:
+    def __init__(self, L: int, padding: int, block_len: int):
+        if L < 1 or padding < 1 or block_len < 1:
             raise ValueError("L, padding and block_len must be >= 1")
+        self._assign("L", L)
+        self._assign("padding", padding)
+        self._assign("block_len", block_len)
         check_word_width(self.n_qubits)
 
     @property
@@ -82,18 +80,19 @@ class FrtStagePlan:
         return tuple(ops)
 
 
-@dataclass(frozen=True)
-class FrtRunReport:
+class FrtRunReport(Frozen):
     """indices[m] is the register index after stage m (stage 0 is the
     input), block 1 most significant, or None once the state is
     annihilated."""
 
-    radius: int
-    L: int
-    padding: int
-    reset_variant: str
-    indices: tuple[int | None, ...]
-    final_ok: bool
+    def __init__(self, radius: int, L: int, padding: int, reset_variant: str,
+                 indices: tuple[int | None, ...], final_ok: bool):
+        self._assign("radius", radius)
+        self._assign("L", L)
+        self._assign("padding", padding)
+        self._assign("reset_variant", reset_variant)
+        self._assign("indices", indices)
+        self._assign("final_ok", final_ok)
 
 
 def run_frt(blocks: Sequence, padding: int,
@@ -118,16 +117,18 @@ def run_frt(blocks: Sequence, padding: int,
                         indices[-1] == word)
 
 
-@dataclass(frozen=True)
-class StageIdentityReport:
+class StageIdentityReport(Frozen):
     """Outcome of a sweep; first_mismatch is (instance words, stage)."""
 
-    L: int
-    radius: int
-    n_instances: int
-    stages_checked: int
-    mismatches: int
-    first_mismatch: tuple[tuple[int, ...], int] | None = None
+    def __init__(self, L: int, radius: int, n_instances: int,
+                 stages_checked: int, mismatches: int,
+                 first_mismatch: tuple[tuple[int, ...], int] | None = None):
+        self._assign("L", L)
+        self._assign("radius", radius)
+        self._assign("n_instances", n_instances)
+        self._assign("stages_checked", stages_checked)
+        self._assign("mismatches", mismatches)
+        self._assign("first_mismatch", first_mismatch)
 
     @property
     def ok(self) -> bool:

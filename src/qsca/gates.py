@@ -9,10 +9,10 @@ numpy is imported, so `circuit` and `frt-quantum` start without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Union
 
-from .errors import MAX_RADIUS, RESET_VARIANTS, DimensionTooLarge, RadiusError
+from .errors import (MAX_RADIUS, RESET_VARIANTS, DimensionTooLarge, Frozen,
+                     RadiusError)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,44 +54,37 @@ def _check_first_qubit(op, *qubits: int) -> None:
         raise ValueError(f"op {op!r} out of range, qubits start at 1")
 
 
-@dataclass(frozen=True)
-class Not:
-    q: int
-
-    def __post_init__(self):
-        _check_first_qubit(self, self.q)
+class Not(Frozen):
+    def __init__(self, q: int):
+        self._assign("q", q)
+        _check_first_qubit(self, q)
 
 
-@dataclass(frozen=True)
-class Cn:
-    control: int
-    target: int
-
-    def __post_init__(self):
-        _check_first_qubit(self, self.control, self.target)
-        if self.control == self.target:
+class Cn(Frozen):
+    def __init__(self, control: int, target: int):
+        self._assign("control", control)
+        self._assign("target", target)
+        _check_first_qubit(self, control, target)
+        if control == target:
             raise ValueError("control and target must differ")
 
 
-@dataclass(frozen=True)
-class CollectiveCn:
+class CollectiveCn(Frozen):
     """Qubit-wise controlled-NOT between two disjoint equal-length blocks."""
 
-    control_block: int
-    target_block: int
-    block_len: int
-
-    def __post_init__(self):
-        _check_first_qubit(self, self.control_block, self.target_block)
-        if self.block_len < 1:
+    def __init__(self, control_block: int, target_block: int, block_len: int):
+        self._assign("control_block", control_block)
+        self._assign("target_block", target_block)
+        self._assign("block_len", block_len)
+        _check_first_qubit(self, control_block, target_block)
+        if block_len < 1:
             raise ValueError("block_len must be >= 1")
-        c, t, w = self.control_block, self.target_block, self.block_len
+        c, t, w = control_block, target_block, block_len
         if c < t + w and t < c + w:
             raise ValueError("blocks overlap")
 
 
-@dataclass(frozen=True)
-class BlockReset:
+class BlockReset(Frozen):
     """Funnel one block onto its all-zero word.
 
     variant `literal` accumulates the nonzero block words only and
@@ -99,15 +92,14 @@ class BlockReset:
     keeps those components.
     """
 
-    block: int
-    block_len: int
-    variant: str = "extended"
-
-    def __post_init__(self):
-        _check_first_qubit(self, self.block)
-        if self.block_len < 1:
+    def __init__(self, block: int, block_len: int, variant: str = "extended"):
+        self._assign("block", block)
+        self._assign("block_len", block_len)
+        self._assign("variant", variant)
+        _check_first_qubit(self, block)
+        if block_len < 1:
             raise ValueError("block_len must be >= 1")
-        if self.variant not in RESET_VARIANTS:
+        if variant not in RESET_VARIANTS:
             raise ValueError(f"variant must be one of {RESET_VARIANTS}")
 
     def mask(self, n: int) -> int:
@@ -132,21 +124,19 @@ def _top_qubit(op: GateOp) -> int:
     raise TypeError(f"not a gate op: {op!r}")
 
 
-@dataclass(frozen=True)
-class Circuit:
-    """Ordered gate list; ops are applied first to last."""
+class Circuit(Frozen):
+    """Ordered gate list, held as a tuple; ops are applied first to last."""
 
-    n_qubits: int
-    ops: tuple[GateOp, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
-        if self.n_qubits < 1:
+    def __init__(self, n_qubits: int, ops: Iterable[GateOp]):
+        ops = tuple(ops)
+        self._assign("n_qubits", n_qubits)
+        self._assign("ops", ops)
+        if n_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
-        for op in self.ops:
-            if _top_qubit(op) > self.n_qubits:
+        for op in ops:
+            if _top_qubit(op) > n_qubits:
                 raise ValueError(
-                    f"op {op!r} out of range for {self.n_qubits} qubits")
+                    f"op {op!r} out of range for {n_qubits} qubits")
 
 
 def affine_fold(n: int, ops: Iterable[GateOp]) -> tuple[tuple[int, ...], int]:

@@ -24,12 +24,11 @@ MAX_DENSE_DIMENSION-square matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .errors import MAX_DENSE_DIMENSION, DimensionTooLarge
+from .errors import MAX_DENSE_DIMENSION, DimensionTooLarge, Frozen
 # Not and Cn stay readable here, where the benchmark builds its circuits
 from .gates import Circuit, Cn, Not, affine_fold, word_image
 
@@ -66,22 +65,19 @@ def square_zeros(dim: int, dtype=float) -> np.ndarray:
     return np.zeros((dim, dim + 64 // itemsize), dtype=dtype)[:, :dim]
 
 
-class ArrayEq:
-    """Value equality for frozen dataclasses with array fields, declared
-    with eq=False: equal when the types match and every field is
-    np.array_equal.  The hash agrees with it (+ 0 turns -0.0 into 0.0),
-    so the arrays must be read-only: `_freeze` stores each one as a
-    read-only copy."""
+class ArrayEq(Frozen):
+    """The `Frozen` value with array fields: equal when the types match
+    and every field is np.array_equal.  The hash agrees with it (+ 0
+    turns -0.0 into 0.0), so the arrays must be read-only: `_freeze`
+    stores each one as a read-only copy."""
 
-    def _freeze(self, name: str, dtype) -> np.ndarray:
-        """Replace field `name` by a read-only copy as dtype; return it."""
-        a = np.array(getattr(self, name), dtype=dtype)
+    def _freeze(self, name: str, value, dtype) -> np.ndarray:
+        """Set field `name` to a read-only copy of value as dtype; return
+        it."""
+        a = np.array(value, dtype=dtype)
         a.flags.writeable = False
-        object.__setattr__(self, name, a)
+        self._assign(name, a)
         return a
-
-    def _values(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)]
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -94,28 +90,25 @@ class ArrayEq:
                           else v for v in self._values()))
 
 
-@dataclass(frozen=True, eq=False)
 class StateVector(ArrayEq):
     """Amplitudes over 2^n basis labels, qubit 1 most significant."""
 
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.n_qubits < 1:
+    def __init__(self, n_qubits: int, amplitudes: np.ndarray):
+        if n_qubits < 1:
             raise ValueError("need at least one qubit")
-        amp = self._freeze("amplitudes", complex)
-        if amp.shape != (2 ** self.n_qubits,):
+        self._assign("n_qubits", n_qubits)
+        amp = self._freeze("amplitudes", amplitudes, complex)
+        if amp.shape != (2 ** n_qubits,):
             raise ValueError(
-                f"expected {2 ** self.n_qubits} amplitudes, got {amp.shape}")
+                f"expected {2 ** n_qubits} amplitudes, got {amp.shape}")
 
     @classmethod
     def _owning(cls, n_qubits: int, amplitudes: np.ndarray) -> "StateVector":
         """Wrap a complex array of 2^n_qubits amplitudes without a copy:
         the state takes it over and makes it read-only."""
         state = object.__new__(cls)
-        object.__setattr__(state, "n_qubits", n_qubits)
-        object.__setattr__(state, "amplitudes", amplitudes)
+        state._assign("n_qubits", n_qubits)
+        state._assign("amplitudes", amplitudes)
         amplitudes.flags.writeable = False
         return state
 

@@ -26,11 +26,10 @@ U and the partial-isometry chain step are both a `WordMap`.  Only its
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import MAX_DENSE_DIMENSION, MAX_RADIUS, DimensionTooLarge
+from .errors import (MAX_DENSE_DIMENSION, MAX_RADIUS, DimensionTooLarge,
+                     Frozen)
 # build_uf_circuit stays readable here, where the benchmark reads it
 from .gates import build_uf_circuit, check_radius
 from .qstate import ArrayEq, square_zeros
@@ -63,18 +62,15 @@ def window_centers(windows: np.ndarray) -> np.ndarray:
     return ((w != 0) & (np.bitwise_count(w) % 2 == 0)).astype(np.int64)
 
 
-@dataclass(frozen=True, eq=False)
 class WordMap(ArrayEq):
     """A map of basis words under the radius-r rule: image[x] is the
     index of x's image, -1 where x is annihilated (the leftmost cell is
     the most significant bit).  The image is a read-only int64 copy; two
     maps are equal when their types, radii and images are."""
 
-    radius: int
-    image: np.ndarray
-
-    def __post_init__(self):
-        self._freeze("image", np.int64)
+    def __init__(self, radius: int, image: np.ndarray):
+        self._assign("radius", radius)
+        self._freeze("image", image, np.int64)
 
     @property
     def dimension(self) -> int:
@@ -129,8 +125,7 @@ def build_uf_matrix(r: int) -> TransitionOperator:
     return TransitionOperator(r, image)
 
 
-@dataclass(frozen=True)
-class IsometryReport:
+class IsometryReport(Frozen):
     """Integer residuals of the two isometry identities.
 
     range_residual:   max |U U+ - (I - |p><p|)| with p the missing word.
@@ -140,9 +135,11 @@ class IsometryReport:
                       claimed to preserve norms).
     """
 
-    range_residual: int
-    support_residual: int
-    norm_deviation: float
+    def __init__(self, range_residual: int, support_residual: int,
+                 norm_deviation: float):
+        self._assign("range_residual", range_residual)
+        self._assign("support_residual", support_residual)
+        self._assign("norm_deviation", norm_deviation)
 
     @property
     def ok(self) -> bool:
@@ -182,7 +179,6 @@ def check_partial_isometry(t_op: TransitionOperator,
     return IsometryReport(range_residual, support_residual, worst)
 
 
-@dataclass(frozen=True, eq=False)
 class BasisPartition(ArrayEq):
     """Window word indices split into invariant and center-flipped classes,
     each a read-only int64 array.
@@ -195,13 +191,11 @@ class BasisPartition(ArrayEq):
     missing word's zero row, producing the trailing 0.
     """
 
-    radius: int
-    invariant_words: np.ndarray
-    flipped_words: np.ndarray
-
-    def __post_init__(self):
-        self._freeze("invariant_words", np.int64)
-        self._freeze("flipped_words", np.int64)
+    def __init__(self, radius: int, invariant_words: np.ndarray,
+                 flipped_words: np.ndarray):
+        self._assign("radius", radius)
+        self._freeze("invariant_words", invariant_words, np.int64)
+        self._freeze("flipped_words", flipped_words, np.int64)
 
 
 def partition_basis(r: int) -> BasisPartition:
@@ -283,20 +277,22 @@ def total_step(r: int, n_sites: int, mode: str) -> WordMap:
     return WordMap(r, new)
 
 
-@dataclass(frozen=True)
-class ParallelismReport:
+class ParallelismReport(Frozen):
     """One application of U to the uniform nonzero superposition.
 
     The image should carry equal amplitude 1/sqrt(2^(2r+1) - 1) on every
     word except the missing one, with unit norm.
     """
 
-    radius: int
-    applications: int
-    image_count: int
-    expected_amplitude: float
-    max_deviation: float
-    norm: float
+    def __init__(self, radius: int, applications: int, image_count: int,
+                 expected_amplitude: float, max_deviation: float,
+                 norm: float):
+        self._assign("radius", radius)
+        self._assign("applications", applications)
+        self._assign("image_count", image_count)
+        self._assign("expected_amplitude", expected_amplitude)
+        self._assign("max_deviation", max_deviation)
+        self._assign("norm", norm)
 
     @property
     def ok(self) -> bool:

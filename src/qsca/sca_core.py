@@ -35,12 +35,11 @@ gives the pattern after k returns with bit operators alone, for
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .errors import ParseError, StepDivergedError, parse_int
+from .errors import Frozen, ParseError, StepDivergedError, parse_int
 
 __all__ = [
     "Rule",
@@ -63,15 +62,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Frozen):
     """The automaton family parameter: neighborhood half-width."""
 
-    radius: int
-
-    def __post_init__(self):
-        if self.radius < 1:
-            raise ValueError(f"radius must be >= 1, got {self.radius}")
+    def __init__(self, radius: int):
+        if radius < 1:
+            raise ValueError(f"radius must be >= 1, got {radius}")
+        self._assign("radius", radius)
 
     @property
     def block_len(self) -> int:
@@ -114,8 +111,7 @@ def _trim(origin: int, word: int, width: int) -> tuple[int, int]:
     return origin + width - word.bit_length(), word >> zeros
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Frozen):
     """Finite-support row of bits; sites outside the stored range are 0.
 
     The stored range is canonical: leading and trailing zeros are trimmed
@@ -124,13 +120,11 @@ class Configuration:
     is 0 for the empty row and otherwise has len(bits) bits and ends in 1.
     """
 
-    origin: int
-    bits: tuple[int, ...]
-    word: int = field(init=False, repr=False, compare=False)
+    word: int  # not a field: no part of equality, hash or repr
 
-    def __post_init__(self):
-        digits = _digits(self.bits)
-        self._set(*_trim(self.origin, int(digits or "0", 2), len(digits)))
+    def __init__(self, origin: int, bits: Iterable):
+        digits = _digits(bits)
+        self._set(*_trim(origin, int(digits or "0", 2), len(digits)))
 
     @classmethod
     def _of_word(cls, origin: int, word: int) -> "Configuration":
@@ -140,10 +134,9 @@ class Configuration:
         return config
 
     def _set(self, origin: int, word: int) -> None:
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "bits",
-                           _bit_tuple(format(word, "b")) if word else ())
-        object.__setattr__(self, "word", word)
+        self._assign("origin", origin)
+        self._assign("bits", _bit_tuple(format(word, "b")) if word else ())
+        self._assign("word", word)
 
     @property
     def is_empty(self) -> bool:
@@ -237,18 +230,16 @@ def format_block(word: int, width: int) -> str:
     return format(word, f"0{width}b") if word else "O"
 
 
-@dataclass(frozen=True)
-class BasicString:
+class BasicString(Frozen):
     """An (r+1)-bit block, the building unit of particles; `word` holds
     its bits as an int, the first bit most significant."""
 
-    bits: tuple[int, ...]
-    word: int = field(init=False, repr=False, compare=False)
+    word: int  # not a field: no part of equality, hash or repr
 
-    def __post_init__(self):
-        digits = _digits(self.bits)
-        object.__setattr__(self, "bits", _bit_tuple(digits))
-        object.__setattr__(self, "word", int(digits or "0", 2))
+    def __init__(self, bits: Iterable):
+        digits = _digits(bits)
+        self._assign("bits", _bit_tuple(digits))
+        self._assign("word", int(digits or "0", 2))
 
     @property
     def is_null(self) -> bool:
@@ -258,21 +249,19 @@ class BasicString:
         return format_block(self.word, len(self.bits))
 
 
-@dataclass(frozen=True)
-class Particle:
+class Particle(Frozen):
     """Basic strings anchored at a site; the first and last are nonzero."""
 
-    start_site: int
-    blocks: tuple[BasicString, ...]
-
-    def __post_init__(self):
-        if not self.blocks:
+    def __init__(self, start_site: int, blocks: tuple[BasicString, ...]):
+        if not blocks:
             raise ValueError("particle needs at least one block")
-        if self.blocks[0].is_null or self.blocks[-1].is_null:
+        if blocks[0].is_null or blocks[-1].is_null:
             raise ValueError("first and last blocks must be nonzero")
-        lens = {len(b.bits) for b in self.blocks}
+        lens = {len(b.bits) for b in blocks}
         if len(lens) != 1:
             raise ValueError("blocks must share one length")
+        self._assign("start_site", start_site)
+        self._assign("blocks", blocks)
 
     @property
     def block_count(self) -> int:
@@ -330,8 +319,7 @@ def frt_pattern(word, k: int, L: int, w: int):
     return (rot & ((1 << n) - 1)) ^ (rot >> n) * spread
 
 
-@dataclass(frozen=True)
-class FrtPrediction:
+class FrtPrediction(Frozen):
     """Return times and intermediate block patterns of a particle.
 
     l_counts[i] is the 1-count of the i-th difference string
@@ -339,10 +327,13 @@ class FrtPrediction:
     predicted_blocks[m] is the word `frt_pattern` gives for return m+1.
     """
 
-    l_counts: tuple[int, ...]
-    return_times: tuple[int, ...]
-    predicted_blocks: tuple[int, ...]
-    period: int
+    def __init__(self, l_counts: tuple[int, ...],
+                 return_times: tuple[int, ...],
+                 predicted_blocks: tuple[int, ...], period: int):
+        self._assign("l_counts", l_counts)
+        self._assign("return_times", return_times)
+        self._assign("predicted_blocks", predicted_blocks)
+        self._assign("period", period)
 
 
 def frt_predict(rule: Rule, particle: Particle) -> FrtPrediction:
@@ -360,26 +351,28 @@ def frt_predict(rule: Rule, particle: Particle) -> FrtPrediction:
     return FrtPrediction(l_counts, times, patterns, times[-1])
 
 
-@dataclass(frozen=True)
-class FrtTimeCheck:
+class FrtTimeCheck(Frozen):
     """Outcome of one predicted-time comparison.
 
     matched is None when the run was cut short by a detector failure
     before this time; shift is the observed translation when matched.
     """
 
-    time: int
-    pattern_index: int
-    matched: bool | None
-    shift: int | None
+    def __init__(self, time: int, pattern_index: int, matched: bool | None,
+                 shift: int | None):
+        self._assign("time", time)
+        self._assign("pattern_index", pattern_index)
+        self._assign("matched", matched)
+        self._assign("shift", shift)
 
 
-@dataclass(frozen=True)
-class FrtReport:
-    prediction: FrtPrediction
-    condition_held: bool
-    failed_at: int | None
-    checks: tuple[FrtTimeCheck, ...]
+class FrtReport(Frozen):
+    def __init__(self, prediction: FrtPrediction, condition_held: bool,
+                 failed_at: int | None, checks: tuple[FrtTimeCheck, ...]):
+        self._assign("prediction", prediction)
+        self._assign("condition_held", condition_held)
+        self._assign("failed_at", failed_at)
+        self._assign("checks", checks)
 
     @property
     def all_matched(self) -> bool:

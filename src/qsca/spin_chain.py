@@ -49,14 +49,14 @@ as two real products), which `qsca check` also runs on the generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
-from .errors import GENERATOR_VARIANTS, DimensionTooLarge, NotHermitian
+from .errors import (GENERATOR_VARIANTS, DimensionTooLarge, Frozen,
+                     NotHermitian)
 from .gates import (Not, build_uf_circuit, chain_circuit, check_word_width,
                     word_image)
 from .qstate import square_zeros
@@ -81,8 +81,7 @@ __all__ = [
 Row = tuple[int, int, float]
 
 
-@dataclass(frozen=True)
-class PauliTerm:
+class PauliTerm(Frozen):
     """A real coefficient times a product of X/Z factors on distinct sites.
 
     factors is a site-sorted tuple of (site, op) pairs with op in
@@ -90,35 +89,33 @@ class PauliTerm:
     scalar multiple of the identity.
     """
 
-    coefficient: float
-    factors: tuple[tuple[int, str], ...]
-
-    def __post_init__(self):
-        factors = tuple(sorted((int(s), op) for s, op in self.factors))
+    def __init__(self, coefficient: float,
+                 factors: Iterable[tuple[int, str]]):
+        factors = tuple(sorted((int(s), op) for s, op in factors))
         sites = [s for s, _ in factors]
         if len(set(sites)) != len(sites):
             raise ValueError("duplicate site in factors")
         for _, op in factors:
             if op not in ("X", "Z"):
                 raise ValueError(f"factor op must be X or Z, got {op!r}")
-        object.__setattr__(self, "factors", factors)
+        self._assign("coefficient", coefficient)
+        self._assign("factors", factors)
 
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(s for s, _ in self.factors)
 
 
-@dataclass(frozen=True)
-class HamiltonianSum:
-    n_sites: int
-    radius: int
-    terms: tuple[PauliTerm, ...]
-
-    def __post_init__(self):
-        for t in self.terms:
+class HamiltonianSum(Frozen):
+    def __init__(self, n_sites: int, radius: int,
+                 terms: tuple[PauliTerm, ...]):
+        for t in terms:
             if t.support and not (1 <= t.support[0] and
-                                  t.support[-1] <= self.n_sites):
+                                  t.support[-1] <= n_sites):
                 raise ValueError(f"term {t} out of range")
+        self._assign("n_sites", n_sites)
+        self._assign("radius", radius)
+        self._assign("terms", terms)
 
     @cached_property
     def masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -413,8 +410,7 @@ def _exp_i_pi_by_reflection(h: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SumProductReport:
+class SumProductReport(Frozen):
     """Distance between the two readings of the chain evolution.
 
     sum_vs_product:     max |exp(i pi H_total) - prod_i exp(i pi H_i)|.
@@ -423,11 +419,13 @@ class SumProductReport:
                         each factor equals its site circuit exactly.
     """
 
-    n_sites: int
-    radius: int
-    variant: str
-    sum_vs_product: float
-    product_vs_circuit: float
+    def __init__(self, n_sites: int, radius: int, variant: str,
+                 sum_vs_product: float, product_vs_circuit: float):
+        self._assign("n_sites", n_sites)
+        self._assign("radius", radius)
+        self._assign("variant", variant)
+        self._assign("sum_vs_product", sum_vs_product)
+        self._assign("product_vs_circuit", product_vs_circuit)
 
 
 def sum_product_gap(n_sites: int, r: int,

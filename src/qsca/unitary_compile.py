@@ -38,8 +38,6 @@ other format in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NotUnitary
@@ -77,7 +75,6 @@ def _rotation_residual(u: np.ndarray) -> float:
     return float(np.max(residual, initial=0.0))
 
 
-@dataclass(frozen=True, eq=False)
 class ReckPlan(ArrayEq):
     """Rotations applied in order, then the phase diagonal.
 
@@ -88,25 +85,22 @@ class ReckPlan(ArrayEq):
     occurs at most once.
     """
 
-    dimension: int
-    modes: np.ndarray
-    blocks: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        n = self.dimension
-        phases = self._freeze("phases", complex)
+    def __init__(self, dimension: int, modes: np.ndarray, blocks: np.ndarray,
+                 phases: np.ndarray):
+        n = dimension
+        self._assign("dimension", n)
+        phases = self._freeze("phases", phases, complex)
         if phases.shape != (n,):
             raise ValueError("need one phase per mode")
         if not np.abs(np.abs(phases) - 1.0).max(initial=0.0) <= 1e-12:
             raise ValueError("phases must have unit modulus")
-        modes = np.asarray(self.modes)
+        modes = np.asarray(modes)
         if modes.ndim != 2 or modes.shape[1] != 2:
             raise ValueError("rotation modes must be an m x 2 array")
         if not np.issubdtype(modes.dtype, np.integer):
             raise ValueError("rotation modes must be integers")
-        modes = self._freeze("modes", np.int64)
-        blocks = self._freeze("blocks", complex)
+        modes = self._freeze("modes", modes, np.int64)
+        blocks = self._freeze("blocks", blocks, complex)
         if blocks.ndim != 3 or blocks.shape[1:] != (2, 2):
             raise ValueError("rotation blocks must be an m x 2 x 2 array")
         if len(blocks) != len(modes):

@@ -9,17 +9,30 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def _python(*args):
+    """Run `python *args` in a new interpreter that imports qsca from
+    src/, and return the completed process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.fixture
 def fresh_python():
     """Run `python -c code *argv` in a new interpreter that imports qsca
     from src/, and return the completed process."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-
     def run(code, *argv):
-        return subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+        return _python("-c", code, *argv)
+    return run
+
+
+@pytest.fixture
+def fresh_module():
+    """Run `python -m module *argv` the same way."""
+    def run(module, *argv):
+        return _python("-m", module, *argv)
     return run
 
 

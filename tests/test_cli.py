@@ -124,6 +124,23 @@ def test_uf_check_fails_on_swapped_images(capsys, swapped_images):
     assert out.startswith("range residual 0\nsupport residual 1\n")
 
 
+def test_uf_check_judges_the_window_rule(capsys, monkeypatch):
+    # swapping the images of words 1 and 2 keeps U a partial isometry,
+    # so only the comparison with the NOT/CN circuit fails; f(1) = 1 and
+    # f(2) = 2 at r = 2, each word's one 1 is off the center
+    build = quantize.build_uf_matrix
+
+    def swapped(r):
+        image = build(r).image.copy()
+        image[[1, 2]] = image[[2, 1]]
+        return quantize.TransitionOperator(r, image)
+    monkeypatch.setattr(quantize, "build_uf_matrix", swapped)
+    golden = Path(__file__).parent / "golden" / "out" / "uf_check_r2.out"
+    assert run(capsys, "uf", "check", "--radius", "2") == (
+        2, golden.read_text() + "circuit factorization MISMATCH at word 1: "
+        "U image 2, circuit image 1\n", "")
+
+
 def test_uf_check_radius_limit(capsys):
     code, out, _ = run(capsys, "uf", "check", "--radius", "6")
     assert code == 0
@@ -342,7 +359,7 @@ def test_parallelism_builds_no_state_vector(capsys, monkeypatch, r):
     def not_built(*args):
         raise AssertionError("a StateVector was built")
     monkeypatch.setattr(qstate.StateVector, "_owning", classmethod(not_built))
-    monkeypatch.setattr(qstate.StateVector, "__post_init__", not_built)
+    monkeypatch.setattr(qstate.StateVector, "__init__", not_built)
     golden = Path(__file__).parent / "golden" / "out" / f"parallelism_r{r}.out"
     assert run(capsys, "parallelism", "--radius", str(r)) \
         == (0, golden.read_text(), "")
@@ -548,14 +565,36 @@ def test_unknown_command(capsys):
     assert code == 1 and "error:" in err
 
 
-# A fresh interpreter runs one command and prints its exit code and the
-# modules it loaded: numpy, scipy and qsca's submodules.
+def test_module_run_exits_with_the_command_code(fresh_module, config):
+    # `python -m qsca.cli`, the way the benchmark starts each command,
+    # exits with main's code: 0 passed, 1 usage error, 2 failed check
+    golden = Path(__file__).parent / "golden" / "out" / "circuit_total.out"
+    res = fresh_module("qsca.cli", "circuit", "--radius", "1", "--total", "7")
+    assert (res.returncode, res.stdout, res.stderr) == (
+        0, golden.read_text(), "")
+    res = fresh_module("qsca.cli", "fold")
+    assert res.returncode == 1 and res.stderr.startswith("error:")
+    res = fresh_module("qsca.cli", "frt-quantum", "--blocks",
+                       config("11 11\n"), "--radius", "1", "--padding", "2",
+                       "--variant", "literal")
+    assert res.returncode == 2 and "(not a basis state)" in res.stdout
+
+
+# A fresh interpreter runs one command and prints its exit code, the
+# modules it loaded (numpy, scipy and qsca's submodules), and which of
+# dataclasses and inspect were loaded after `import qsca.cli` and after
+# the command.
 PROBE = ("import contextlib, io, json, sys, qsca.cli\n"
+         "def stdlib():\n"
+         "    return [m for m in ('dataclasses', 'inspect')\n"
+         "            if m in sys.modules]\n"
+         "bare = stdlib()\n"
          "with contextlib.redirect_stdout(io.StringIO()):\n"
          "    code = qsca.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
          "print(json.dumps([code, sorted(\n"
          "    m for m in sys.modules\n"
-         "    if m in ('numpy', 'scipy') or m.startswith('qsca.'))]))\n")
+         "    if m in ('numpy', 'scipy') or m.startswith('qsca.')),\n"
+         "    bare, stdlib()]))\n")
 
 
 def probe(fresh_python, *argv):
@@ -569,7 +608,7 @@ def test_cli_import_leaves_scipy_unloaded(fresh_python):
     # chain step (check) or a dense U (uf export)
     for argv in ([], ["check", "--seed", "1"],
                  ["uf", "export", "--radius", "6"]):
-        code, modules = probe(fresh_python, *argv)
+        code, modules, _, _ = probe(fresh_python, *argv)
         assert code == 0 and "scipy" not in modules, argv
 
 
@@ -594,10 +633,16 @@ def test_commands_load_only_their_modules(fresh_python, config, argv,
     # numpy: the classical ones, frt-quantum and circuit
     files = {"row": config("origin=0\n" + "10110" * 24 + "\n"),
              "blocks": config("101 011 110\n", "particle.blocks")}
-    code, modules = probe(fresh_python, *(a.format(**files) for a in argv))
+    code, modules, bare, after = probe(
+        fresh_python, *(a.format(**files) for a in argv))
     want = ["qsca.cli", "qsca.errors"] + [
         m if m == "numpy" else f"qsca.{m}" for m in loaded.split()]
     assert code == 0 and modules == sorted(want)
+    # no command loads dataclasses, and one without numpy (which loads
+    # inspect) loads no inspect beyond what `import qsca.cli` loads
+    assert "dataclasses" not in after
+    if "numpy" not in loaded:
+        assert after == bare
 
 
 # -- integer options --------------------------------------------------------

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import importlib
 import inspect
 import json
@@ -132,13 +131,11 @@ def referenced_names():
 
 
 def public_members(cls):
-    """Names of the public methods and properties defined on cls, not
-    its dataclass fields."""
-    fields = ({f.name for f in dataclasses.fields(cls)}
-              if dataclasses.is_dataclass(cls) else set())
+    """Names of the public methods and properties defined on cls; its
+    fields are set on each instance, so they are not among them."""
     members = (property, cached_property, classmethod, staticmethod)
     return [name for name, value in vars(cls).items()
-            if not name.startswith("_") and name not in fields
+            if not name.startswith("_")
             and (inspect.isfunction(value) or isinstance(value, members))]
 
 
@@ -177,11 +174,13 @@ UNTRACED = {
         "reads the inverse map from it"),
     "qsca.qstate.StateVector._owning": (
         "block-propagation", "apply_circuit wraps its output state with it"),
-    "qsca.qstate.StateVector.__post_init__": (
+    "qsca.qstate.StateVector.__init__": (
         "block-propagation", "it builds its input state with the public "
         "constructor; commands build states without re-checking them"),
     "qsca.spin_chain.sum_product_gap": (
         "uf-operator", "its sum-product units compare the two gaps"),
+    "qsca.spin_chain.SumProductReport.__init__": (
+        "uf-operator", "sum_product_gap returns its two gaps in one"),
     "qsca.spin_chain._site_blocks": (
         "uf-operator", "sum_product_gap takes each site exponential's "
         "2x2 blocks from it"),
@@ -195,12 +194,26 @@ UNTRACED = {
         None, UNCALLED["spin_chain.build_site_hamiltonian"]),
     "qsca.spin_chain.apply_site_exponential": (
         None, UNCALLED["spin_chain.apply_site_exponential"]),
+    "qsca.errors.Frozen.__eq__": (
+        None, "the README states value equality of the value types"),
+    "qsca.errors.Frozen.__hash__": (
+        None, "the README states a hash that agrees with that equality"),
+    "qsca.errors.Frozen._values": (
+        None, "the equality and hash of the value types read the fields "
+        "through it"),
+    "qsca.errors.Frozen.__repr__": (
+        None, "errors name a bad op or term by its repr, and the command "
+        "line builds none"),
+    "qsca.errors.Frozen.__setattr__": (
+        None, "a value refuses assignment, which no command tries; the "
+        "tests assert the refusal"),
+    "qsca.errors.Frozen.__delattr__": (
+        None, "a value refuses deletion, which no command tries; the tests "
+        "assert the refusal"),
     "qsca.qstate.ArrayEq.__eq__": (
         None, "the README states value equality of the array-holding types"),
     "qsca.qstate.ArrayEq.__hash__": (
         None, "the README states a hash that agrees with that equality"),
-    "qsca.qstate.ArrayEq._values": (
-        None, "ArrayEq's equality and hash read the fields through it"),
     "qsca.__dir__": (
         None, "dir(qsca) lists the lazily loaded names through it"),
     "qsca.errors.NotHermitian.__init__": (

@@ -1,5 +1,4 @@
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from qsca.qstate import circuit_matrix, square_zeros
 from qsca.quantize import (
     BasisPartition,
     IsometryReport,
+    ParallelismReport,
     TransitionOperator,
     WordMap,
     block_form_ok,
@@ -475,9 +475,14 @@ def test_parallelism_report_rejects_nan(bad):
     # a NaN (or infinite) deviation or norm fails the gate
     report = parallelism_demo(1)
     assert report.ok
-    assert not replace(report, max_deviation=bad).ok
-    assert not replace(report, norm=bad).ok
-    assert not replace(report, max_deviation=bad, norm=bad).ok
+
+    def replaced(**fields):
+        # the instance dict holds exactly the constructor's fields
+        return ParallelismReport(**{**vars(report), **fields})
+    assert replaced() == report
+    assert not replaced(max_deviation=bad).ok
+    assert not replaced(norm=bad).ok
+    assert not replaced(max_deviation=bad, norm=bad).ok
 
 
 def test_parallelism_image_misses_only_preimage_word():

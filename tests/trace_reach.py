@@ -39,7 +39,8 @@ def _functions(member):
 
 def defined_functions():
     """{code object: name} of every function and method whose source is
-    a file of src/qsca; dataclass-made methods have no such file."""
+    a file of src/qsca; methods made at run time, say by a class
+    decorator, have no such file."""
     import qsca
     modules = [qsca] + [importlib.import_module(f"qsca.{m.name}")
                         for m in pkgutil.iter_modules(qsca.__path__)]
