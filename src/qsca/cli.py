@@ -110,8 +110,7 @@ def cmd_uf(args) -> int:
                     report.norm_deviation))
         mismatch = _circuit_mismatch(args.radius, t_op.image)
         if mismatch is not None:
-            text += ("circuit factorization MISMATCH at word {}: "
-                     "U image {}, circuit image {}\n".format(*mismatch))
+            text += f"circuit factorization MISMATCH at {mismatch}\n"
         _write(args.out, text)
         return 0 if report.ok and mismatch is None else 2
     # blockform: the verdict on words, the dense matrix for the CSV only
@@ -127,10 +126,11 @@ def cmd_uf(args) -> int:
     return 0 if ok else 2
 
 
-def _circuit_mismatch(r: int, image) -> tuple[int, int, int] | None:
+def _circuit_mismatch(r: int, image) -> str | None:
     """The first nonzero word x on which U, given by its image array,
-    and the NOT/CN circuit of the window rule disagree, as (x, U's image,
-    the circuit's image); None when they agree on every nonzero word."""
+    and the NOT/CN circuit of the window rule disagree, with both images,
+    as `word x: U image y, circuit image z`; None when they agree on
+    every nonzero word."""
     import numpy as np
 
     from . import gates
@@ -142,7 +142,7 @@ def _circuit_mismatch(r: int, image) -> tuple[int, int, int] | None:
     if not bad.size:
         return None
     k = bad[0]
-    return int(words[k]), int(image[k + 1]), int(want[k])
+    return f"word {words[k]}: U image {image[k + 1]}, circuit image {want[k]}"
 
 
 def cmd_circuit(args) -> int:
@@ -230,13 +230,18 @@ def cmd_frt_quantum(args) -> int:
 def cmd_parallelism(args) -> int:
     from . import quantize
     report = quantize.parallelism_demo(args.radius)
-    _write(args.out,
-           "applications {}\nimage words {}\namplitude {:.17g}\n"
-           "max deviation {:.3e}\nnorm deviation {:.3e}\n".format(
-               report.applications, report.image_count,
-               report.expected_amplitude, report.max_deviation,
-               abs(report.norm - 1.0)))
-    return 0 if report.ok else 2
+    text = ("applications {}\nimage words {}\namplitude {:.17g}\n"
+            "max deviation {:.3e}\nnorm deviation {:.3e}\n".format(
+                report.applications, report.image_count,
+                report.expected_amplitude, report.max_deviation,
+                abs(report.norm - 1.0)))
+    # the structure of U above; the window rule through its circuit
+    mismatch = _circuit_mismatch(
+        args.radius, quantize.build_uf_matrix(args.radius).image)
+    if mismatch is not None:
+        text += f"circuit factorization MISMATCH at {mismatch}\n"
+    _write(args.out, text)
+    return 0 if report.ok and mismatch is None else 2
 
 
 def cmd_reck(args) -> int:
@@ -267,7 +272,11 @@ def cmd_reck(args) -> int:
     plan = unitary_compile.reck_decompose(target)
     error = float(np.abs(unitary_compile.reck_reconstruct(plan) - target).max())
     _write(args.out, unitary_compile.emit_reck_plan(plan))
-    return 0 if error <= 1e-9 else 2
+    if error > 1e-9:
+        print(f"reconstruction error {error:.3e} exceeds 1e-9",
+              file=sys.stderr)
+        return 2
+    return 0
 
 
 def _haar(rng, dim: int):
@@ -316,8 +325,9 @@ def cmd_check(args) -> int:
     # circuit factorization: the NOT/CN circuit agrees with U on every
     # nonzero word
     for r in (1, 2, 3):
-        record(f"circuit factorization r={r}", _circuit_mismatch(
-            r, quantize.build_uf_matrix(r).image) is None)
+        mismatch = _circuit_mismatch(r, quantize.build_uf_matrix(r).image)
+        record(f"circuit factorization r={r}", mismatch is None,
+               mismatch or "")
 
     # totalized chain step against the classical scan, on every word
     # with sites 1..r zero: the new row then lies within sites 1..n, so

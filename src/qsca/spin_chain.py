@@ -18,10 +18,12 @@ ship side by side:
 The chain Hamiltonian is the sum over sites of the site generator,
 one gate generator per gate of that site's `build_uf_circuit` (the NOT
 and the CNs from its in-range neighbors).  Everything is expanded into
-Pauli terms with real coefficients and X/Z factors only, held as
-(x_mask, z_mask, coefficient) rows with site s at bit n - s; the
-`PauliTerm` tuples of a `HamiltonianSum` are read off those rows, and
-`HamiltonianSum.masks` gives them back as arrays.  A term with masks
+Pauli terms with real coefficients and X/Z factors only, and a
+`HamiltonianSum` stores them as (x_mask, z_mask, coefficient) rows with
+site s at bit n - s, its one form; the builders merge like rows.
+`HamiltonianSum.masks` gives the rows as arrays, and `terms` reads them
+as `PauliTerm` factor tuples, a view kept for the benchmark, which
+reads each term's support, and for the text output.  A term with masks
 (x, z) maps column word w to row w ^ x with sign (-1)^popcount(w & z),
 so `to_dense` writes one diagonal per distinct X mask and the matrix is
 real symmetric by construction.  Its rows are padded by one cache line
@@ -82,7 +84,8 @@ Row = tuple[int, int, float]
 
 
 class PauliTerm(Frozen):
-    """A real coefficient times a product of X/Z factors on distinct sites.
+    """A real coefficient times a product of X/Z factors on distinct sites:
+    one row of a `HamiltonianSum` as `HamiltonianSum.terms` reads it.
 
     factors is a site-sorted tuple of (site, op) pairs with op in
     {"X", "Z"}; unlisted sites act as identity, and an empty tuple is a
@@ -107,35 +110,40 @@ class PauliTerm(Frozen):
 
 
 class HamiltonianSum(Frozen):
-    def __init__(self, n_sites: int, radius: int,
-                 terms: tuple[PauliTerm, ...]):
-        for t in terms:
-            if t.support and not (1 <= t.support[0] and
-                                  t.support[-1] <= n_sites):
-                raise ValueError(f"term {t} out of range")
+    """A sum of Pauli terms on n_sites sites, held as its
+    (x_mask, z_mask, coefficient) rows with site s at bit n_sites - s.
+
+    A row with a negative mask, a bit at or above n_sites, or X and Z on
+    one site raises ValueError.
+    """
+
+    def __init__(self, n_sites: int, rows: Iterable[Row]):
+        rows = tuple((x, z, c) for x, z, c in rows)
+        for x, z, c in rows:
+            # a negative mask shifts down to -1, not to 0
+            if (x | z) >> n_sites or x & z:
+                raise ValueError(
+                    f"row {(x, z, c)} is not a Pauli term on {n_sites} sites")
         self._assign("n_sites", n_sites)
-        self._assign("radius", radius)
-        self._assign("terms", terms)
+        self._assign("rows", rows)
 
     @cached_property
     def masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The terms as read-only int64 x masks, int64 z masks and float
-        coefficients, in term order; site s is bit n_sites - s.  Above 63
-        sites a mask does not fit an int64: DimensionTooLarge."""
-        n = self.n_sites
-        check_word_width(n)
-        return _mask_arrays([
-            (sum(1 << (n - s) for s, op in t.factors if op == "X"),
-             sum(1 << (n - s) for s, op in t.factors if op == "Z"),
-             t.coefficient) for t in self.terms])
+        """The rows as read-only int64 x masks, int64 z masks and float
+        coefficients, in row order.  Above 63 sites a mask does not fit
+        an int64: DimensionTooLarge."""
+        check_word_width(self.n_sites)
+        arrays = tuple(np.array([row[k] for row in self.rows], dtype=dtype)
+                       for k, dtype in enumerate((np.int64, np.int64, float)))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
-
-def _mask_arrays(rows: list[Row]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    arrays = tuple(np.array([row[k] for row in rows], dtype=dtype)
-                   for k, dtype in enumerate((np.int64, np.int64, float)))
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    @cached_property
+    def terms(self) -> tuple[PauliTerm, ...]:
+        """The rows as PauliTerms, in row order."""
+        return tuple(PauliTerm(c, _factors(x, z, self.n_sites))
+                     for x, z, c in self.rows)
 
 
 def _factors(x: int, z: int, n: int) -> tuple[tuple[int, str], ...]:
@@ -164,11 +172,6 @@ def _merge(rows: Iterable[Row], n: int) -> list[Row]:
                   key=order)
 
 
-def _hamiltonian(n: int, r: int, rows: list[Row]) -> HamiltonianSum:
-    return HamiltonianSum(n, r, tuple(PauliTerm(c, _factors(x, z, n))
-                                      for x, z, c in rows))
-
-
 def _check_variant(variant: str) -> None:
     if variant not in GENERATOR_VARIANTS:
         raise ValueError(f"variant must be one of {GENERATOR_VARIANTS}")
@@ -192,29 +195,20 @@ def _cn_terms(control: int, target: int, n: int, variant: str) -> list[Row]:
 def generator_not(variant: str) -> np.ndarray:
     """2x2 generator of the NOT gate: the dense `_not_terms` on one site."""
     _check_variant(variant)
-    return _dense(1, *_mask_arrays(_not_terms(1, 1, variant)))
+    return to_dense(HamiltonianSum(1, _not_terms(1, 1, variant)))
 
 
 def generator_cn(variant: str) -> np.ndarray:
     """4x4 generator of the CN gate, control on the first slot: the dense
     `_cn_terms` on two sites."""
     _check_variant(variant)
-    return _dense(2, *_mask_arrays(_cn_terms(1, 2, 2, variant)))
-
-
-def _site_rows(i: int, r: int, n: int, variant: str) -> list[Row]:
-    """The site-i generator, one gate generator per gate of the site-i
-    window circuit."""
-    rows: list[Row] = []
-    for op in build_uf_circuit(r, i, n).ops:
-        rows.extend(_not_terms(op.q, n, variant) if isinstance(op, Not)
-                    else _cn_terms(op.control, op.target, n, variant))
-    return _merge(rows, n)
+    return to_dense(HamiltonianSum(2, _cn_terms(1, 2, 2, variant)))
 
 
 def build_site_hamiltonian(i: int, r: int, n_sites: int,
                            variant: str = "verified") -> HamiltonianSum:
-    """Generator of the site-i update: NOT plus CN toward each neighbor.
+    """Generator of the site-i update: one gate generator per gate of the
+    site-i window circuit, the NOT and a CN from each neighbor.
 
     Out-of-range neighbors are dropped (free boundaries).  All factors
     involve X only on site i and Z only on neighbors, so the terms
@@ -224,26 +218,37 @@ def build_site_hamiltonian(i: int, r: int, n_sites: int,
     `build_uf_circuit` does.
     """
     _check_variant(variant)
-    return _hamiltonian(n_sites, r, _site_rows(i, r, n_sites, variant))
+    rows: list[Row] = []
+    for op in build_uf_circuit(r, i, n_sites).ops:
+        rows.extend(_not_terms(op.q, n_sites, variant) if isinstance(op, Not)
+                    else _cn_terms(op.control, op.target, n_sites, variant))
+    return HamiltonianSum(n_sites, _merge(rows, n_sites))
 
 
 def build_chain_hamiltonian(n_sites: int, r: int,
                             variant: str = "verified") -> HamiltonianSum:
-    """Sum of all site generators, merged into a single Pauli expansion."""
+    """Sum of all site generators, their rows merged into one sum."""
     _check_variant(variant)
     if n_sites < 1:
         raise ValueError("need at least one site")
-    rows = _merge(chain.from_iterable(
-        _site_rows(i, r, n_sites, variant) for i in range(1, n_sites + 1)),
-        n_sites)
-    return _hamiltonian(n_sites, r, rows)
+    return HamiltonianSum(n_sites, _merge(chain.from_iterable(
+        build_site_hamiltonian(i, r, n_sites, variant).rows
+        for i in range(1, n_sites + 1)), n_sites))
 
 
-def _dense(n: int, x: np.ndarray, z: np.ndarray,
-           c: np.ndarray) -> np.ndarray:
-    """Dense matrix of mask rows: the terms sharing an X mask add up, in
-    term order, to one diagonal of values scattered at (w ^ x, w)."""
-    dim = 2 ** n
+def to_dense(h: HamiltonianSum) -> np.ndarray:
+    """Dense real symmetric matrix of a Pauli sum, site 1 most significant.
+
+    X factors form a column-index xor mask and Z factors a sign mask, so
+    the rows sharing an X mask add up, in row order, to one diagonal of
+    values scattered at (w ^ x, w); no Kronecker products are
+    materialized.  The result is a row-padded view: with a 2^n-element
+    row stride a column would map to a few cache sets, and `h == h.T`
+    would miss on every entry.  Above 12 sites, over the dense budget
+    (`square_zeros`), DimensionTooLarge comes before any 2^n array.
+    """
+    x, z, c = h.masks
+    dim = 2 ** h.n_sites
     mat = square_zeros(dim)
     cols = np.arange(dim)
     for mask in set(x.tolist()):
@@ -253,19 +258,6 @@ def _dense(n: int, x: np.ndarray, z: np.ndarray,
             vals += coef * (1.0 - 2.0 * (np.bitwise_count(cols & mask_z) & 1))
         mat[cols ^ mask, cols] = vals
     return mat
-
-
-def to_dense(h: HamiltonianSum) -> np.ndarray:
-    """Dense real symmetric matrix of a Pauli sum, site 1 most significant.
-
-    X factors form a column-index xor mask and Z factors a sign mask, so
-    the terms with one X mask fill one diagonal; no Kronecker products
-    are materialized.  The result is a row-padded view: with a 2^n-element
-    row stride a column would map to a few cache sets, and `h == h.T`
-    would miss on every entry.  Above 12 sites, over the dense budget
-    (`square_zeros`), DimensionTooLarge comes before any 2^n array.
-    """
-    return _dense(h.n_sites, *h.masks)
 
 
 def _check_real_symmetric(h: np.ndarray) -> None:
@@ -289,16 +281,16 @@ def exp_i_pi(h: np.ndarray) -> np.ndarray:
     return cos + 1j * sin
 
 
-def _site_blocks(n: int, site: int, x: np.ndarray, z: np.ndarray,
-                 coef: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The 2x2 blocks (e00, e01, e11) of exp(i pi h) for mask rows of
+def _site_blocks(h: HamiltonianSum, site: int) -> tuple[np.ndarray, ...]:
+    """The 2x2 blocks (e00, e01, e11) of exp(i pi h) for
     h = a + b X_site + c Z_site, over the words with a 0 at site as
     (bits above site, bits below site); see apply_site_exponential."""
+    n = h.n_sites
+    x, z, coef = h.masks
     bit = 1 << (n - site)
     off = (x & ~bit) != 0
     if off.any():
-        k = int(np.argmax(off))
-        term = PauliTerm(float(coef[k]), _factors(int(x[k]), int(z[k]), n))
+        term = h.terms[int(np.argmax(off))]
         raise ValueError(f"term {term} has X off site {site}")
     words = (np.arange(2 ** (site - 1))[:, None] << (n - site + 1)
              | np.arange(2 ** (n - site)))
@@ -336,7 +328,7 @@ def apply_site_exponential(h: HamiltonianSum, site: int,
     mat = np.asarray(mat)
     if mat.shape[0] != 2 ** n:
         raise ValueError(f"expected {2 ** n} rows, got {mat.shape[0]}")
-    e00, e01, e11 = (e[..., None] for e in _site_blocks(n, site, *h.masks))
+    e00, e01, e11 = (e[..., None] for e in _site_blocks(h, site))
     rows = mat.reshape(2 ** (site - 1), 2, 2 ** (n - site), -1)
     top, bottom = rows[:, 0], rows[:, 1]
     out = np.empty(rows.shape, dtype=complex)
@@ -439,13 +431,12 @@ def sum_product_gap(n_sites: int, r: int,
     if n_sites < 1:
         raise ValueError("need at least one site")
     circuit = chain_circuit(r, n_sites)
-    sites = [_site_rows(i, r, n_sites, variant)
+    sites = [build_site_hamiltonian(i, r, n_sites, variant)
              for i in range(1, n_sites + 1)]
     product = _site_product(n_sites, [
-        _site_blocks(n_sites, i, *_mask_arrays(rows))
-        for i, rows in enumerate(sites, start=1)])
-    total = _exp_i_pi_by_reflection(_dense(
-        n_sites, *_mask_arrays(_merge(chain.from_iterable(sites), n_sites))))
+        _site_blocks(h, i) for i, h in enumerate(sites, start=1)])
+    total = _exp_i_pi_by_reflection(to_dense(HamiltonianSum(n_sites, _merge(
+        chain.from_iterable(h.rows for h in sites), n_sites))))
     sum_vs_product = float(np.abs(total - product).max())
     # the circuit permutes the words: subtract its ones from the product
     words = np.arange(2 ** n_sites)

@@ -124,10 +124,12 @@ def test_uf_check_fails_on_swapped_images(capsys, swapped_images):
     assert out.startswith("range residual 0\nsupport residual 1\n")
 
 
-def test_uf_check_judges_the_window_rule(capsys, monkeypatch):
-    # swapping the images of words 1 and 2 keeps U a partial isometry,
-    # so only the comparison with the NOT/CN circuit fails; f(1) = 1 and
-    # f(2) = 2 at r = 2, each word's one 1 is off the center
+@pytest.fixture
+def rule_swapped(monkeypatch):
+    """build_uf_matrix with the images of words 1 and 2 swapped: U stays
+    a partial isometry, so only the comparison with the NOT/CN circuit
+    fails; f(1) = 1 and f(2) = 2 at r = 2, each word's one 1 is off the
+    center."""
     build = quantize.build_uf_matrix
 
     def swapped(r):
@@ -135,6 +137,9 @@ def test_uf_check_judges_the_window_rule(capsys, monkeypatch):
         image[[1, 2]] = image[[2, 1]]
         return quantize.TransitionOperator(r, image)
     monkeypatch.setattr(quantize, "build_uf_matrix", swapped)
+
+
+def test_uf_check_judges_the_window_rule(capsys, rule_swapped):
     golden = Path(__file__).parent / "golden" / "out" / "uf_check_r2.out"
     assert run(capsys, "uf", "check", "--radius", "2") == (
         2, golden.read_text() + "circuit factorization MISMATCH at word 1: "
@@ -352,6 +357,15 @@ def test_parallelism_fails_on_swapped_images(capsys, swapped_images):
     assert "image words 30\n" in out and "max deviation 1.796e-01\n" in out
 
 
+def test_parallelism_judges_the_window_rule(capsys, rule_swapped):
+    # the superposition update alone still passes: U permutes the same
+    # words; the circuit comparison names the swap
+    golden = Path(__file__).parent / "golden" / "out" / "parallelism_r2.out"
+    assert run(capsys, "parallelism", "--radius", "2") == (
+        2, golden.read_text() + "circuit factorization MISMATCH at word 1: "
+        "U image 2, circuit image 1\n", "")
+
+
 @pytest.mark.parametrize("r", range(1, 7))
 def test_parallelism_builds_no_state_vector(capsys, monkeypatch, r):
     # psi is a plain amplitude array handed to U.apply: no StateVector is
@@ -429,7 +443,8 @@ def test_reck_fails_on_a_perturbed_reconstruction(capsys, monkeypatch):
     reconstruct = unitary_compile.reck_reconstruct
     monkeypatch.setattr(unitary_compile, "reck_reconstruct",
                         lambda plan: reconstruct(plan) + 1e-6)
-    assert run(capsys, "reck", "--radius", "1") == (2, plan, "")
+    assert run(capsys, "reck", "--radius", "1") == (
+        2, plan, "reconstruction error 1.000e-06 exceeds 1e-9\n")
 
 
 def test_reck_needs_target(capsys):
@@ -492,9 +507,11 @@ def test_check_fails_on_a_dropped_bit(capsys, monkeypatch):
     monkeypatch.setattr(gates, "word_image",
                         lambda n, ops, x: word_image(n, ops, x) & ~1)
     failed = CHECK_SEED0.replace("20 checks, 0 failed", "20 checks, 3 failed")
+    # each line names the first word, whose image 1 lost its bit
     for r in (1, 2, 3):
         failed = failed.replace(f"ok   circuit factorization r={r}",
-                                f"FAIL circuit factorization r={r}")
+                                f"FAIL circuit factorization r={r}  word 1: "
+                                "U image 1, circuit image 0")
     assert run(capsys, "check", "--seed", "0") == (2, failed, "")
 
 
@@ -626,11 +643,15 @@ def test_cli_import_leaves_scipy_unloaded(fresh_python):
     (("circuit", "--radius", "2", "--site", "3", "--n-qubits", "6"),
      "gates"),
     (("circuit", "--radius", "1", "--total", "20"), "gates"),
+    (("parallelism", "--radius", "3"), "numpy qstate quantize gates"),
+    (("hamiltonian", "--n-sites", "8", "--radius", "2"),
+     "numpy qstate spin_chain gates"),
 ])
 def test_commands_load_only_their_modules(fresh_python, config, argv,
                                           loaded):
-    # the five benchmarked cold commands, and the four that run without
-    # numpy: the classical ones, frt-quantum and circuit
+    # the five benchmarked cold commands, the four that run without
+    # numpy (the classical ones, frt-quantum and circuit), parallelism,
+    # and hamiltonian, whose spin_chain imports numpy at load
     files = {"row": config("origin=0\n" + "10110" * 24 + "\n"),
              "blocks": config("101 011 110\n", "particle.blocks")}
     code, modules, bare, after = probe(

@@ -16,9 +16,6 @@ TESTS = ROOT / "tests"
 
 # public names with no reference outside the tests yet, and why they stay
 UNCALLED = {
-    "spin_chain.build_site_hamiltonian":
-        "the matrix-free chain (ROADMAP item 10) builds the site product "
-        "from it",
     "spin_chain.apply_site_exponential":
         "the matrix-free chain (ROADMAP item 10) applies the site product "
         "to seeded states with it",
@@ -190,8 +187,9 @@ UNTRACED = {
     "qsca.spin_chain._exp_i_pi_by_reflection": (
         "uf-operator", "sum_product_gap exponentiates H sector by sector "
         "with it"),
-    "qsca.spin_chain.build_site_hamiltonian": (
-        None, UNCALLED["spin_chain.build_site_hamiltonian"]),
+    "qsca.spin_chain.PauliTerm.support": (
+        "uf-operator", "its chain-Hamiltonian units check each term's "
+        "locality on it"),
     "qsca.spin_chain.apply_site_exponential": (
         None, UNCALLED["spin_chain.apply_site_exponential"]),
     "qsca.errors.Frozen.__eq__": (

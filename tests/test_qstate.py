@@ -610,7 +610,7 @@ def test_circuit_matrix_dimension_limit():
     lambda: square_zeros(4097, complex),
     lambda: WordMap(1, np.full(16385, -1)).matrix,
     lambda: circuit_matrix(Circuit(13, (Not(1),))),
-    lambda: to_dense(HamiltonianSum(13, 1, ())),
+    lambda: to_dense(HamiltonianSum(13, ())),
 ], ids=["square_zeros", "WordMap.matrix", "circuit_matrix", "to_dense"])
 def test_dense_budget_refuses_before_allocating(build, traced_peak):
     # each is just over the 256 MiB dense budget; the check runs before

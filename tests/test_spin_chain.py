@@ -156,8 +156,14 @@ def test_pauli_term_validation():
 
 
 def test_hamiltonian_sum_range_check():
-    with pytest.raises(ValueError):
-        HamiltonianSum(2, 1, (PauliTerm(1.0, ((3, "X"),)),))
+    # a negative mask, a bit at or above n_sites, X and Z on one site
+    for row in ((-1, 0, 1.0), (0, -2, 1.0), (4, 0, 1.0), (0, 8, 1.0),
+                (2, 2, 1.0)):
+        with pytest.raises(ValueError):
+            HamiltonianSum(2, (row,))
+    assert HamiltonianSum(2, ((2, 1, 1.0), (1, 2, 1.0))).terms == (
+        PauliTerm(1.0, ((1, "X"), (2, "Z"))),
+        PauliTerm(1.0, ((1, "Z"), (2, "X"))))
 
 
 # -- gate generators --------------------------------------------------------
@@ -297,13 +303,13 @@ def test_chain_two_site_terms_within_range():
 # -- dense realization ------------------------------------------------------
 
 def test_to_dense_basics():
-    assert np.array_equal(to_dense(HamiltonianSum(2, 1, ())), np.zeros((4, 4)))
-    single = HamiltonianSum(2, 1, (PauliTerm(1.0, ((1, "X"),)),))
+    assert np.array_equal(to_dense(HamiltonianSum(2, ())), np.zeros((4, 4)))
+    single = HamiltonianSum(2, ((2, 0, 1.0),))  # X on site 1
     assert np.array_equal(to_dense(single), np.kron(X, np.eye(2)))
-    zz = HamiltonianSum(2, 1, (PauliTerm(0.5, ((1, "Z"), (2, "X"))),))
-    assert np.array_equal(to_dense(zz), 0.5 * np.kron(Z, X))
+    zx = HamiltonianSum(2, ((1, 2, 0.5),))  # Z on site 1, X on site 2
+    assert np.array_equal(to_dense(zx), 0.5 * np.kron(Z, X))
     with pytest.raises(DimensionTooLarge):
-        to_dense(HamiltonianSum(15, 1, ()))
+        to_dense(HamiltonianSum(15, ()))
     # at 64 sites the masks themselves overflow an int64: refused first
     with pytest.raises(DimensionTooLarge):
         to_dense(build_chain_hamiltonian(64, 1))
@@ -312,7 +318,7 @@ def test_to_dense_basics():
 def test_to_dense_linear():
     a = build_chain_hamiltonian(4, 1, "literal")
     b = build_chain_hamiltonian(4, 2, "verified")
-    merged = HamiltonianSum(4, 2, a.terms + b.terms)
+    merged = HamiltonianSum(4, a.rows + b.rows)
     assert np.abs(to_dense(merged) - to_dense(a) - to_dense(b)).max() <= 1e-12
 
 
@@ -409,7 +415,7 @@ def test_sum_product_gap_matches_sequential_oracle(variant):
             assert abs(report.product_vs_circuit - want[1]) <= 1e-12
             doubled = spin_chain._site_product(n, [
                 spin_chain._site_blocks(
-                    n, i, *build_site_hamiltonian(i, r, n, variant).masks)
+                    build_site_hamiltonian(i, r, n, variant), i)
                 for i in range(1, n + 1)])
             assert np.array_equal(doubled,
                                   sequential_site_product(n, r, variant))
@@ -432,7 +438,7 @@ def test_sum_product_gap_size_checked_before_allocation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("allocated before the size check")
     monkeypatch.setattr(spin_chain, "chain_circuit", refuse)
-    monkeypatch.setattr(spin_chain, "_site_rows", refuse)
+    monkeypatch.setattr(spin_chain, "build_site_hamiltonian", refuse)
     with pytest.raises(DimensionTooLarge):
         sum_product_gap(40, 2)
 
@@ -445,6 +451,11 @@ def test_sum_product_gap_radius_checked_before_eigh(monkeypatch):
         sum_product_gap(6, 9)
 
 
+def assert_masks_are_rows(h):
+    for k, column in enumerate(h.masks):
+        assert column.tolist() == [row[k] for row in h.rows]
+
+
 @pytest.mark.parametrize("variant", ["literal", "verified"])
 def test_terms_masks_and_dense_match_oracles(variant):
     for n in range(1, 13):
@@ -452,9 +463,11 @@ def test_terms_masks_and_dense_match_oracles(variant):
         for r in range(1, 5):
             h = build_chain_hamiltonian(n, r, variant)
             assert h.terms == chain_terms_oracle(n, r, variant)
+            assert_masks_are_rows(h)
             for i in range(1, n + 1):
-                assert build_site_hamiltonian(i, r, n, variant).terms == \
-                    site_terms_oracle(i, r, n, variant)
+                site = build_site_hamiltonian(i, r, n, variant)
+                assert site.terms == site_terms_oracle(i, r, n, variant)
+                assert_masks_are_rows(site)
             dense = to_dense(h)
             assert np.array_equal(dense, dense_oracle(h))
             # the chain reflection i <-> n + 1 - i is an exact symmetry
@@ -463,9 +476,8 @@ def test_terms_masks_and_dense_match_oracles(variant):
 
 
 def test_masks_read_only_and_cached():
-    h = HamiltonianSum(3, 1, (PauliTerm(0.5, ((1, "X"), (3, "Z"))),
-                              PauliTerm(-0.25, ()),
-                              PauliTerm(2.0, ((2, "Z"),))))
+    # X1 Z3, the identity and Z2
+    h = HamiltonianSum(3, ((4, 1, 0.5), (0, 0, -0.25), (0, 2, 2.0)))
     x, z, c = h.masks
     assert x.tolist() == [4, 0, 0]
     assert z.tolist() == [1, 0, 2]
@@ -473,16 +485,15 @@ def test_masks_read_only_and_cached():
     assert h.masks is h.masks
     for a in h.masks:
         assert not a.flags.writeable
-    empty = HamiltonianSum(2, 1, ()).masks
+    empty = HamiltonianSum(2, ()).masks
     assert [a.shape for a in empty] == [(0,), (0,), (0,)]
 
 
 def test_to_dense_sums_shared_x_masks_in_term_order():
     # coefficients that round differently when added in another order
-    terms = (PauliTerm(0.1, ((1, "X"),)), PauliTerm(0.2, ((1, "X"), (2, "Z"))),
-             PauliTerm(0.3, ((1, "X"), (3, "Z"))), PauliTerm(1e-17, ()),
-             PauliTerm(0.7, ((2, "Z"),)))
-    h = HamiltonianSum(3, 1, terms)
+    # X1, X1 Z2, X1 Z3, the identity and Z2
+    h = HamiltonianSum(3, ((4, 0, 0.1), (4, 2, 0.2), (4, 1, 0.3),
+                           (0, 0, 1e-17), (0, 2, 0.7)))
     assert np.array_equal(to_dense(h), dense_oracle(h))
 
 
@@ -518,7 +529,7 @@ def test_reflection_sector_exponential_rejects():
         with pytest.raises(ValueError):
             spin_chain._exp_i_pi_by_reflection(broken)
     # symmetric, but site 1 is not site 4's mirror image
-    one_sided = to_dense(HamiltonianSum(4, 1, (PauliTerm(1.0, ((1, "X"),)),)))
+    one_sided = to_dense(HamiltonianSum(4, ((8, 0, 1.0),)))  # X on site 1
     with pytest.raises(ValueError):
         spin_chain._exp_i_pi_by_reflection(one_sided)
 

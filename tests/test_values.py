@@ -86,10 +86,8 @@ SAMPLES = {
     "PauliTerm": (lambda: spin_chain.PauliTerm(0.5, [(2, "Z"), (1, "X")]),
                   "PauliTerm(coefficient=0.5, factors=((1, 'X'), (2, 'Z')))"),
     "HamiltonianSum": (
-        lambda: spin_chain.HamiltonianSum(
-            2, 1, (spin_chain.PauliTerm(1.0, [(1, "X")]),)),
-        "HamiltonianSum(n_sites=2, radius=1, terms=(PauliTerm("
-        "coefficient=1.0, factors=((1, 'X'),)),))"),
+        lambda: spin_chain.HamiltonianSum(2, [(2, 0, 1.0)]),
+        "HamiltonianSum(n_sites=2, rows=((2, 0, 1.0),))"),
     "SumProductReport": (
         lambda: spin_chain.SumProductReport(2, 1, "verified", 0.5, 0.0),
         "SumProductReport(n_sites=2, radius=1, variant='verified', "
